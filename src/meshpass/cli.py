@@ -8,6 +8,7 @@ directory and is reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from multiprocessing import Pool
@@ -30,7 +31,7 @@ CONFIG_DEFAULTS = {
     "scenarios": (10, int, "number of scenarios to generate"),
     "seed": (0, int, "global RNG seed"),
     "labels": ("native", str, "label mode: native | high-accuracy"),
-    "refine": (4, int, "refinement factor for high-accuracy labels"),
+    "refine": (4, int, "refinement factor for high-accuracy labels (>= 2)"),
     "edge_min_lo": (1e-3, float, "lower bound of the sampled minimum edge length"),
     "edge_min_hi": (1e-2, float, "upper bound of the sampled minimum edge length"),
     "viscosity": (1e-3, float, "scalar diffusivity (m^2/s)"),
@@ -84,35 +85,13 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-def _gen_one(args):
-    index, scenario, cfg = args
-    fine, _, traj = dataset.simulate_scenario(
-        scenario,
-        viscosity=cfg["viscosity"],
-        dt=cfg["dt"],
-        n_steps=cfg["n_steps"],
-        coarse_edge_min=cfg["coarse_edge_min"],
-    )
-    ha_traj = None
-    if cfg["labels"] == "high-accuracy":
-        _, _, ha_traj = dataset.high_accuracy_trajectory(
-            scenario,
-            cfg["refine"],
-            viscosity=cfg["viscosity"],
-            dt=cfg["dt"],
-            n_steps=cfg["n_steps"],
-            coarse_edge_min=cfg["coarse_edge_min"],
+def _edge_min_range(cfg):
+    lo, hi = cfg["edge_min_lo"], cfg["edge_min_hi"]
+    if not 0 < lo <= hi:
+        raise ConfigError(
+            f"need 0 < edge_min_lo <= edge_min_hi, got edge_min_lo={lo!r}, edge_min_hi={hi!r}"
         )
-    extra = {
-        "viscosity": float(cfg["viscosity"]),
-        "dt": float(cfg["dt"]),
-        "n_steps": cfg["n_steps"],
-        "coarse_edge_min": float(cfg["coarse_edge_min"]),
-        "refinement": cfg["refine"] if ha_traj is not None else 1,
-        "domain_length": float(dataset.CHANNEL_LENGTH),
-        "domain_height": float(dataset.CHANNEL_HEIGHT),
-    }
-    return index, scenario, fine, traj, ha_traj, extra
+    return lo, hi
 
 
 def cmd_gen(args):
@@ -127,28 +106,43 @@ def cmd_gen(args):
         cfg["refine"] = args.refine
     if cfg["labels"] not in ("native", "high-accuracy"):
         raise ConfigError("labels must be 'native' or 'high-accuracy'")
+    refinement = cfg["refine"] if cfg["labels"] == "high-accuracy" else None
+    if refinement is not None:
+        dataset.check_refinement(refinement)
+    lo, hi = _edge_min_range(cfg)
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(cfg["seed"])
     scenarios = []
     for scenario in dataset.sample_scenarios(cfg["scenarios"], cfg["seed"]):
-        # Re-sample edge_min within the configured (desk-scale) subrange.
-        edge_min = float(
-            np.exp(rng.uniform(np.log(cfg["edge_min_lo"]), np.log(cfg["edge_min_hi"])))
-        )
+        # Re-sample edge_min within the configured (desk-scale) subrange;
+        # the clamp keeps exp(log(x)) rounding inside it.
+        edge_min = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
         scenarios.append(
             dataset.ScenarioParams(
-                scenario.radius, scenario.center, scenario.inflow_mean, edge_min,
-                scenario.seed,
+                scenario.radius, scenario.center, scenario.inflow_mean,
+                min(max(edge_min, lo), hi), scenario.seed,
             )
         )
-    jobs = [(i, s, cfg) for i, s in enumerate(scenarios)]
+    generate = functools.partial(
+        dataset.simulate_scenario, refinement=refinement,
+        viscosity=cfg["viscosity"], dt=cfg["dt"], n_steps=cfg["n_steps"],
+    )
     if cfg["workers"] > 1:
         with Pool(cfg["workers"]) as pool:
-            results = pool.map(_gen_one, jobs)
+            results = pool.map(generate, scenarios)
     else:
-        results = [_gen_one(job) for job in jobs]
-    for index, scenario, fine, traj, ha_traj, extra in sorted(results):
-        dataset.write_scenario_dir(args.out, index, scenario, fine, traj, ha_traj, extra)
+        results = [generate(s) for s in scenarios]
+    extra = {
+        "viscosity": float(cfg["viscosity"]),
+        "dt": float(cfg["dt"]),
+        "n_steps": cfg["n_steps"],
+        "coarse_edge_min": float(cfg["coarse_edge_min"]),
+        "refinement": refinement or 1,
+        "domain_length": float(dataset.CHANNEL_LENGTH),
+        "domain_height": float(dataset.CHANNEL_HEIGHT),
+    }
+    for index, (scenario, (mesh, traj, labels)) in enumerate(zip(scenarios, results)):
+        dataset.write_scenario_dir(args.out, index, scenario, mesh, traj, labels, extra)
     with open(os.path.join(args.out, "dataset_meta"), "w") as fh:
         for key in sorted(cfg):
             value = repr(float(cfg[key])) if isinstance(cfg[key], float) else cfg[key]
@@ -219,6 +213,10 @@ def cmd_eval(args):
     cfg = load_config(args.config, args.set or ())
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if not (args.solver or args.checkpoint):
+        print("error: --checkpoint or --solver required", file=sys.stderr)
+        return 1
+    params = None if args.solver else load_checkpoint(args.checkpoint)[0]
     os.makedirs(args.out, exist_ok=True)
     meshes, ref_traj, pde_cfg = dataset.fixed_obstacle_testset(
         resolutions=_eval_resolutions(cfg),
@@ -227,20 +225,14 @@ def cmd_eval(args):
         viscosity=cfg["viscosity"],
         dt=cfg["dt"],
         n_steps=cfg["eval_steps"],
-        edge_min_range=(cfg["edge_min_lo"], cfg["edge_min_hi"]),
+        edge_min_range=_edge_min_range(cfg),
     )
-    if args.solver:
+    if params is None:
         factory = lambda mesh: FrameStepper(mesh, pde_cfg)
         report = evaluate(factory, meshes, ref_traj, model="solver", mps=0,
                           schedule="", max_rollout=cfg["max_rollout"])
     else:
-        if not args.checkpoint:
-            print("error: --checkpoint or --solver required", file=sys.stderr)
-            return 1
-        params, _, _ = load_checkpoint(args.checkpoint)
-        coarse = dataset.generate_mesh(
-            pde_cfg.domain, cfg["coarse_edge_min"], seed=cfg["seed"] + 1
-        )
+        coarse = dataset.coarse_mesh(pde_cfg.domain, cfg["seed"], cfg["coarse_edge_min"])
 
         def factory(mesh):
             return ModelStepper(params, coarse).bind(mesh)
@@ -320,7 +312,7 @@ def cmd_bench(args):
     rows = []
     for res in resolutions:
         fine = dataset.generate_mesh(domain, res, seed=cfg["seed"])
-        coarse = dataset.generate_mesh(domain, cfg["coarse_edge_min"], seed=cfg["seed"] + 1)
+        coarse = dataset.coarse_mesh(domain, cfg["seed"], cfg["coarse_edge_min"])
         row = analysis.timing_benchmark(params, fine, coarse)
         row["edge_min"] = res
         rows.append(row)
@@ -392,7 +384,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,20 @@
 
 Scenario parameters follow the channel-flow distributions: obstacle radius
 and center uniform, inflow magnitude uniform, and the minimum edge length
-log-uniform. High-accuracy labels come from a simulation at
-``edge_min / refinement`` interpolated onto the scenario's own mesh, so a
-model trained on them learns fine-scale dynamics on a coarse mesh.
+log-uniform.
+
+One path turns a scenario into data: :func:`simulate_scenario` generates
+the scenario mesh, the native trajectory on it and, optionally, the
+high-accuracy labels. Those come from a simulation at
+``edge_min / refinement`` (refinement >= 2) interpolated onto the
+scenario's own mesh, so a model trained on them learns fine-scale dynamics
+on a coarse mesh.
+
+A scenario's meshes follow from its seed: the scenario mesh from ``seed``,
+the fixed-resolution coarse mesh from ``seed + 1`` and the refined label
+mesh from ``seed + 2``. Each is generated once. The coarse mesh is never
+stored: :func:`load_dataset` builds it, once per scenario, with
+:func:`coarse_mesh`.
 """
 
 from __future__ import annotations
@@ -117,56 +128,42 @@ def scenario_pde_config(scenario, viscosity=1e-3, dt=0.01, n_steps=200):
     )
 
 
-def scenario_meshes(scenario, coarse_edge_min=COARSE_EDGE_MIN):
-    """The scenario's fine mesh plus the fixed-resolution coarse mesh."""
-    domain = scenario.domain()
-    fine = generate_mesh(domain, scenario.edge_min, seed=scenario.seed)
-    coarse = generate_mesh(domain, coarse_edge_min, seed=scenario.seed + 1)
-    return fine, coarse
+def coarse_mesh(domain, seed, coarse_edge_min=COARSE_EDGE_MIN):
+    """The fixed-resolution coarse mesh paired with a mesh generated from
+    ``seed``; it is generated from ``seed + 1``."""
+    return generate_mesh(domain, coarse_edge_min, seed=seed + 1)
 
 
-def simulate_scenario(scenario, viscosity=1e-3, dt=0.01, n_steps=200,
-                      coarse_edge_min=COARSE_EDGE_MIN, edge_min=None):
-    """Generate (fine_mesh, coarse_mesh, trajectory) for one scenario."""
+def check_refinement(refinement):
+    """High-accuracy labels need a label mesh at least twice as fine."""
+    if refinement < 2:
+        raise ValueError(f"high-accuracy labels need refine >= 2, got refine={refinement}")
+
+
+def simulate_scenario(scenario, refinement=None, viscosity=1e-3, dt=0.01, n_steps=200):
+    """Generate one scenario: its mesh (from ``scenario.seed``), the native
+    trajectory on it and, when ``refinement`` is given, the high-accuracy
+    label trajectory on the same mesh.
+
+    Returns (mesh, trajectory, labels), with labels None without refinement.
+    """
     domain = scenario.domain()
-    edge_min = scenario.edge_min if edge_min is None else edge_min
-    fine = generate_mesh(domain, edge_min, seed=scenario.seed)
-    coarse = generate_mesh(domain, coarse_edge_min, seed=scenario.seed + 1)
+    mesh = generate_mesh(domain, scenario.edge_min, seed=scenario.seed)
     config = scenario_pde_config(scenario, viscosity, dt, n_steps)
-    rng = np.random.default_rng(scenario.seed)
-    initial = blob_initial(fine.positions, rng, domain)
-    traj = simulate(fine, config, initial)
-    return fine, coarse, traj
+    initial_fn = lambda pts: blob_initial(pts, np.random.default_rng(scenario.seed), domain)
+    traj = simulate(mesh, config, initial_fn(mesh.positions))
+    labels = None
+    if refinement is not None:
+        labels = high_accuracy_trajectory(mesh, config, refinement, scenario.seed, initial_fn)
+    return mesh, traj, labels
 
 
-def trajectory_to_samples(fine, coarse, traj, provenance, scenario=None):
-    """Consecutive-frame pairs: one sample per transition (T per trajectory)."""
-    return [
-        Sample(fine, coarse, traj.fields[t], traj.fields[t + 1], provenance, scenario)
-        for t in range(traj.n_frames - 1)
-    ]
-
-
-def make_native_dataset(scenarios, viscosity=1e-3, dt=0.01, n_steps=200,
-                        coarse_edge_min=COARSE_EDGE_MIN):
-    """Simulate each scenario at its own resolution; labels are the solver's
-    own next states."""
-    samples = []
-    for scenario in scenarios:
-        fine, coarse, traj = simulate_scenario(
-            scenario, viscosity, dt, n_steps, coarse_edge_min
-        )
-        samples.extend(trajectory_to_samples(fine, coarse, traj, "native", scenario))
-    return samples
-
-
-def refined_label_trajectory(domain, config, edge_min, refinement, seed, initial_fn):
-    """Simulate at edge_min/refinement and interpolate every frame onto the
-    edge_min mesh. Returns (mesh, refined_mesh, interpolated Trajectory)."""
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
-    mesh = generate_mesh(domain, edge_min, seed=seed)
-    ref_mesh = generate_mesh(domain, edge_min / refinement, seed=seed + 2)
+def high_accuracy_trajectory(mesh, config, refinement, seed, initial_fn):
+    """Simulate on a mesh at ``mesh.edge_min / refinement``, generated from
+    ``seed + 2``, and interpolate every frame onto ``mesh``, which was
+    generated from ``seed``. Returns the interpolated Trajectory."""
+    check_refinement(refinement)
+    ref_mesh = generate_mesh(config.domain, mesh.edge_min / refinement, seed=seed + 2)
     ref_traj = simulate(ref_mesh, config, initial_fn(ref_mesh.positions))
     corners, weights = build_interpolator(ref_mesh, mesh.positions)
     frames = np.stack(
@@ -175,38 +172,15 @@ def refined_label_trajectory(domain, config, edge_min, refinement, seed, initial
             for t in range(ref_traj.n_frames)
         ]
     )
-    return mesh, ref_mesh, Trajectory(mesh, frames, config.dt)
+    return Trajectory(mesh, frames, config.dt)
 
 
-def high_accuracy_trajectory(scenario, refinement, viscosity=1e-3, dt=0.01,
-                             n_steps=200, coarse_edge_min=COARSE_EDGE_MIN):
-    """Simulate at edge_min/refinement and interpolate every frame onto the
-    scenario mesh. Returns (fine_mesh, coarse_mesh, interpolated Trajectory)."""
-    domain = scenario.domain()
-    coarse = generate_mesh(domain, coarse_edge_min, seed=scenario.seed + 1)
-    config = scenario_pde_config(scenario, viscosity, dt, n_steps)
-    rng = np.random.default_rng(scenario.seed)
-    initial_fn = lambda pts: blob_initial(pts, rng, domain)
-    mesh, _, traj = refined_label_trajectory(
-        domain, config, scenario.edge_min, refinement, scenario.seed, initial_fn
-    )
-    return mesh, coarse, traj
-
-
-def make_high_accuracy_dataset(scenarios, refinement=4, viscosity=1e-3, dt=0.01,
-                               n_steps=200, coarse_edge_min=COARSE_EDGE_MIN):
-    """Inputs and targets both come from the interpolated fine trajectory."""
-    if refinement < 2:
-        raise ValueError("high-accuracy labels need refinement >= 2")
-    samples = []
-    for scenario in scenarios:
-        mesh, coarse, traj = high_accuracy_trajectory(
-            scenario, refinement, viscosity, dt, n_steps, coarse_edge_min
-        )
-        samples.extend(
-            trajectory_to_samples(mesh, coarse, traj, "high_accuracy", scenario)
-        )
-    return samples
+def trajectory_to_samples(fine, coarse, traj, provenance, scenario=None):
+    """Consecutive-frame pairs: one sample per transition (T per trajectory)."""
+    return [
+        Sample(fine, coarse, traj.fields[t], traj.fields[t + 1], provenance, scenario)
+        for t in range(traj.n_frames - 1)
+    ]
 
 
 def fixed_obstacle_testset(resolutions=None, n_resolutions=5, seed=0, viscosity=1e-3,
@@ -309,8 +283,8 @@ def read_scenario_dir(path):
 def load_dataset(root, coarse_edge_min=COARSE_EDGE_MIN):
     """Rebuild training samples from a dataset directory.
 
-    The coarse mesh is regenerated deterministically from the stored
-    scenario parameters; high-accuracy labels are used when present.
+    Each scenario's coarse mesh is generated here, once, from its stored
+    parameters; high-accuracy labels are used when present.
     """
     samples = []
     names = sorted(
@@ -318,7 +292,7 @@ def load_dataset(root, coarse_edge_min=COARSE_EDGE_MIN):
     )
     for name in names:
         scenario, mesh, traj, ha, _ = read_scenario_dir(os.path.join(root, name))
-        coarse = generate_mesh(scenario.domain(), coarse_edge_min, seed=scenario.seed + 1)
+        coarse = coarse_mesh(scenario.domain(), scenario.seed, coarse_edge_min)
         use = ha if ha is not None else traj
         provenance = "high_accuracy" if ha is not None else "native"
         samples.extend(trajectory_to_samples(mesh, coarse, use, provenance, scenario))

@@ -12,6 +12,8 @@ Layout (all integers little-endian unsigned 64-bit unless noted):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -40,21 +42,36 @@ def save_blocks(path, blocks):
 
 
 def load_blocks(path):
-    """Read a checkpoint back into an ordered dict of float64 arrays."""
+    """Read a checkpoint back into an ordered dict of float64 arrays.
+
+    A file that is not a checkpoint, or that ends before its last block,
+    raises CheckpointError naming the path.
+    """
     blocks = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n):
+            pos = fh.tell()
+            if n > size - pos:
+                raise CheckpointError(
+                    f"truncated checkpoint {path}: wanted {n} bytes at offset {pos}, "
+                    f"file has {size}"
+                )
+            return fh.read(n)
+
+        def unpack(fmt):
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
         magic = fh.read(8)
         if magic != MAGIC:
             raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(
-                struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim)
-            )
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(n * 8), dtype="<f8").reshape(shape)
+        for _ in range(unpack("<Q")):
+            try:
+                name = take(unpack("<H")).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"corrupt block name in {path}") from exc
+            shape = tuple(unpack("<Q") for _ in range(unpack("<B")))
+            data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             blocks[name] = np.array(data, dtype=np.float64)
     return blocks

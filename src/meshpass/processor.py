@@ -202,7 +202,8 @@ class ModelParams:
 
     # -- checkpoint round-trip ------------------------------------------
 
-    def save(self, path):
+    def to_blocks(self):
+        """Checkpoint blocks: meta, parameters and normalizer state."""
         blocks = {
             "meta/config": np.array(
                 [self.field_width, self.latent_size, self.hidden_size, self.seed],
@@ -220,7 +221,10 @@ class ModelParams:
         for group, norm in self._normalizers().items():
             for key, arr in norm.state().items():
                 blocks[f"norm/{group}/{key}"] = arr
-        nn.save_blocks(path, blocks)
+        return blocks
+
+    def save(self, path):
+        nn.save_blocks(path, self.to_blocks())
 
     def _normalizers(self):
         out = {"node_fields": self.node_field_normalizer, "output": self.output_normalizer}
@@ -230,7 +234,10 @@ class ModelParams:
 
     @classmethod
     def load(cls, path):
-        blocks = nn.load_blocks(path)
+        return cls.from_blocks(nn.load_blocks(path))
+
+    @classmethod
+    def from_blocks(cls, blocks):
         fw, d, h, seed = (int(v) for v in blocks["meta/config"])
         schedule = parse_schedule("".join(chr(int(c)) for c in blocks["meta/schedule"]))
         coarse_kind = "".join(chr(int(c)) for c in blocks["meta/coarse_kind"])

@@ -151,19 +151,17 @@ def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
 
 
 def save_checkpoint(path, params, optimizer, step):
-    blocks = {"train/step": np.asarray([float(step)])}
-    params.save(path)  # writes params + normalizers + meta
-    existing = nn.load_blocks(path)
-    existing.update(blocks)
+    blocks = params.to_blocks()
+    blocks["train/step"] = np.asarray([float(step)])
     for name, arr in optimizer.state().items():
-        existing[f"opt/{name}"] = arr
-    nn.save_blocks(path, existing)
+        blocks[f"opt/{name}"] = arr
+    nn.save_blocks(path, blocks)
 
 
 def load_checkpoint(path):
     """Returns (params, optimizer, step); optimizer is bound to the params."""
     blocks = nn.load_blocks(path)
-    params = ModelParams.load(path)
+    params = ModelParams.from_blocks(blocks)
     optimizer = nn.Adam(params.parameters())
     opt_state = {
         name[len("opt/") :]: arr

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from meshpass import dataset
 from meshpass import solver as S
 from meshpass.cli import CONFIG_DEFAULTS, ConfigError, load_config, main
 
@@ -72,6 +73,80 @@ class TestGen:
         for key in ("radius=", "center_x=", "center_y=", "inflow_mean=",
                     "edge_min=", "seed=", "viscosity=", "dt=", "n_steps="):
             assert key in meta
+
+    def test_equal_edge_min_bounds_kept_exactly(self, tmp_path):
+        out = str(tmp_path / "eq")
+        rc = main(["gen", "--out", out, "--scenarios", "1", "--seed", "5",
+                   "--set", "edge_min_lo=1e-2", "--set", "edge_min_hi=1e-2",
+                   "--set", "n_steps=2"])
+        assert rc == 0
+        meta = open(os.path.join(out, "scenario_0000", "meta")).read().splitlines()
+        assert "edge_min=0.01" in meta
+
+    @pytest.mark.parametrize("lo,hi", [("1.2e-2", "8e-3"), ("0", "1e-2"), ("-1e-3", "1e-2")])
+    def test_bad_edge_min_bounds_rejected(self, tmp_path, capsys, lo, hi):
+        rc = main(["gen", "--out", str(tmp_path / "bad"), "--scenarios", "1",
+                   "--set", f"edge_min_lo={lo}", "--set", f"edge_min_hi={hi}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "edge_min_lo" in err and "edge_min_hi" in err
+
+    def test_workers_match_single_process_bytes(self, tmp_path):
+        a, b = str(tmp_path / "one"), str(tmp_path / "two")
+        args = ["gen", "--scenarios", "2", "--seed", "7", "--labels", "high-accuracy",
+                "--refine", "2", "--set", "edge_min_lo=9e-3", "--set", "edge_min_hi=1.2e-2",
+                "--set", "n_steps=2"]
+        assert main(args + ["--out", a, "--set", "workers=1"]) == 0
+        assert main(args + ["--out", b, "--set", "workers=2"]) == 0
+        ta, tb = read_tree(a), read_tree(b)
+        ta.pop("dataset_meta"), tb.pop("dataset_meta")  # records the workers key
+        assert set(ta) == set(tb) and len(ta) == 8
+        for name in ta:
+            assert ta[name] == tb[name], name
+
+
+@pytest.fixture
+def mesh_calls(monkeypatch):
+    """Records the (edge_min, seed) of every generate_mesh call the dataset
+    module makes."""
+    calls = []
+    real = dataset.generate_mesh
+
+    def counting(domain, edge_min, seed=0):
+        calls.append((edge_min, seed))
+        return real(domain, edge_min, seed=seed)
+
+    monkeypatch.setattr(dataset, "generate_mesh", counting)
+    return calls
+
+
+class TestMeshGeneratedOnce:
+    GEN = ["--seed", "4", "--set", "edge_min_lo=1e-2", "--set", "edge_min_hi=1e-2",
+           "--set", "n_steps=2"]
+
+    def test_high_accuracy_gen_two_calls(self, tmp_path, mesh_calls):
+        out = str(tmp_path / "ha")
+        assert main(["gen", "--out", out, "--scenarios", "1", "--labels", "high-accuracy",
+                     "--refine", "2"] + self.GEN) == 0
+        seed = dataset.read_scenario_dir(os.path.join(out, "scenario_0000"))[0].seed
+        assert mesh_calls == [(1e-2, seed), (5e-3, seed + 2)]
+
+    def test_native_gen_and_load_one_call_per_scenario(self, tmp_path, mesh_calls):
+        out = str(tmp_path / "native")
+        assert main(["gen", "--out", out, "--scenarios", "3"] + self.GEN) == 0
+        seeds = [dataset.read_scenario_dir(os.path.join(out, f"scenario_{i:04d}"))[0].seed
+                 for i in range(3)]
+        assert mesh_calls == [(1e-2, s) for s in seeds]
+        del mesh_calls[:]
+        dataset.load_dataset(out, coarse_edge_min=2e-2)
+        assert mesh_calls == [(2e-2, s + 1) for s in seeds]
+
+    def test_refine_below_two_rejected_before_any_mesh(self, tmp_path, capsys, mesh_calls):
+        rc = main(["gen", "--out", str(tmp_path / "r1"), "--scenarios", "1",
+                   "--labels", "high-accuracy", "--refine", "1"] + self.GEN)
+        assert rc == 1
+        assert "refine" in capsys.readouterr().err
+        assert mesh_calls == []
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +239,20 @@ class TestEval:
     def test_eval_requires_model_or_solver(self, tmp_path, capsys):
         rc = main(["eval", "--out", str(tmp_path / "x")])
         assert rc != 0
+
+    @pytest.mark.parametrize("content", [b"NOTACKPT" + b"\0" * 16, b"MPCKPT01\x05\0"])
+    def test_corrupt_checkpoint_fails_before_test_set(self, tmp_path, capsys, monkeypatch,
+                                                       content):
+        def no_testset(*args, **kwargs):
+            raise AssertionError("test set built before the checkpoint was read")
+
+        monkeypatch.setattr(dataset, "fixed_obstacle_testset", no_testset)
+        ckpt = tmp_path / "bad.bin"
+        ckpt.write_bytes(content)
+        rc = main(["eval", "--out", str(tmp_path / "x"), "--checkpoint", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ckpt) in err
 
 
 class TestAnalyze:

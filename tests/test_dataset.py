@@ -22,6 +22,13 @@ def small_scenario(edge_min=8e-3, seed=3):
     return D.ScenarioParams(0.05, (0.275, 0.25), 1.5, edge_min, seed)
 
 
+def load_samples(root, scenario, refinement=None, n_steps=3):
+    """Samples as training gets them: generated, written and loaded."""
+    mesh, traj, labels = D.simulate_scenario(scenario, refinement, n_steps=n_steps)
+    D.write_scenario_dir(root, 0, scenario, mesh, traj, labels)
+    return D.load_dataset(root)
+
+
 class TestSampleScenarios:
     def test_draws_satisfy_invariants(self):
         for s in D.sample_scenarios(200, seed=0):
@@ -48,26 +55,26 @@ class TestSampleScenarios:
 
 
 class TestNativeDataset:
-    def test_pair_count_and_bit_exact_labels(self):
+    def test_pair_count_and_bit_exact_labels(self, tmp_path):
         scen = small_scenario()
-        samples = D.make_native_dataset([scen], n_steps=6)
+        samples = load_samples(tmp_path, scen, n_steps=6)
         assert len(samples) == 6
-        fine, coarse, traj = D.simulate_scenario(scen, n_steps=6)
+        fine, traj, _ = D.simulate_scenario(scen, n_steps=6)
         for t, s in enumerate(samples):
             assert np.array_equal(s.inputs, traj.fields[t])
             assert np.array_equal(s.targets, traj.fields[t + 1])
             assert s.provenance == "native"
 
-    def test_sample_shapes_consistent(self):
-        samples = D.make_native_dataset([small_scenario()], n_steps=3)
+    def test_sample_shapes_consistent(self, tmp_path):
+        samples = load_samples(tmp_path, small_scenario(), n_steps=3)
         for s in samples:
             assert s.inputs.shape == (s.fine_mesh.n_nodes, 1)
             assert s.targets.shape == (s.fine_mesh.n_nodes, 1)
             assert np.all(np.isfinite(s.inputs))
             assert np.all(np.isfinite(s.targets))
 
-    def test_split_deterministic(self):
-        samples = D.make_native_dataset([small_scenario()], n_steps=10)
+    def test_split_deterministic(self, tmp_path):
+        samples = load_samples(tmp_path, small_scenario(), n_steps=10)
         tr1, va1 = D.split_samples(samples, 0.3, seed=5)
         tr2, va2 = D.split_samples(samples, 0.3, seed=5)
         assert [id(s) for s in tr1] == [id(s) for s in tr2]
@@ -78,19 +85,7 @@ class TestNativeDataset:
 class TestHighAccuracyDataset:
     def test_refinement_below_two_rejected(self):
         with pytest.raises(ValueError):
-            D.make_high_accuracy_dataset([small_scenario()], refinement=1, n_steps=2)
-
-    def test_refinement_one_degenerates_to_native_resolution(self):
-        # The pipeline accepts refinement=1: labels come from a same-
-        # resolution (different realization) mesh.
-        domain = M.ChannelDomain(1.0, 1.0)
-        cfg = S.PdeConfig(domain, viscosity=TOY["viscosity"],
-                          inflow_mean=TOY["velocity"][0], dt=0.01, n_steps=3)
-        mesh, ref_mesh, traj = D.refined_label_trajectory(
-            domain, cfg, 0.08, 1, seed=0, initial_fn=toy_initial_fn()
-        )
-        assert abs(ref_mesh.edge_min - mesh.edge_min) < 1e-12
-        assert traj.n_frames == 4
+            D.simulate_scenario(small_scenario(), refinement=1, n_steps=2)
 
     def test_linear_solution_interpolates_exactly(self):
         # P1 interpolation of a linear-in-space field is exact, so labels on
@@ -112,9 +107,9 @@ class TestHighAccuracyDataset:
                           inflow_mean=TOY["velocity"][0], dt=0.01,
                           n_steps=n_steps)
         edge_min = 0.05
-        mesh, _, ha_traj = D.refined_label_trajectory(
-            domain, cfg, edge_min, 4, seed=0, initial_fn=toy_initial_fn()
-        )
+        mesh = M.generate_mesh(domain, edge_min, seed=0)
+        ha_traj = D.high_accuracy_trajectory(mesh, cfg, 4, seed=0,
+                                             initial_fn=toy_initial_fn())
         own_traj = S.simulate(mesh, cfg, toy_initial_fn()(mesh.positions))
         for t in range(1, n_steps + 1):
             exact = S.gaussian_solution(mesh.positions, t * cfg.dt, TOY["center"],
@@ -124,9 +119,9 @@ class TestHighAccuracyDataset:
             err_own = np.sqrt(np.mean((own_traj.fields[t, :, 0] - exact) ** 2))
             assert err_ha < err_own
 
-    def test_provenance_tag(self):
-        samples = D.make_high_accuracy_dataset([small_scenario(edge_min=9e-3)],
-                                               refinement=2, n_steps=2)
+    def test_provenance_tag(self, tmp_path):
+        samples = load_samples(tmp_path, small_scenario(edge_min=9e-3),
+                               refinement=2, n_steps=2)
         assert all(s.provenance == "high_accuracy" for s in samples)
 
 
@@ -162,7 +157,7 @@ class TestFixedObstacleTestset:
 class TestDatasetIO:
     def test_scenario_dir_roundtrip(self, tmp_path):
         scen = small_scenario()
-        fine, coarse, traj = D.simulate_scenario(scen, n_steps=4)
+        fine, traj, _ = D.simulate_scenario(scen, n_steps=4)
         D.write_scenario_dir(tmp_path, 0, scen, fine, traj)
         loaded_scen, mesh, loaded_traj, ha, meta = D.read_scenario_dir(
             tmp_path / "scenario_0000"
@@ -175,7 +170,7 @@ class TestDatasetIO:
 
     def test_write_is_byte_deterministic(self, tmp_path):
         scen = small_scenario()
-        fine, coarse, traj = D.simulate_scenario(scen, n_steps=2)
+        fine, traj, _ = D.simulate_scenario(scen, n_steps=2)
         d1 = D.write_scenario_dir(tmp_path / "a", 0, scen, fine, traj)
         d2 = D.write_scenario_dir(tmp_path / "b", 0, scen, fine, traj)
         import os
@@ -187,7 +182,7 @@ class TestDatasetIO:
 
     def test_load_dataset_builds_samples(self, tmp_path):
         scen = small_scenario()
-        fine, coarse, traj = D.simulate_scenario(scen, n_steps=3)
+        fine, traj, _ = D.simulate_scenario(scen, n_steps=3)
         D.write_scenario_dir(tmp_path, 0, scen, fine, traj)
         samples = D.load_dataset(tmp_path)
         assert len(samples) == 3

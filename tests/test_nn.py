@@ -233,3 +233,15 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\0" * 16)
         with pytest.raises(nn.CheckpointError):
             nn.load_blocks(path)
+
+    def test_truncated_file_names_path(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        nn.save_blocks(path, {"a/w": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
+        whole = path.read_bytes()
+        # Cuts inside the count, a name length, a name, a shape and the data
+        # (the last one leaves a byte count that is not a multiple of 8).
+        for size in (12, 17, 20, 30, len(whole) - 8, len(whole) - 3):
+            path.write_bytes(whole[:size])
+            with pytest.raises(nn.CheckpointError, match="truncated checkpoint") as info:
+                nn.load_blocks(path)
+            assert str(path) in str(info.value)

@@ -143,12 +143,12 @@ def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5, sample=None,
     from . import graphs
 
     fields = np.zeros((fine_mesh.n_nodes, params.field_width))
-    fine = graphs.encode_fine(
+    fine_g, fine, fine_e = graphs.encode_fine(
         fine_mesh, params.node_field_normalizer.apply(nn.Tensor(fields)), params
     )
-    coarse = graphs.encode_coarse(coarse_mesh, params)
-    down = graphs.build_transfer(fine_mesh, coarse_mesh, "down", params)
-    up = graphs.build_transfer(coarse_mesh, fine_mesh, "up", params)
+    coarse_g, coarse, coarse_e = graphs.encode_coarse(coarse_mesh, params)
+    down_g, down_e = graphs.build_transfer(fine_mesh, coarse_mesh, "down", params)
+    up_g, up_e = graphs.build_transfer(coarse_mesh, fine_mesh, "up", params)
     block = params.blocks[0]
 
     def median_time(fn):
@@ -160,14 +160,14 @@ def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5, sample=None,
         return float(np.median(times))
 
     out = {
-        "H": median_time(lambda: high_res_update(fine, block)),
-        "L": median_time(lambda: low_res_update(coarse, block)),
-        "D": median_time(lambda: downsample_update(fine, coarse, down, block)),
-        "U": median_time(lambda: upsample_update(coarse, fine, up, block)),
+        "H": median_time(lambda: high_res_update(fine_g, fine, fine_e, block)),
+        "L": median_time(lambda: low_res_update(coarse_g, coarse, coarse_e, block)),
+        "D": median_time(lambda: downsample_update(down_g, fine, coarse, down_e, block)),
+        "U": median_time(lambda: upsample_update(up_g, coarse, fine, up_e, block)),
         "fine_nodes": fine_mesh.n_nodes,
         "coarse_nodes": coarse_mesh.n_nodes,
-        "fine_edges": len(fine.senders),
-        "coarse_edges": len(coarse.senders),
+        "fine_edges": len(fine_g.senders),
+        "coarse_edges": len(coarse_g.senders),
     }
     if sample is not None:
         from .training import TrainConfig, train

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import analysis, dataset, solver, training
 from .mesh import load_mesh
+from .nn import NonFiniteError
 from .processor import ModelParams, parse_schedule
 from .solver import FrameStepper, load_trajectory
 from .training import ModelStepper, TrainConfig, evaluate, load_checkpoint, save_checkpoint
@@ -384,7 +385,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,17 @@
 """Latent graph construction: per-level encoding and cross-level transfers.
 
+Every edge set of the model is a :class:`Graph`: the fine and coarse mesh
+edges (both orientations of each mesh edge) and the down and up transfer
+edges between the levels. A Graph holds static data only, so it is built
+once per mesh or mesh pair and cached in the source mesh's ``_cache``;
+latents are plain values that the encoders return and the processor
+threads through its steps.
+
 Raw edge features follow the canonical layout [dx, dy, norm] with
-dx = x_sender - x_receiver. Mesh edges are stored as two directed edges in
-a fixed order (sorted by receiver, then sender) so aggregation is
-bit-deterministic and independent of input edge permutations.
+dx = x_sender - x_receiver. The Graph constructor is the one place that
+puts edges in canonical order (sorted by receiver, then sender), so
+aggregation is bit-deterministic and independent of the order in which the
+edges were produced.
 """
 
 from __future__ import annotations
@@ -27,120 +35,70 @@ def as_field_matrix(fields):
     return fields[:, None] if fields.ndim == 1 else fields
 
 
-def _canonical(senders, receivers):
-    order = np.lexsort((senders, receivers))
-    return senders[order], receivers[order]
+def relative_edge_features(positions, senders, receivers, dst_positions=None):
+    """[dx, dy, |d|] per edge, d = sender position - receiver position.
 
-
-def directed_mesh_edges(mesh):
-    """Both orientations of every mesh edge, in canonical order."""
-    if "directed_edges" not in mesh._cache:
-        und = mesh.undirected_edges()
-        senders = np.concatenate([und[:, 0], und[:, 1]])
-        receivers = np.concatenate([und[:, 1], und[:, 0]])
-        mesh._cache["directed_edges"] = _canonical(senders, receivers)
-    return mesh._cache["directed_edges"]
-
-
-def relative_edge_features(positions, senders, receivers):
-    d = positions[senders] - positions[receivers]
+    Senders index ``positions``; receivers index ``dst_positions`` when the
+    edges cross to another node set, else ``positions``.
+    """
+    dst_positions = positions if dst_positions is None else dst_positions
+    d = positions[senders] - dst_positions[receivers]
     return np.column_stack([d, np.hypot(d[:, 0], d[:, 1])])
 
 
-def _graph_ops(senders, receivers, n_nodes, cache=None, key=None):
-    if cache is not None and key in cache:
-        return cache[key]
-    ops = (
-        nn.SparseOp.gather(senders, n_nodes),
-        nn.SparseOp.gather(receivers, n_nodes),
-        nn.SparseOp.segment_sum(receivers, n_nodes),
-    )
-    if cache is not None:
-        cache[key] = ops
-    return ops
+class Graph:
+    """Directed edges from a source node set to a destination node set.
 
+    Holds the edges in canonical (receiver, sender) order, the sender and
+    receiver gathers and the receiver segment-sum built from them, and the
+    raw edge features. ``dst_positions`` defaults to ``src_positions`` for
+    edges within one node set.
+    """
 
-def _canonicalize_edges(senders, receivers, edge_latents):
-    """Sort edges by (receiver, sender) so aggregation order is storage-
-    independent; no-op when already canonical."""
-    senders = np.asarray(senders, dtype=np.int64)
-    receivers = np.asarray(receivers, dtype=np.int64)
-    order = np.lexsort((senders, receivers))
-    if np.array_equal(order, np.arange(order.size)):
-        return senders, receivers, edge_latents
-    if isinstance(edge_latents, nn.Tensor):
-        edge_latents = nn.take_rows(edge_latents, order)
-    else:
-        edge_latents = np.asarray(edge_latents)[order]
-    return senders[order], receivers[order], edge_latents
-
-
-class EncodedGraph:
-    """One level's latent graph: node/edge latents plus directed topology."""
-
-    def __init__(self, level, n_nodes, senders, receivers, node_latents, edge_latents, ops=None):
-        self.level = level
-        self.n_nodes = n_nodes
-        senders, receivers, edge_latents = _canonicalize_edges(
-            senders, receivers, edge_latents
+    def __init__(self, senders, receivers, src_positions, dst_positions=None):
+        dst_positions = src_positions if dst_positions is None else dst_positions
+        senders = np.asarray(senders, dtype=np.int64)
+        receivers = np.asarray(receivers, dtype=np.int64)
+        order = np.lexsort((senders, receivers))
+        self.senders = senders[order]
+        self.receivers = receivers[order]
+        self.features = relative_edge_features(
+            src_positions, self.senders, self.receivers, dst_positions
         )
-        self.senders = senders
-        self.receivers = receivers
-        self.node_latents = node_latents
-        self.edge_latents = edge_latents
-        if ops is None:
-            ops = _graph_ops(senders, receivers, n_nodes)
-        self.gather_send, self.gather_recv, self.aggregate = ops
-
-    def replace(self, node_latents=None, edge_latents=None):
-        out = object.__new__(EncodedGraph)
-        out.level = self.level
-        out.n_nodes = self.n_nodes
-        out.senders = self.senders
-        out.receivers = self.receivers
-        out.node_latents = self.node_latents if node_latents is None else node_latents
-        out.edge_latents = self.edge_latents if edge_latents is None else edge_latents
-        out.gather_send = self.gather_send
-        out.gather_recv = self.gather_recv
-        out.aggregate = self.aggregate
-        return out
+        self.gather_send = nn.SparseOp.gather(self.senders, len(src_positions))
+        self.gather_recv = nn.SparseOp.gather(self.receivers, len(dst_positions))
+        self.aggregate = nn.SparseOp.segment_sum(self.receivers, len(dst_positions))
 
 
-class TransferGraph:
-    """Directed cross-level edges (down: fine->coarse, up: coarse->fine)."""
-
-    def __init__(self, direction, n_src, n_dst, senders, receivers, edge_latents, ops=None):
-        if direction not in ("down", "up"):
-            raise ValueError(f"unknown transfer direction {direction!r}")
-        self.direction = direction
-        self.n_src = n_src
-        self.n_dst = n_dst
-        senders, receivers, edge_latents = _canonicalize_edges(
-            senders, receivers, edge_latents
+def mesh_graph(mesh):
+    """Both orientations of every mesh edge (cached on the mesh)."""
+    if "graph" not in mesh._cache:
+        und = mesh.undirected_edges()
+        mesh._cache["graph"] = Graph(
+            np.concatenate([und[:, 0], und[:, 1]]),
+            np.concatenate([und[:, 1], und[:, 0]]),
+            mesh.positions,
         )
-        self.senders = senders
-        self.receivers = receivers
-        self.edge_latents = edge_latents
-        if ops is None:
-            ops = (
-                nn.SparseOp.gather(senders, n_src),
-                nn.SparseOp.gather(receivers, n_dst),
-                nn.SparseOp.segment_sum(receivers, n_dst),
-            )
-        self.gather_send, self.gather_recv, self.aggregate = ops
+    return mesh._cache["graph"]
 
-    def replace(self, edge_latents):
-        out = object.__new__(TransferGraph)
-        out.direction = self.direction
-        out.n_src = self.n_src
-        out.n_dst = self.n_dst
-        out.senders = self.senders
-        out.receivers = self.receivers
-        out.edge_latents = edge_latents
-        out.gather_send = self.gather_send
-        out.gather_recv = self.gather_recv
-        out.aggregate = self.aggregate
-        return out
+
+def transfer_graph(src_mesh, dst_mesh):
+    """Containment edges from ``src_mesh`` to ``dst_mesh`` (cached on the
+    source mesh)."""
+    key = ("transfer", id(dst_mesh))
+    if key not in src_mesh._cache:
+        senders, receivers = containment_edges(src_mesh, dst_mesh)
+        graph = Graph(senders, receivers, src_mesh.positions, dst_mesh.positions)
+        # Hold dst_mesh so the id key cannot be recycled while cached.
+        src_mesh._cache[key] = (dst_mesh, graph)
+    return src_mesh._cache[key][1]
+
+
+def encode_edges(graph, kind, params):
+    """Edge latents of ``graph`` through the normalizer and edge encoder of
+    ``kind`` (fine, coarse, down or up)."""
+    feats = params.edge_normalizers[kind].apply(graph.features)
+    return nn.mlp_apply(params.edge_encoder(kind), feats)
 
 
 def encode_fine(mesh, fields, params):
@@ -149,91 +107,44 @@ def encode_fine(mesh, fields, params):
     Node features are the node-kind one-hot concatenated with the field
     channels; edge features are relative sender-receiver coordinates plus
     their norm. ``fields`` may be a Tensor (differentiable path) or an
-    array.
+    array. Returns (graph, node latents, edge latents).
     """
     fields_t = fields if isinstance(fields, nn.Tensor) else nn.Tensor(as_field_matrix(fields))
     if fields_t.data.shape[0] != mesh.n_nodes:
         raise ValueError(
             f"field rows {fields_t.data.shape[0]} != mesh node count {mesh.n_nodes}"
         )
-    senders, receivers = directed_mesh_edges(mesh)
-    ops = _graph_ops(senders, receivers, mesh.n_nodes, mesh._cache, "graph_ops")
-    node_feats = nn.concat([one_hot_kinds(mesh.node_kind), fields_t])
-    edge_feats = params.edge_normalizers["fine"].apply(
-        relative_edge_features(mesh.positions, senders, receivers)
-    )
-    return EncodedGraph(
-        "fine",
-        mesh.n_nodes,
-        senders,
-        receivers,
-        params.fine_node_encoder(node_feats),
-        nn.mlp_apply(params.fine_edge_encoder, edge_feats),
-        ops=ops,
-    )
+    graph = mesh_graph(mesh)
+    nodes = params.fine_node_encoder(nn.concat([one_hot_kinds(mesh.node_kind), fields_t]))
+    return graph, nodes, encode_edges(graph, "fine", params)
 
 
 def encode_coarse(mesh, params):
-    """Encode the auxiliary coarse level: geometric features only."""
-    senders, receivers = directed_mesh_edges(mesh)
-    ops = _graph_ops(senders, receivers, mesh.n_nodes, mesh._cache, "graph_ops")
-    node_feats = one_hot_kinds(mesh.node_kind)
-    edge_feats = params.edge_normalizers["coarse"].apply(
-        relative_edge_features(mesh.positions, senders, receivers)
-    )
-    return EncodedGraph(
-        "coarse",
-        mesh.n_nodes,
-        senders,
-        receivers,
-        nn.mlp_apply(params.coarse_node_encoder, node_feats),
-        nn.mlp_apply(params.coarse_edge_encoder, edge_feats),
-        ops=ops,
-    )
+    """Encode the auxiliary coarse level from geometric features only.
+    Returns (graph, node latents, edge latents)."""
+    graph = mesh_graph(mesh)
+    nodes = nn.mlp_apply(params.coarse_node_encoder, one_hot_kinds(mesh.node_kind))
+    return graph, nodes, encode_edges(graph, "coarse", params)
 
 
 def containment_edges(src_mesh, dst_mesh):
     """For each source node, edges to the 3 corners of its containing
-    destination triangle (cached on the source mesh)."""
-    key = ("containment", id(dst_mesh))
-    if key not in src_mesh._cache:
-        n = src_mesh.n_nodes
-        senders = np.repeat(np.arange(n, dtype=np.int64), 3)
-        receivers = np.empty(3 * n, dtype=np.int64)
-        for i, p in enumerate(src_mesh.positions):
-            loc = locate_point(dst_mesh, p)
-            receivers[3 * i : 3 * i + 3] = dst_mesh.triangles[loc.triangle_index]
-        order = np.lexsort((senders, receivers))
-        # Hold dst_mesh so the id key cannot be recycled while cached.
-        src_mesh._cache[key] = (dst_mesh, senders[order], receivers[order])
-    _, senders, receivers = src_mesh._cache[key]
+    destination triangle, as (senders, receivers) in source-node order."""
+    n = src_mesh.n_nodes
+    senders = np.repeat(np.arange(n, dtype=np.int64), 3)
+    receivers = np.empty(3 * n, dtype=np.int64)
+    for i, p in enumerate(src_mesh.positions):
+        loc = locate_point(dst_mesh, p)
+        receivers[3 * i : 3 * i + 3] = dst_mesh.triangles[loc.triangle_index]
     return senders, receivers
 
 
 def build_transfer(src_mesh, dst_mesh, direction, params):
-    """Transfer graph connecting each source node to the corners of the
-    destination triangle that contains it (3 edges per source node)."""
-    senders, receivers = containment_edges(src_mesh, dst_mesh)
-    ops_key = ("transfer_ops", id(dst_mesh))
-    if ops_key not in src_mesh._cache:
-        src_mesh._cache[ops_key] = (
-            nn.SparseOp.gather(senders, src_mesh.n_nodes),
-            nn.SparseOp.gather(receivers, dst_mesh.n_nodes),
-            nn.SparseOp.segment_sum(receivers, dst_mesh.n_nodes),
-        )
-    d = src_mesh.positions[senders] - dst_mesh.positions[receivers]
-    feats = np.column_stack([d, np.hypot(d[:, 0], d[:, 1])])
-    encoder = params.down_edge_encoder if direction == "down" else params.up_edge_encoder
-    feats = params.edge_normalizers[direction].apply(feats)
-    return TransferGraph(
-        direction,
-        src_mesh.n_nodes,
-        dst_mesh.n_nodes,
-        senders,
-        receivers,
-        nn.mlp_apply(encoder, feats),
-        ops=src_mesh._cache[ops_key],
-    )
+    """Transfer edges connecting each source node to the corners of the
+    destination triangle that contains it (3 edges per source node), with
+    their latents: returns (graph, edge latents)."""
+    graph = transfer_graph(src_mesh, dst_mesh)
+    return graph, encode_edges(graph, direction, params)
 
 
 class GridLevel:
@@ -297,27 +208,11 @@ class GridLevel:
         return self._cache["lattice"]
 
 
-def build_grid_transfer(src_mesh, grid_spacing, direction, params, domain=None, grid=None):
-    """Transfer edges between mesh nodes and the corners of their grid cell.
-
-    Each source-mesh node pairs with the 4 corners of the uniform-grid cell
-    containing it; corners inside the obstacle are omitted. ``direction``
-    'down' orients edges mesh->grid, 'up' grid->mesh (the same pairing
-    reversed, as the grid variant has no containing triangle to query).
-    Nodes whose 4 corners all fall inside the obstacle are dropped with a
-    warning.
-    """
-    if grid is None:
-        if domain is None:
-            lo, hi = src_mesh.bounding_box()
-            from .mesh import ChannelDomain
-
-            domain = ChannelDomain(float(hi[0]), float(hi[1]))
-        grid = GridLevel(domain, grid_spacing)
-    if grid.nx < 2 or grid.ny < 2:
-        raise ValueError("grid_spacing must cover the domain with >= 2x2 cells")
+def _grid_cell_pairs(mesh, grid):
+    """(mesh node, grid corner) index pairs: each mesh node with the corners
+    of its grid cell that lie outside the obstacle."""
     mesh_idx, grid_idx = [], []
-    for i, p in enumerate(src_mesh.positions):
+    for i, p in enumerate(mesh.positions):
         ix, iy = grid.cell_of(p)
         corners = [
             grid.node_index(ix, iy),
@@ -333,22 +228,34 @@ def build_grid_transfer(src_mesh, grid_spacing, direction, params, domain=None, 
             continue
         mesh_idx.extend([i] * len(kept))
         grid_idx.extend(kept)
-    mesh_idx = np.asarray(mesh_idx, dtype=np.int64)
-    grid_idx = np.asarray(grid_idx, dtype=np.int64)
-    if direction == "down":
-        senders, receivers = mesh_idx, grid_idx
-        pos_s, pos_r = src_mesh.positions, grid.positions
-        n_src, n_dst = src_mesh.n_nodes, grid.n_nodes
-    else:
-        senders, receivers = grid_idx, mesh_idx
-        pos_s, pos_r = grid.positions, src_mesh.positions
-        n_src, n_dst = grid.n_nodes, src_mesh.n_nodes
-    order = np.lexsort((senders, receivers))
-    senders, receivers = senders[order], receivers[order]
-    d = pos_s[senders] - pos_r[receivers]
-    feats = np.column_stack([d, np.hypot(d[:, 0], d[:, 1])])
-    encoder = params.down_edge_encoder if direction == "down" else params.up_edge_encoder
-    feats = params.edge_normalizers[direction].apply(feats)
-    return TransferGraph(
-        direction, n_src, n_dst, senders, receivers, nn.mlp_apply(encoder, feats)
-    )
+    return np.asarray(mesh_idx, dtype=np.int64), np.asarray(grid_idx, dtype=np.int64)
+
+
+def build_grid_transfer(src_mesh, grid_spacing, direction, params, domain=None, grid=None):
+    """Transfer edges between mesh nodes and the corners of their grid cell,
+    with their latents: returns (graph, edge latents).
+
+    Each source-mesh node pairs with the 4 corners of the uniform-grid cell
+    containing it; corners inside the obstacle are omitted. ``direction``
+    'down' orients edges mesh->grid, 'up' grid->mesh (the same pairing
+    reversed, as the grid variant has no containing triangle to query).
+    Nodes whose 4 corners all fall inside the obstacle are dropped with a
+    warning. Both graphs are cached on the mesh per grid.
+    """
+    if grid is None:
+        if domain is None:
+            lo, hi = src_mesh.bounding_box()
+            from .mesh import ChannelDomain
+
+            domain = ChannelDomain(float(hi[0]), float(hi[1]))
+        grid = GridLevel(domain, grid_spacing)
+    key = ("grid_transfer", id(grid))
+    if key not in src_mesh._cache:
+        mesh_idx, grid_idx = _grid_cell_pairs(src_mesh, grid)
+        pos_m, pos_g = src_mesh.positions, grid.positions
+        src_mesh._cache[key] = (grid, {
+            "down": Graph(mesh_idx, grid_idx, pos_m, pos_g),
+            "up": Graph(grid_idx, mesh_idx, pos_g, pos_m),
+        })
+    graph = src_mesh._cache[key][1][direction]
+    return graph, encode_edges(graph, direction, params)

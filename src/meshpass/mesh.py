@@ -572,9 +572,14 @@ def _remove_slivers(points, tris):
     return tris[flatness > 0.02]
 
 
+def out_of_range_triangles(triangles, n_nodes):
+    """Row numbers of the triangles with a corner index outside [0, n_nodes)."""
+    return np.flatnonzero(((triangles < 0) | (triangles >= n_nodes)).any(axis=1))
+
+
 def validate_mesh(mesh, domain=None):
     """Check the structural invariants; raises MeshGenerationError on failure."""
-    if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= mesh.n_nodes:
+    if out_of_range_triangles(mesh.triangles, mesh.n_nodes).size:
         raise MeshGenerationError("triangle index out of range")
     areas = mesh.triangle_areas()
     if np.any(areas <= 0):
@@ -624,24 +629,61 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
+    """Read a mesh written by :func:`save_mesh`.
+
+    A truncated or malformed file, an unknown node kind or a triangle
+    corner index out of range raises ValueError naming the path and line.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "msmesh v1":
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    cursor = iter(lines)
+
+    def parse(what, convert):
+        no, text = next(cursor, (None, None))
+        if text is None:
+            raise ValueError(f"{path}: file ends before the {what} (truncated mesh file)")
+        try:
+            return no, convert(text)
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{path}, line {no}: bad {what} {text!r} ({exc})") from None
+
+    def node(text):
+        x, y, kind = text.split()
+        if kind not in _KIND_CODE:
+            raise ValueError(f"unknown node kind {kind!r}")
+        return float(x), float(y), _KIND_CODE[kind]
+
+    def triangle(text):
+        a, b, c = (int(v) for v in text.split())
+        return a, b, c
+
+    def sizing(text):
+        word, lo, hi = text.split()
+        if word != "sizing":
+            raise ValueError("expected 'sizing <edge_min> <edge_max>'")
+        return float(lo), float(hi)
+
+    _, header = parse("header", str)
+    if header != "msmesh v1":
         raise ValueError(f"not an msmesh v1 file: {path}")
-    sizing = lines[1].split()
-    if sizing[0] != "sizing":
-        raise ValueError("missing sizing line in mesh file")
-    edge_min, edge_max = float(sizing[1]), float(sizing[2])
-    n_nodes = int(lines[2])
+    _, (edge_min, edge_max) = parse("sizing line", sizing)
+    _, n_nodes = parse("node count", int)
     positions = np.empty((n_nodes, 2))
     kinds = np.empty(n_nodes, dtype=np.int64)
     for i in range(n_nodes):
-        x, y, kind = lines[3 + i].split()
-        positions[i] = (float(x), float(y))
-        kinds[i] = _KIND_CODE[kind]
-    base = 3 + n_nodes
-    n_tris = int(lines[base])
+        _, (x, y, kinds[i]) = parse(f"node {i}", node)
+        positions[i] = (x, y)
+    _, n_tris = parse("triangle count", int)
     triangles = np.empty((n_tris, 3), dtype=np.int64)
+    tri_lines = []
     for i in range(n_tris):
-        triangles[i] = [int(v) for v in lines[base + 1 + i].split()]
+        no, triangles[i] = parse(f"triangle {i}", triangle)
+        tri_lines.append(no)
+    bad = out_of_range_triangles(triangles, n_nodes)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{path}, line {tri_lines[i]}: triangle {i} {triangles[i].tolist()} "
+            f"has a corner index outside [0, {n_nodes})"
+        )
     return TriMesh(positions, triangles, kinds, edge_min, edge_max)

@@ -16,7 +16,6 @@ from .autodiff import (
     spmm,
     sub,
     sum_all,
-    take_rows,
     value,
 )
 from .checkpoint import CheckpointError, load_blocks, save_blocks
@@ -47,6 +46,5 @@ __all__ = [
     "spmm",
     "sub",
     "sum_all",
-    "take_rows",
     "value",
 ]

@@ -236,21 +236,6 @@ def mean_sq(a):
     return Tensor(out, "mean_sq", (a,), vjp)
 
 
-def take_rows(a, indices):
-    """Select rows by index array (differentiable gather via scatter-add)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    av = value(a)
-    out = av[indices]
-    n = av.shape[0]
-
-    def vjp(g):
-        ga = np.zeros_like(av)
-        np.add.at(ga, indices, g)
-        return (ga,)
-
-    return Tensor(out, "take_rows", (a,), vjp)
-
-
 def _topo_order(root):
     """Tensors reachable from ``root`` in reverse-replay order (iterative)."""
     order = []

@@ -169,6 +169,10 @@ class ModelParams:
         }
         self.output_normalizer = nn.Normalizer(field_width)
 
+    def edge_encoder(self, kind):
+        """The edge encoder of ``kind``: fine, coarse, down or up."""
+        return self._encoders()[f"enc_{kind}_edge"]
+
     def _encoders(self):
         return {
             "enc_fine_node": self.fine_node_encoder,
@@ -260,48 +264,35 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _graph_update(graph, block):
-    v = graph.node_latents
-    e = graph.edge_latents
-    vs = nn.spmm(graph.gather_send, v)
-    vr = nn.spmm(graph.gather_recv, v)
-    e_new = nn.add(e, block.edge_mlp(nn.concat([e, vs, vr])))
-    agg = nn.spmm(graph.aggregate, e_new)
-    v_new = nn.add(v, block.node_mlp(nn.concat([v, agg])))
-    return graph.replace(node_latents=v_new, edge_latents=e_new)
+def update(graph, src, dst, edges, block):
+    """One interaction-network step on ``graph``: edges read their sender
+    in ``src`` and receiver in ``dst``; ``dst`` nodes sum their incoming
+    edges. Returns the new (dst, edges); ``src`` is untouched."""
+    vs = nn.spmm(graph.gather_send, src)
+    vr = nn.spmm(graph.gather_recv, dst)
+    edges = nn.add(edges, block.edge_mlp(nn.concat([edges, vs, vr])))
+    agg = nn.spmm(graph.aggregate, edges)
+    return nn.add(dst, block.node_mlp(nn.concat([dst, agg]))), edges
 
 
-def high_res_update(graph, block):
+def high_res_update(graph, nodes, edges, block):
     """One message-passing step on the fine graph."""
-    return _graph_update(graph, block)
+    return update(graph, nodes, nodes, edges, block)
 
 
-def low_res_update(graph, block):
+def low_res_update(graph, nodes, edges, block):
     """One message-passing step on the coarse graph."""
-    return _graph_update(graph, block)
+    return update(graph, nodes, nodes, edges, block)
 
 
-def _transfer_update(src_graph, dst_graph, transfer, block):
-    e = transfer.edge_latents
-    vs = nn.spmm(transfer.gather_send, src_graph.node_latents)
-    vr = nn.spmm(transfer.gather_recv, dst_graph.node_latents)
-    e_new = nn.add(e, block.edge_mlp(nn.concat([e, vs, vr])))
-    agg = nn.spmm(transfer.aggregate, e_new)
-    v_new = nn.add(
-        dst_graph.node_latents,
-        block.node_mlp(nn.concat([dst_graph.node_latents, agg])),
-    )
-    return dst_graph.replace(node_latents=v_new), transfer.replace(e_new)
+def downsample_update(graph, fine, coarse, edges, block):
+    """Move information fine->coarse; returns the new (coarse, edges)."""
+    return update(graph, fine, coarse, edges, block)
 
 
-def downsample_update(fine, coarse, transfer, block):
-    """Move information fine->coarse; fine latents are untouched."""
-    return _transfer_update(fine, coarse, transfer, block)
-
-
-def upsample_update(coarse, fine, transfer, block):
-    """Move information coarse->fine; coarse latents are untouched."""
-    return _transfer_update(coarse, fine, transfer, block)
+def upsample_update(graph, coarse, fine, edges, block):
+    """Move information coarse->fine; returns the new (fine, edges)."""
+    return update(graph, coarse, fine, edges, block)
 
 
 # ---------------------------------------------------------------------------
@@ -313,36 +304,46 @@ def forward_normalized_delta(params, fine_mesh, coarse_level, fields):
     """Differentiable core of the model: normalized per-node delta.
 
     Returns (delta Tensor (N, field_width), input leaf Tensor) so callers
-    can take gradients with respect to either parameters or inputs.
+    can take gradients with respect to either parameters or inputs. The
+    coarse level and the transfers are encoded only when the schedule has
+    L, D or U steps; ``coarse_level`` must be of ``params.coarse_kind``.
     """
+    if coarse_level is not None:
+        level_kind = "grid" if isinstance(coarse_level, GridLevel) else "mesh"
+        if level_kind != params.coarse_kind:
+            raise ValueError(
+                f"model coarse_kind is {params.coarse_kind!r} but the coarse level "
+                f"given is a {level_kind!r} level"
+            )
     leaf = fields if isinstance(fields, nn.Tensor) else nn.Tensor(as_field_matrix(fields))
     xn = params.node_field_normalizer.apply(leaf)
-    fine = graphs.encode_fine(fine_mesh, xn, params)
-    coarse = graphs.encode_coarse(coarse_level, params) if coarse_level is not None else None
-    down = up = None
-    if params.schedule.d_count > 0 or params.schedule.u_count > 0:
+    fine_g, fine, fine_e = graphs.encode_fine(fine_mesh, xn, params)
+    # Every L run is entered by a D step, so d_count > 0 iff the schedule
+    # has any L, D or U step.
+    if params.schedule.d_count > 0:
         if coarse_level is None:
-            raise ValueError("schedule uses D/U steps but no coarse level was given")
-        if isinstance(coarse_level, GridLevel):
-            down = graphs.build_grid_transfer(
+            raise ValueError("schedule uses L/D/U steps but no coarse level was given")
+        coarse_g, coarse, coarse_e = graphs.encode_coarse(coarse_level, params)
+        if params.coarse_kind == "grid":
+            down_g, down_e = graphs.build_grid_transfer(
                 fine_mesh, None, "down", params, grid=coarse_level
             )
-            up = graphs.build_grid_transfer(
+            up_g, up_e = graphs.build_grid_transfer(
                 fine_mesh, None, "up", params, grid=coarse_level
             )
         else:
-            down = graphs.build_transfer(fine_mesh, coarse_level, "down", params)
-            up = graphs.build_transfer(coarse_level, fine_mesh, "up", params)
+            down_g, down_e = graphs.build_transfer(fine_mesh, coarse_level, "down", params)
+            up_g, up_e = graphs.build_transfer(coarse_level, fine_mesh, "up", params)
     for step, block in zip(params.schedule.steps, params.blocks):
         if step == STEP_FINE:
-            fine = high_res_update(fine, block)
+            fine, fine_e = high_res_update(fine_g, fine, fine_e, block)
         elif step == STEP_COARSE:
-            coarse = low_res_update(coarse, block)
+            coarse, coarse_e = low_res_update(coarse_g, coarse, coarse_e, block)
         elif step == STEP_DOWN:
-            coarse, down = downsample_update(fine, coarse, down, block)
+            coarse, down_e = downsample_update(down_g, fine, coarse, down_e, block)
         else:
-            fine, up = upsample_update(coarse, fine, up, block)
-    delta = params.decoder(fine.node_latents)
+            fine, up_e = upsample_update(up_g, coarse, fine, up_e, block)
+    delta = params.decoder(fine)
     return delta, leaf
 
 

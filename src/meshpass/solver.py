@@ -15,6 +15,7 @@ initial state), natural no-flux on walls and the obstacle, free outflow.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -116,14 +117,34 @@ def save_trajectory(traj, path):
 
 
 def load_trajectory(path, mesh=None):
-    """Read a trajectory; if ``mesh`` is given its digest is verified."""
+    """Read a trajectory; if ``mesh`` is given its digest is verified.
+
+    A file whose length disagrees with its header (a truncated file, say)
+    or that holds non-finite values raises SimulationError naming the path.
+    """
+    header = struct.Struct("<QQQd")
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(8) != _TRAJ_MAGIC:
             raise SimulationError(f"not a trajectory file: {path}")
+        head_len = 8 + 32 + header.size
+        if size < head_len:
+            raise SimulationError(
+                f"truncated trajectory file {path}: {size} bytes, header needs {head_len}"
+            )
         digest = fh.read(32)
-        n, frames, width, dt = struct.unpack("<QQQd", fh.read(32))
-        data = np.frombuffer(fh.read(frames * n * width * 8), dtype="<f8")
+        n, frames, width, dt = header.unpack(fh.read(header.size))
+        expected = head_len + 8 * frames * n * width
+        if size != expected:
+            raise SimulationError(
+                f"trajectory file {path} has {size} bytes; its header "
+                f"({frames} frames x {n} nodes x {width} channels) needs {expected}"
+            )
+        data = np.frombuffer(fh.read(expected - head_len), dtype="<f8")
     fields = np.array(data, dtype=np.float64).reshape(frames, n, width)
+    if not np.all(np.isfinite(fields)):
+        bad = int(np.argmin(np.isfinite(fields).reshape(frames, -1).all(axis=1)))
+        raise SimulationError(f"non-finite values in frame {bad} of trajectory file {path}")
     if mesh is not None and mesh_digest(mesh) != digest:
         raise SimulationError("trajectory mesh hash does not match the given mesh")
     return Trajectory(mesh, fields, dt), digest

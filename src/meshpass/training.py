@@ -20,12 +20,7 @@ from . import nn
 from .mesh import build_interpolator, apply_interpolator
 from .processor import ModelParams, PRESCRIBED_KINDS, forward_normalized_delta
 from .solver import Trajectory, one_step_errors
-from .graphs import (
-    as_field_matrix,
-    containment_edges,
-    directed_mesh_edges,
-    relative_edge_features,
-)
+from .graphs import as_field_matrix, mesh_graph, transfer_graph
 
 
 class TrainingError(RuntimeError):
@@ -58,24 +53,6 @@ class TrainConfig:
         return self.learning_rate * self.lr_decay ** (step / self.steps)
 
 
-def _edge_feature_batches(sample):
-    """Raw edge features per graph kind for normalizer accumulation."""
-    out = {}
-    s, r = directed_mesh_edges(sample.fine_mesh)
-    out["fine"] = relative_edge_features(sample.fine_mesh.positions, s, r)
-    if sample.coarse_mesh is not None:
-        s, r = directed_mesh_edges(sample.coarse_mesh)
-        out["coarse"] = relative_edge_features(sample.coarse_mesh.positions, s, r)
-        for kind, (a, b) in (
-            ("down", (sample.fine_mesh, sample.coarse_mesh)),
-            ("up", (sample.coarse_mesh, sample.fine_mesh)),
-        ):
-            s, r = containment_edges(a, b)
-            d = a.positions[s] - b.positions[r]
-            out[kind] = np.column_stack([d, np.hypot(d[:, 0], d[:, 1])])
-    return out
-
-
 def warm_up_normalizers(params, samples):
     """Accumulate feature statistics from a batch of samples."""
     for sample in samples:
@@ -83,8 +60,14 @@ def warm_up_normalizers(params, samples):
         targets = as_field_matrix(sample.targets)
         params.node_field_normalizer.accumulate(inputs)
         params.output_normalizer.accumulate(targets - inputs)
-        for kind, feats in _edge_feature_batches(sample).items():
-            params.edge_normalizers[kind].accumulate(feats)
+        fine, coarse = sample.fine_mesh, sample.coarse_mesh
+        edge_sets = {"fine": mesh_graph(fine)}
+        if coarse is not None:
+            edge_sets["coarse"] = mesh_graph(coarse)
+            edge_sets["down"] = transfer_graph(fine, coarse)
+            edge_sets["up"] = transfer_graph(coarse, fine)
+        for kind, graph in edge_sets.items():
+            params.edge_normalizers[kind].accumulate(graph.features)
 
 
 def training_loss(params, sample, noisy_inputs=None):

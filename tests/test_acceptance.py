@@ -55,8 +55,8 @@ def test_criterion_2_transfer_graph_structure():
     assert fine.n_nodes <= 500 and coarse.n_nodes <= 500
     params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0)
 
-    down = G.build_transfer(fine, coarse, "down", params)
-    up = G.build_transfer(coarse, fine, "up", params)
+    down, _ = G.build_transfer(fine, coarse, "down", params)
+    up, _ = G.build_transfer(coarse, fine, "up", params)
     assert np.all(np.bincount(down.senders, minlength=fine.n_nodes) == 3)
     assert np.all(np.bincount(up.senders, minlength=coarse.n_nodes) == 3)
     # brute-force oracle over all triangles
@@ -67,7 +67,7 @@ def test_criterion_2_transfer_graph_structure():
             got = set(transfer.receivers[transfer.senders == i].tolist())
             assert got == expected
 
-    grid_t = G.build_grid_transfer(fine, 0.08, "down", params, domain=domain)
+    grid_t, _ = G.build_grid_transfer(fine, 0.08, "down", params, domain=domain)
     counts = np.bincount(grid_t.senders, minlength=fine.n_nodes)
     assert counts.max() <= 4
     assert counts.min() >= 1

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: reproducibility, file layout, error handling."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -177,6 +178,41 @@ class TestTrain:
         rc = main(["train", "--dataset", generated, "--out", str(tmp_path / "r"),
                    "--processor", "p=1H 2L (U=0,D=1)", "--steps", "2"] + SMALL_MODEL)
         assert rc != 0
+
+    @pytest.mark.parametrize("damage", ["short_by_5", "cut_to_50", "nan_frame"])
+    def test_bad_trajectory_file_exits_1(self, generated, tmp_path, capsys, damage):
+        data = str(tmp_path / "ds")
+        shutil.copytree(generated, data)
+        traj = os.path.join(data, "scenario_0001", "trajectory.bin")
+        raw = bytearray(open(traj, "rb").read())
+        if damage == "short_by_5":
+            raw = raw[:-5]
+        elif damage == "cut_to_50":
+            raw = raw[:50]
+        else:
+            raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        with open(traj, "wb") as fh:
+            fh.write(bytes(raw))
+        rc = main(["train", "--dataset", data, "--out", str(tmp_path / "run"),
+                   "--steps", "2"] + SMALL_MODEL)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and traj in err
+
+    def test_non_finite_forward_exits_1(self, generated, tmp_path, capsys, monkeypatch):
+        from meshpass.nn import autodiff as ad
+
+        # Every matmul of the forward pass sees a NaN operand.
+        real_matmul = ad.matmul
+        monkeypatch.setattr(
+            ad, "matmul",
+            lambda a, b: real_matmul(ad.Tensor(np.full_like(ad.value(a), np.nan)), b),
+        )
+        rc = main(["train", "--dataset", generated, "--out", str(tmp_path / "run"),
+                   "--steps", "2"] + SMALL_MODEL)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "operation 'matmul'" in err
 
     def test_resume_reproduces_run(self, generated, tmp_path):
         one = str(tmp_path / "one")

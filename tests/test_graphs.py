@@ -35,24 +35,22 @@ def channel():
 class TestEncodeFine:
     def test_two_triangle_square_counts(self, params):
         mesh = square_mesh()
-        g = G.encode_fine(mesh, np.zeros(4), params)
-        assert g.node_latents.data.shape[0] == 4
-        assert g.edge_latents.data.shape[0] == 10  # 5 undirected edges
+        _, nodes, edges = G.encode_fine(mesh, np.zeros(4), params)
+        assert nodes.data.shape[0] == 4
+        assert edges.data.shape[0] == 10  # 5 undirected edges
 
     def test_zero_weight_encoders_zero_latents(self):
         p = ModelParams("p=1H (U=0,D=0)", 1, 8, 8, seed=0).zero_()
         mesh = square_mesh()
-        g = G.encode_fine(mesh, np.random.default_rng(0).normal(size=4), p)
-        assert np.all(g.node_latents.data == 0)
-        assert np.all(g.edge_latents.data == 0)
+        _, nodes, edges = G.encode_fine(mesh, np.random.default_rng(0).normal(size=4), p)
+        assert np.all(nodes.data == 0)
+        assert np.all(edges.data == 0)
 
     def test_translation_leaves_edge_latents_unchanged(self, params):
         fields = np.random.default_rng(1).normal(size=4)
-        a = G.encode_fine(square_mesh(), fields, params)
-        b = G.encode_fine(square_mesh(shift=(0.3, -0.1)), fields, params)
-        np.testing.assert_allclose(
-            a.edge_latents.data, b.edge_latents.data, atol=1e-12
-        )
+        _, _, a = G.encode_fine(square_mesh(), fields, params)
+        _, _, b = G.encode_fine(square_mesh(shift=(0.3, -0.1)), fields, params)
+        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_field_count_mismatch(self, params):
         with pytest.raises(ValueError):
@@ -69,42 +67,42 @@ class TestEncodeCoarse:
 
     def test_coarse_latents_independent_of_fields(self, params):
         mesh = square_mesh()
-        a = G.encode_coarse(mesh, params)
-        b = G.encode_coarse(mesh, params)
-        np.testing.assert_array_equal(a.node_latents.data, b.node_latents.data)
+        _, a, _ = G.encode_coarse(mesh, params)
+        _, b, _ = G.encode_coarse(mesh, params)
+        np.testing.assert_array_equal(a.data, b.data)
 
     def test_zero_weights_zero_latents(self):
         p = ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0).zero_()
-        g = G.encode_coarse(square_mesh(), p)
-        assert np.all(g.node_latents.data == 0)
-        assert np.all(g.edge_latents.data == 0)
+        _, nodes, edges = G.encode_coarse(square_mesh(), p)
+        assert np.all(nodes.data == 0)
+        assert np.all(edges.data == 0)
 
     def test_translation_invariance(self, params):
-        a = G.encode_coarse(square_mesh(), params)
-        b = G.encode_coarse(square_mesh(shift=(0.3, -0.1)), params)
-        np.testing.assert_allclose(a.edge_latents.data, b.edge_latents.data, atol=1e-12)
+        _, _, a = G.encode_coarse(square_mesh(), params)
+        _, _, b = G.encode_coarse(square_mesh(shift=(0.3, -0.1)), params)
+        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
 
 class TestBuildTransfer:
     def test_fine_mesh_inside_one_coarse_triangle(self, params):
         coarse = square_mesh()
         fine = square_mesh(shift=(0.55, 0.05), scale=0.3)  # inside triangle 0
-        t = G.build_transfer(fine, coarse, "down", params)
+        t, _ = G.build_transfer(fine, coarse, "down", params)
         assert len(t.senders) == 3 * fine.n_nodes
         assert set(t.receivers.tolist()) <= set(coarse.triangles[0].tolist())
 
     def test_three_edges_per_source_node(self, params, channel):
         _, fine, coarse = channel
-        down = G.build_transfer(fine, coarse, "down", params)
+        down, _ = G.build_transfer(fine, coarse, "down", params)
         counts = np.bincount(down.senders, minlength=fine.n_nodes)
         assert np.all(counts == 3)
-        up = G.build_transfer(coarse, fine, "up", params)
+        up, _ = G.build_transfer(coarse, fine, "up", params)
         counts = np.bincount(up.senders, minlength=coarse.n_nodes)
         assert np.all(counts == 3)
 
     def test_receivers_match_brute_force_oracle(self, params, channel):
         _, fine, coarse = channel
-        up = G.build_transfer(coarse, fine, "up", params)
+        up, _ = G.build_transfer(coarse, fine, "up", params)
         for i in range(coarse.n_nodes):
             loc = M.locate_point_brute(fine, coarse.positions[i])
             expected = set(fine.triangles[loc.triangle_index].tolist())
@@ -115,27 +113,25 @@ class TestBuildTransfer:
         # No transfer endpoint may lie strictly inside the obstacle.
         domain, fine, coarse = channel
         cx, cy = domain.obstacle_center
-        for t in (G.build_transfer(fine, coarse, "down", params),
-                  G.build_transfer(coarse, fine, "up", params)):
-            src_pos = fine.positions if t.direction == "down" else coarse.positions
-            dst_pos = coarse.positions if t.direction == "down" else fine.positions
-            for pos, idx in ((src_pos, t.senders), (dst_pos, t.receivers)):
+        for src, dst, direction in ((fine, coarse, "down"), (coarse, fine, "up")):
+            t, _ = G.build_transfer(src, dst, direction, params)
+            for pos, idx in ((src.positions, t.senders), (dst.positions, t.receivers)):
                 r = np.hypot(pos[idx, 0] - cx, pos[idx, 1] - cy)
                 assert np.all(r >= domain.obstacle_radius - 1e-9)
 
     def test_deterministic(self, params, channel):
         _, fine, coarse = channel
-        a = G.build_transfer(fine, coarse, "down", params)
-        b = G.build_transfer(fine, coarse, "down", params)
+        a, a_edges = G.build_transfer(fine, coarse, "down", params)
+        b, b_edges = G.build_transfer(fine, coarse, "down", params)
         assert np.array_equal(a.senders, b.senders)
         assert np.array_equal(a.receivers, b.receivers)
-        assert np.array_equal(a.edge_latents.data, b.edge_latents.data)
+        assert np.array_equal(a_edges.data, b_edges.data)
 
 
 class TestGridTransfer:
     def test_node_at_cell_center_four_edges(self, params):
         mesh = square_mesh(shift=(0.05, 0.05), scale=0.4)
-        t = G.build_grid_transfer(mesh, 0.5, "down", params,
+        t, _ = G.build_grid_transfer(mesh, 0.5, "down", params,
                                   domain=M.ChannelDomain(1.0, 1.0))
         counts = np.bincount(t.senders, minlength=mesh.n_nodes)
         assert np.all(counts == 4)
@@ -145,7 +141,7 @@ class TestGridTransfer:
         grid = G.GridLevel(domain, 0.1)
         assert grid.inside_obstacle.sum() >= 1
         mesh = M.generate_mesh(domain, 1.2e-2)
-        t = G.build_grid_transfer(mesh, 0.1, "down", params, domain=domain)
+        t, _ = G.build_grid_transfer(mesh, 0.1, "down", params, domain=domain)
         counts = np.bincount(t.senders, minlength=mesh.n_nodes)
         assert counts.max() == 4
         assert counts.min() >= 1
@@ -155,8 +151,8 @@ class TestGridTransfer:
     def test_up_direction_mirrors_pairs(self, params):
         mesh = square_mesh(shift=(0.1, 0.1), scale=0.5)
         domain = M.ChannelDomain(1.0, 1.0)
-        down = G.build_grid_transfer(mesh, 0.5, "down", params, domain=domain)
-        up = G.build_grid_transfer(mesh, 0.5, "up", params, domain=domain)
+        down, _ = G.build_grid_transfer(mesh, 0.5, "down", params, domain=domain)
+        up, _ = G.build_grid_transfer(mesh, 0.5, "up", params, domain=domain)
         pairs_down = set(zip(down.senders.tolist(), down.receivers.tolist()))
         pairs_up = set(zip(up.receivers.tolist(), up.senders.tolist()))
         assert pairs_down == pairs_up
@@ -166,6 +162,36 @@ class TestGridTransfer:
         with pytest.raises(ValueError):
             G.build_grid_transfer(mesh, 2.0, "down", params,
                                   domain=M.ChannelDomain(1.0, 1.0))
+
+
+class TestGraph:
+    def test_canonical_order_and_features(self):
+        pos = np.random.default_rng(2).normal(size=(4, 2))
+        g = G.Graph(np.array([3, 0, 2, 1]), np.array([0, 1, 0, 2]), pos)
+        assert g.receivers.tolist() == [0, 0, 1, 2]
+        assert g.senders.tolist() == [2, 3, 0, 1]
+        np.testing.assert_array_equal(
+            g.features, G.relative_edge_features(pos, g.senders, g.receivers)
+        )
+
+    def test_cross_level_features_and_shapes(self):
+        src = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+        dst = np.array([[0.0, 0.0], [1.0, 0.0]])
+        g = G.Graph(np.array([1, 2]), np.array([0, 1]), src, dst)
+        np.testing.assert_allclose(g.features, [[3.0, 4.0, 5.0], [0.0, 1.0, 1.0]])
+        assert g.gather_send.mat.shape == (2, 3)
+        assert g.gather_recv.mat.shape == (2, 2)
+        assert g.aggregate.mat.shape == (2, 2)
+
+    def test_built_once_per_mesh_and_pair(self, params, channel):
+        _, fine, coarse = channel
+        a, _, _ = G.encode_fine(fine, np.zeros(fine.n_nodes), params)
+        b, _, _ = G.encode_fine(fine, np.ones(fine.n_nodes), params)
+        assert a is b
+        assert G.encode_coarse(coarse, params)[0] is G.mesh_graph(coarse)
+        down, _ = G.build_transfer(fine, coarse, "down", params)
+        assert G.build_transfer(fine, coarse, "down", params)[0] is down
+        assert G.transfer_graph(fine, coarse) is down
 
 
 class TestEdgeFeatures:

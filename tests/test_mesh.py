@@ -280,3 +280,29 @@ class TestMeshIO:
         path.write_text("something else\n")
         with pytest.raises(ValueError):
             M.load_mesh(path)
+
+    TRIANGLE_FILE = ["msmesh v1", "sizing 1.0 5.0", "3", "0.0 0.0 wall", "1.0 0.0 wall",
+                     "0.0 1.0 inflow", "1", "0 1 2"]
+
+    def test_small_file_loads(self, tmp_path):
+        path = tmp_path / "mesh.msh"
+        path.write_text("\n".join(self.TRIANGLE_FILE) + "\n")
+        mesh = M.load_mesh(path)
+        assert mesh.n_nodes == 3 and mesh.triangles.tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("line, text, message", [
+        (8, None, "truncated"),
+        (5, "1.0 0.0 bogus", "line 5.*unknown node kind 'bogus'"),
+        (8, "0 1 3", "line 8.*outside"),
+    ], ids=["truncated", "unknown_kind", "index_out_of_range"])
+    def test_bad_file_names_path_and_line(self, tmp_path, line, text, message):
+        lines = list(self.TRIANGLE_FILE)
+        if text is None:
+            del lines[line - 1:]
+        else:
+            lines[line - 1] = text
+        path = tmp_path / "mesh.msh"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            M.load_mesh(path)
+        assert str(path) in str(err.value)

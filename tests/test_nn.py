@@ -37,7 +37,7 @@ class TestAutodiffOps:
     @pytest.mark.parametrize(
         "name",
         ["matmul", "add_bias", "relu", "concat", "mul", "sub", "layer_norm",
-         "gather", "segment_sum", "take_rows"],
+         "gather", "segment_sum"],
     )
     def test_op_gradients_match_finite_differences(self, name):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -56,7 +56,6 @@ class TestAutodiffOps:
             "layer_norm": (lambda: ad.layer_norm(ad.matmul(x, w), b, b), [x, w, b]),
             "gather": (lambda: ad.spmm(ad.SparseOp.gather(idx, 6), x), [x]),
             "segment_sum": (lambda: ad.spmm(ad.SparseOp.segment_sum(idx, 6), x), [x]),
-            "take_rows": (lambda: ad.take_rows(x, idx), [x]),
         }
         build, leaves = builders[name]
         loss_fn = lambda: ad.mean_sq(build())

@@ -60,52 +60,78 @@ class TestScheduleParsing:
         assert s.total_mps == 2 + 1 + 3 + 1 + 2
 
 
-def tiny_graph(latents, senders, receivers, edge_latents):
-    return G.EncodedGraph(
-        "fine", latents.shape[0], np.asarray(senders), np.asarray(receivers),
-        nn.Tensor(latents), nn.Tensor(edge_latents),
-    )
+def tiny_graph(senders, receivers, n_src, n_dst=None):
+    """A Graph from n_src to n_dst (default n_src) nodes at the origin: the
+    update reads no positions."""
+    n_dst = n_src if n_dst is None else n_dst
+    return G.Graph(np.asarray(senders), np.asarray(receivers),
+                   np.zeros((n_src, 2)), np.zeros((n_dst, 2)))
 
 
 class TestGraphUpdates:
     def test_zero_weight_block_is_identity(self):
         rng = np.random.default_rng(0)
         block = P.ProcessorBlock("H", 4, 4, rng).zero_()
-        g = tiny_graph(rng.normal(size=(3, 4)), [0, 1], [1, 2], rng.normal(size=(2, 4)))
-        out = P.high_res_update(g, block)
-        np.testing.assert_array_equal(out.node_latents.data, g.node_latents.data)
-        np.testing.assert_array_equal(out.edge_latents.data, g.edge_latents.data)
+        v = nn.Tensor(rng.normal(size=(3, 4)))
+        e = nn.Tensor(rng.normal(size=(2, 4)))
+        v_out, e_out = P.high_res_update(tiny_graph([0, 1], [1, 2], 3), v, e, block)
+        np.testing.assert_array_equal(v_out.data, v.data)
+        np.testing.assert_array_equal(e_out.data, e.data)
 
     def test_node_without_incoming_edges_aggregates_zero(self):
         rng = np.random.default_rng(1)
         block = P.ProcessorBlock("H", 4, 4, rng)
         v = rng.normal(size=(3, 4))
         e = rng.normal(size=(1, 4))
-        g = tiny_graph(v, [0], [1], e)  # node 2 receives nothing
-        out = P.high_res_update(g, block)
+        g = tiny_graph([0], [1], 3)  # node 2 receives nothing
+        v_out, _ = P.high_res_update(g, nn.Tensor(v), nn.Tensor(e), block)
         # manual: v2' = v2 + node_mlp([v2, zeros])
         manual = v[2] + block.node_mlp(
             nn.Tensor(np.concatenate([v[2], np.zeros(4)])[None])
         ).data[0]
-        np.testing.assert_allclose(out.node_latents.data[2], manual, atol=1e-12)
+        np.testing.assert_allclose(v_out.data[2], manual, atol=1e-12)
 
     def test_permuted_edge_storage_bit_identical(self):
+        # A Graph built from any permutation of the same edge list has the
+        # same canonical edges, operators and features, so latents encoded
+        # from its features update bit-identically.
         rng = np.random.default_rng(2)
         block = P.ProcessorBlock("H", 4, 4, rng)
-        v = rng.normal(size=(5, 4))
+        encoder = nn.Mlp(3, 4, 4, True, rng)
+        v = nn.Tensor(rng.normal(size=(5, 4)))
+        pos = rng.normal(size=(5, 2))
         senders = np.array([0, 1, 2, 3, 4, 0])
         receivers = np.array([1, 2, 3, 4, 0, 2])
-        e = rng.normal(size=(6, 4))
-        g1 = tiny_graph(v, senders, receivers, e)
         perm = np.array([5, 2, 0, 4, 1, 3])
-        g2 = tiny_graph(v, senders[perm], receivers[perm], e[perm])
-        o1 = P.high_res_update(g1, block)
-        o2 = P.high_res_update(g2, block)
-        assert np.array_equal(o1.node_latents.data, o2.node_latents.data)
+        g1 = G.Graph(senders, receivers, pos)
+        g2 = G.Graph(senders[perm], receivers[perm], pos)
+        assert np.array_equal(g1.senders, g2.senders)
+        assert np.array_equal(g1.receivers, g2.receivers)
+        assert np.array_equal(g1.features, g2.features)
+        for op in ("gather_send", "gather_recv", "aggregate"):
+            m1, m2 = getattr(g1, op).mat, getattr(g2, op).mat
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(m1, part), getattr(m2, part))
+        o1 = P.high_res_update(g1, v, nn.mlp_apply(encoder, g1.features), block)
+        o2 = P.high_res_update(g2, v, nn.mlp_apply(encoder, g2.features), block)
+        assert np.array_equal(o1[0].data, o2[0].data)
         assert np.array_equal(
-            o1.edge_latents.data[np.lexsort((o1.senders, o1.receivers))],
-            o2.edge_latents.data[np.lexsort((o2.senders, o2.receivers))],
+            o1[1].data[np.lexsort((g1.senders, g1.receivers))],
+            o2[1].data[np.lexsort((g2.senders, g2.receivers))],
         )
+
+    def test_fine_step_equals_transfer_step_when_src_is_dst(self):
+        # H/L and D/U steps are one update: on the same graph and latents a
+        # fine step and a downsample step with src is dst agree bit for bit.
+        rng = np.random.default_rng(8)
+        block = P.ProcessorBlock("H", 4, 4, rng)
+        g = tiny_graph([0, 1, 2, 3, 4, 0], [1, 2, 3, 4, 0, 2], 5)
+        v = nn.Tensor(rng.normal(size=(5, 4)))
+        e = nn.Tensor(rng.normal(size=(6, 4)))
+        v_h, e_h = P.high_res_update(g, v, e, block)
+        v_d, e_d = P.downsample_update(g, v, v, e, block)
+        assert np.array_equal(v_h.data, v_d.data)
+        assert np.array_equal(e_h.data, e_d.data)
 
     def test_low_res_update_one_hop_jacobian(self):
         # One coarse update propagates influence exactly one graph hop.
@@ -115,15 +141,14 @@ class TestGraphUpdates:
         senders = np.array([0, 1, 1, 2, 2, 3])
         receivers = np.array([1, 0, 2, 1, 3, 2])
         v_leaf = nn.Tensor(rng.normal(size=(4, 16)))
-        g = G.EncodedGraph("coarse", 4, senders, receivers, v_leaf,
-                           nn.Tensor(rng.normal(size=(6, 16))))
-        out = P.low_res_update(g, block)
+        g = tiny_graph(senders, receivers, 4)
+        out, _ = P.low_res_update(g, v_leaf, nn.Tensor(rng.normal(size=(6, 16))), block)
         adjacency = {0: {0, 1}, 1: {0, 1, 2}, 2: {1, 2, 3}, 3: {2, 3}}
         seed_rng = np.random.default_rng(99)
         for i in range(4):
             seed = np.zeros((4, 16))
             seed[i] = seed_rng.normal(size=16)
-            (grad,) = nn.backward(out.node_latents, seed=seed, wrt=[v_leaf])
+            (grad,) = nn.backward(out, seed=seed, wrt=[v_leaf])
             influencing = set(np.nonzero(np.any(grad != 0, axis=1))[0].tolist())
             assert influencing <= adjacency[i]
             assert i in influencing
@@ -131,76 +156,68 @@ class TestGraphUpdates:
     def test_downsample_touches_only_coarse(self):
         rng = np.random.default_rng(4)
         block = P.ProcessorBlock("D", 4, 4, rng)
-        fine = tiny_graph(rng.normal(size=(3, 4)), [0, 1], [1, 0], rng.normal(size=(2, 4)))
-        coarse = G.EncodedGraph("coarse", 2, np.array([0, 1]), np.array([1, 0]),
-                                nn.Tensor(rng.normal(size=(2, 4))),
-                                nn.Tensor(rng.normal(size=(2, 4))))
-        transfer = G.TransferGraph("down", 3, 2, np.array([0, 1, 2]),
-                                   np.array([0, 0, 1]), nn.Tensor(rng.normal(size=(3, 4))))
-        new_coarse, new_transfer = P.downsample_update(fine, coarse, transfer, block)
-        assert new_coarse is not coarse
-        assert not np.array_equal(new_coarse.node_latents.data, coarse.node_latents.data)
-        assert not np.array_equal(new_transfer.edge_latents.data, transfer.edge_latents.data)
-        # fine latents untouched by construction: same tensor object
-        assert fine.node_latents is fine.node_latents
+        v_fine = nn.Tensor(rng.normal(size=(3, 4)))
+        v_coarse = nn.Tensor(rng.normal(size=(2, 4)))
+        e = nn.Tensor(rng.normal(size=(3, 4)))
+        fine_before = v_fine.data.copy()
+        transfer = tiny_graph([0, 1, 2], [0, 0, 1], 3, 2)
+        new_coarse, new_e = P.downsample_update(transfer, v_fine, v_coarse, e, block)
+        assert new_coarse is not v_coarse
+        assert not np.array_equal(new_coarse.data, v_coarse.data)
+        assert not np.array_equal(new_e.data, e.data)
+        # fine latents untouched
+        assert np.array_equal(v_fine.data, fine_before)
 
     def test_downsample_jacobian_respects_transfer_edges(self):
         rng = np.random.default_rng(5)
         block = P.ProcessorBlock("D", 16, 16, rng)
         v_fine = nn.Tensor(rng.normal(size=(3, 16)))
-        fine = G.EncodedGraph("fine", 3, np.array([0]), np.array([1]),
-                              v_fine, nn.Tensor(rng.normal(size=(1, 16))))
-        coarse = G.EncodedGraph("coarse", 2, np.array([0, 1]), np.array([1, 0]),
-                                nn.Tensor(rng.normal(size=(2, 16))),
-                                nn.Tensor(rng.normal(size=(2, 16))))
+        v_coarse = nn.Tensor(rng.normal(size=(2, 16)))
         # fine 0 and 1 -> coarse 0; fine 2 -> coarse 1
-        transfer = G.TransferGraph("down", 3, 2, np.array([0, 1, 2]),
-                                   np.array([0, 0, 1]), nn.Tensor(rng.normal(size=(3, 16))))
-        new_coarse, _ = P.downsample_update(fine, coarse, transfer, block)
+        transfer = tiny_graph([0, 1, 2], [0, 0, 1], 3, 2)
+        new_coarse, _ = P.downsample_update(
+            transfer, v_fine, v_coarse, nn.Tensor(rng.normal(size=(3, 16))), block
+        )
         influence = {0: {0, 1}, 1: {2}}
         seed_rng = np.random.default_rng(98)
         for j in range(2):
             seed = np.zeros((2, 16))
             seed[j] = seed_rng.normal(size=16)
-            (grad,) = nn.backward(new_coarse.node_latents, seed=seed, wrt=[v_fine])
+            (grad,) = nn.backward(new_coarse, seed=seed, wrt=[v_fine])
             got = set(np.nonzero(np.any(grad != 0, axis=1))[0].tolist())
             assert got == influence[j]
 
     def test_coarse_node_without_transfer_edges_aggregates_zero(self):
         rng = np.random.default_rng(6)
         block = P.ProcessorBlock("D", 4, 4, rng)
-        fine = tiny_graph(rng.normal(size=(2, 4)), [0], [1], rng.normal(size=(1, 4)))
+        v_fine = nn.Tensor(rng.normal(size=(2, 4)))
         v_coarse = rng.normal(size=(2, 4))
-        coarse = G.EncodedGraph("coarse", 2, np.array([0]), np.array([1]),
-                                nn.Tensor(v_coarse), nn.Tensor(rng.normal(size=(1, 4))))
-        transfer = G.TransferGraph("down", 2, 2, np.array([0, 1]),
-                                   np.array([0, 0]), nn.Tensor(rng.normal(size=(2, 4))))
-        new_coarse, _ = P.downsample_update(fine, coarse, transfer, block)
+        transfer = tiny_graph([0, 1], [0, 0], 2, 2)
+        new_coarse, _ = P.downsample_update(
+            transfer, v_fine, nn.Tensor(v_coarse), nn.Tensor(rng.normal(size=(2, 4))), block
+        )
         manual = v_coarse[1] + block.node_mlp(
             nn.Tensor(np.concatenate([v_coarse[1], np.zeros(4)])[None])
         ).data[0]
-        np.testing.assert_allclose(new_coarse.node_latents.data[1], manual, atol=1e-12)
+        np.testing.assert_allclose(new_coarse.data[1], manual, atol=1e-12)
 
     def test_upsample_mirrors_downsample(self):
         rng = np.random.default_rng(7)
         block = P.ProcessorBlock("U", 16, 16, rng)
         v_fine = nn.Tensor(rng.normal(size=(3, 16)))
-        fine = G.EncodedGraph("fine", 3, np.array([0]), np.array([1]),
-                              v_fine, nn.Tensor(rng.normal(size=(1, 16))))
         v_coarse = nn.Tensor(rng.normal(size=(2, 16)))
-        coarse = G.EncodedGraph("coarse", 2, np.array([0, 1]), np.array([1, 0]),
-                                v_coarse, nn.Tensor(rng.normal(size=(2, 16))))
-        transfer = G.TransferGraph("up", 2, 3, np.array([0, 0, 1]),
-                                   np.array([0, 1, 2]), nn.Tensor(rng.normal(size=(3, 16))))
-        new_fine, new_transfer = P.upsample_update(coarse, fine, transfer, block)
-        assert not np.array_equal(new_fine.node_latents.data, fine.node_latents.data)
+        transfer = tiny_graph([0, 0, 1], [0, 1, 2], 2, 3)
+        new_fine, _ = P.upsample_update(
+            transfer, v_coarse, v_fine, nn.Tensor(rng.normal(size=(3, 16))), block
+        )
+        assert not np.array_equal(new_fine.data, v_fine.data)
         # coarse -> fine influence only along transfer edges
         influence = {0: {0}, 1: {0}, 2: {1}}
         seed_rng = np.random.default_rng(97)
         for j in range(3):
             seed = np.zeros((3, 16))
             seed[j] = seed_rng.normal(size=16)
-            (grad,) = nn.backward(new_fine.node_latents, seed=seed, wrt=[v_coarse])
+            (grad,) = nn.backward(new_fine, seed=seed, wrt=[v_coarse])
             got = set(np.nonzero(np.any(grad != 0, axis=1))[0].tolist())
             assert got == influence[j]
 
@@ -292,6 +309,37 @@ class TestPredictStep:
         params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0)
         with pytest.raises(ValueError):
             P.predict_step(fine, None, np.zeros(fine.n_nodes), params)
+
+    def test_single_level_schedule_skips_coarse_encode(self, channel, monkeypatch):
+        _, fine, coarse = channel
+        params = P.ModelParams("p=3H (U=0,D=0)", 1, 8, 8, seed=0)
+        fields = np.random.default_rng(4).normal(size=fine.n_nodes)
+        calls = []
+        real = G.encode_coarse
+        monkeypatch.setattr(G, "encode_coarse", lambda *a: calls.append(a) or real(*a))
+        with_coarse = P.predict_step(fine, coarse, fields, params)
+        assert calls == []
+        without = P.predict_step(fine, None, fields, params)
+        assert with_coarse.tobytes() == without.tobytes()
+
+    def test_grid_model_rejects_mesh_coarse_level(self, channel):
+        _, fine, coarse = channel
+        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0, coarse_kind="grid")
+        with pytest.raises(ValueError, match="'grid'.*'mesh'"):
+            P.predict_step(fine, coarse, np.zeros(fine.n_nodes), params)
+
+    def test_mesh_model_rejects_grid_coarse_level(self, channel):
+        domain, fine, _ = channel
+        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0)
+        grid = G.GridLevel(domain, 0.1)
+        with pytest.raises(ValueError, match="'mesh'.*'grid'"):
+            P.predict_step(fine, grid, np.zeros(fine.n_nodes), params)
+
+    def test_grid_model_runs_on_grid_level(self, channel):
+        domain, fine, _ = channel
+        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0, coarse_kind="grid")
+        out = P.predict_step(fine, G.GridLevel(domain, 0.1), np.zeros(fine.n_nodes), params)
+        assert out.shape == (fine.n_nodes,) and np.all(np.isfinite(out))
 
 
 @pytest.fixture(scope="module")

@@ -215,3 +215,27 @@ class TestTrajectoryIO:
         path.write_bytes(b"garbage!" * 10)
         with pytest.raises(S.SimulationError):
             S.load_trajectory(path)
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        mesh = M.generate_mesh(UNIT_SQUARE, 0.2)
+        traj = S.simulate(mesh, gauss_config(2), np.zeros(mesh.n_nodes))
+        path = tmp_path / "t.bin"
+        S.save_trajectory(traj, path)
+        return path
+
+    @pytest.mark.parametrize("keep", [-5, 50], ids=["short_by_5", "cut_to_50"])
+    def test_truncated_file_names_path(self, saved, keep):
+        data = saved.read_bytes()
+        saved.write_bytes(data[:keep])
+        with pytest.raises(S.SimulationError, match="bytes") as err:
+            S.load_trajectory(saved)
+        assert str(saved) in str(err.value)
+
+    def test_nan_frame_rejected(self, saved):
+        data = bytearray(saved.read_bytes())
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        saved.write_bytes(bytes(data))
+        with pytest.raises(S.SimulationError, match="non-finite values in frame 2") as err:
+            S.load_trajectory(saved)
+        assert str(saved) in str(err.value)

@@ -1,10 +1,9 @@
 """Graph-spectral error analysis, receptive-field probes, and timing.
 
 The graph Fourier transform expands per-node signals in eigenvectors of
-the combinatorial Laplacian of the mesh graph (L = degree - adjacency,
-unweighted by default; an edge-length weighting is available but off by
-default). Eigenvalues are ascending, so low indices correspond to slowly
-varying signals; a constant signal loads entirely on the first eigenvalue.
+the combinatorial Laplacian of the mesh graph (L = degree - adjacency).
+Eigenvalues are ascending, so low indices correspond to slowly varying
+signals; a constant signal loads entirely on the first eigenvalue.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from . import nn
+from . import graphs, nn
 from .graphs import as_field_matrix
 from .processor import (
     forward_normalized_delta,
@@ -26,6 +25,7 @@ from .processor import (
     downsample_update,
     upsample_update,
 )
+from .training import TrainConfig, train
 
 DEFAULT_EIG_CAP = 4000
 
@@ -34,21 +34,12 @@ class AnalysisError(RuntimeError):
     pass
 
 
-def graph_laplacian(mesh, weighted=False):
+def graph_laplacian(mesh):
     """Dense combinatorial Laplacian of the mesh graph."""
-    edges = mesh.undirected_edges()
-    n = mesh.n_nodes
-    lap = np.zeros((n, n))
-    if weighted:
-        d = mesh.positions[edges[:, 0]] - mesh.positions[edges[:, 1]]
-        w = 1.0 / np.maximum(np.hypot(d[:, 0], d[:, 1]), 1e-300)
-    else:
-        w = np.ones(edges.shape[0])
-    for (i, j), wij in zip(edges, w):
-        lap[i, j] -= wij
-        lap[j, i] -= wij
-        lap[i, i] += wij
-        lap[j, j] += wij
+    i, j = mesh.undirected_edges().T
+    lap = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    np.add.at(lap, (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])),
+              np.repeat([-1.0, -1.0, 1.0, 1.0], len(i)))
     return lap
 
 
@@ -140,8 +131,6 @@ def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5, sample=None,
                      train_config=None):
     """Median wall time per H/L/D/U step (and a full training step when a
     sample is provided). Returns a dict kind -> seconds."""
-    from . import graphs
-
     fields = np.zeros((fine_mesh.n_nodes, params.field_width))
     fine_g, fine, fine_e = graphs.encode_fine(
         fine_mesh, params.node_field_normalizer.apply(nn.Tensor(fields)), params
@@ -170,8 +159,6 @@ def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5, sample=None,
         "coarse_edges": len(coarse_g.senders),
     }
     if sample is not None:
-        from .training import TrainConfig, train
-
         cfg = train_config or TrainConfig(steps=repeats, normalizer_steps=0,
                                           latent_size=params.latent_size,
                                           hidden_size=params.hidden_size,

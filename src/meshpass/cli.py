@@ -8,6 +8,7 @@ directory and is reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import os
 import sys
@@ -15,7 +16,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from . import analysis, dataset, solver, training
+from . import analysis, dataset, nn, solver, training
 from .mesh import load_mesh
 from .nn import NonFiniteError
 from .processor import ModelParams, parse_schedule
@@ -182,6 +183,15 @@ def cmd_train(args):
     )
     if args.resume:
         params, optimizer, start_step = load_checkpoint(args.resume)
+        schedule = parse_schedule(cfg["processor"])
+        for key, held, same in (
+            ("processor", params.schedule.text, schedule == params.schedule),
+            ("latent_size", params.latent_size, cfg["latent_size"] == params.latent_size),
+            ("hidden_size", params.hidden_size, cfg["hidden_size"] == params.hidden_size),
+        ):
+            if not same:
+                raise ConfigError(f"--resume checkpoint {args.resume} has {key}={held!r}, "
+                                  f"but this run sets {key}={cfg[key]!r}")
     else:
         params = ModelParams(
             cfg["processor"],
@@ -190,12 +200,8 @@ def cmd_train(args):
             hidden_size=cfg["hidden_size"],
             seed=cfg["seed"],
         )
-        optimizer = None
-        start_step = 0
-    from . import nn
-
-    if optimizer is None:
         optimizer = nn.Adam(params.parameters(), lr=train_cfg.learning_rate)
+        start_step = 0
     history = training.train(params, samples, train_cfg, optimizer, start_step)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     save_checkpoint(ckpt, params, optimizer, train_cfg.steps)
@@ -249,6 +255,17 @@ def cmd_eval(args):
     return 0
 
 
+def _csv_rows(path, columns):
+    """The rows of a CSV file as dicts; ValueError naming the file and the
+    first of ``columns`` its header lacks."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} has no {missing[0]!r} column")
+        return list(reader)
+
+
 def cmd_analyze(args):
     os.makedirs(args.out, exist_ok=True)
     if args.mode == "spectrum":
@@ -266,25 +283,21 @@ def cmd_analyze(args):
         print(f"wrote spectrum.csv (frame {frame}) to {args.out}")
         return 0
     if args.mode == "curve":
-        import csv as _csv
-
-        eval_rows = []
-        with open(args.eval) as fh:
-            for row in _csv.DictReader(fh):
-                eval_rows.append(
-                    training.EvalRow(
-                        edge_min=float(row["edge_min"]), model=row["model"],
-                        mps=int(row["mps"]), schedule=row["schedule"],
-                        mse1=float(row["mse1"]), mse10=float(row["mse10"]),
-                        mse50=float(row["mse50"]),
-                        sec_per_step=float(row["sec_per_step"]),
-                        next_step_mse=float(row["mse1"]),
-                    )
-                )
-        baseline_rows = []
-        with open(args.baseline) as fh:
-            for row in _csv.DictReader(fh):
-                baseline_rows.append({"edge_min": float(row["edge_min"]), "mse1": float(row["mse1"])})
+        eval_rows = [
+            training.EvalRow(
+                edge_min=float(row["edge_min"]), model=row["model"],
+                mps=int(row["mps"]), schedule=row["schedule"],
+                mse1=float(row["mse1"]), mse10=float(row["mse10"]),
+                mse50=float(row["mse50"]),
+                sec_per_step=float(row["sec_per_step"]),
+                next_step_mse=float(row["next_step_mse"]),
+            )
+            for row in _csv_rows(args.eval, training.CSV_COLUMNS)
+        ]
+        baseline_rows = [
+            {"edge_min": float(row["edge_min"]), "mse1": float(row["mse1"])}
+            for row in _csv_rows(args.baseline, ("edge_min", "mse1"))
+        ]
         merged = analysis.convergence_curve(eval_rows, baseline_rows)
         analysis.write_curve_csv(os.path.join(args.out, "curve.csv"), merged)
         print(f"wrote curve.csv to {args.out}")

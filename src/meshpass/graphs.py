@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import nn
-from .mesh import KIND_OBSTACLE, NODE_KINDS, locate_point
+from .mesh import KIND_OBSTACLE, NODE_KINDS, ChannelDomain, build_interpolator
 
 ONE_HOT_WIDTH = len(NODE_KINDS)
 
@@ -130,13 +130,8 @@ def encode_coarse(mesh, params):
 def containment_edges(src_mesh, dst_mesh):
     """For each source node, edges to the 3 corners of its containing
     destination triangle, as (senders, receivers) in source-node order."""
-    n = src_mesh.n_nodes
-    senders = np.repeat(np.arange(n, dtype=np.int64), 3)
-    receivers = np.empty(3 * n, dtype=np.int64)
-    for i, p in enumerate(src_mesh.positions):
-        loc = locate_point(dst_mesh, p)
-        receivers[3 * i : 3 * i + 3] = dst_mesh.triangles[loc.triangle_index]
-    return senders, receivers
+    corners, _ = build_interpolator(dst_mesh, src_mesh.positions)
+    return np.repeat(np.arange(src_mesh.n_nodes, dtype=np.int64), 3), corners.ravel()
 
 
 def build_transfer(src_mesh, dst_mesh, direction, params):
@@ -245,8 +240,6 @@ def build_grid_transfer(src_mesh, grid_spacing, direction, params, domain=None, 
     if grid is None:
         if domain is None:
             lo, hi = src_mesh.bounding_box()
-            from .mesh import ChannelDomain
-
             domain = ChannelDomain(float(hi[0]), float(hi[1]))
         grid = GridLevel(domain, grid_spacing)
     key = ("grid_transfer", id(grid))

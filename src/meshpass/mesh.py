@@ -4,6 +4,10 @@ Meshes discretize a rectangular channel with an optional circular obstacle.
 Generation follows the force-equilibrium Delaunay approach with a sizing
 field that targets edges of ``edge_min`` near the obstacle and grows
 linearly toward ``edge_max = 5 * edge_min`` in the interior.
+
+Point location has one batched path, :func:`locate_points`, behind
+:func:`locate_point`, :func:`build_interpolator` and the containment
+transfer edges; :func:`locate_point_brute` is its exhaustive reference.
 """
 
 from __future__ import annotations
@@ -152,51 +156,12 @@ class TriMesh:
     def bounding_box(self):
         return self.positions.min(axis=0), self.positions.max(axis=0)
 
-    def _locator(self):
-        if "locator" not in self._cache:
-            self._cache["locator"] = _TriangleGrid(self)
-        return self._cache["locator"]
 
-
-class _TriangleGrid:
-    """Uniform background grid binning triangle bounding boxes.
-
-    Pure acceleration; results defined by the brute-force scan it shadows.
-    """
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        lo, hi = mesh.bounding_box()
-        self.lo = lo
-        span = np.maximum(hi - lo, 1e-300)
-        cell = max(mesh.edge_max, 1e-12)
-        self.nx = max(1, int(np.ceil(span[0] / cell)))
-        self.ny = max(1, int(np.ceil(span[1] / cell)))
-        self.cell = np.array([span[0] / self.nx, span[1] / self.ny])
-        self.bins = {}
-        pts = mesh.positions
-        for t_idx, tri in enumerate(mesh.triangles):
-            p = pts[tri]
-            i0, j0 = self._cell_index(p.min(axis=0))
-            i1, j1 = self._cell_index(p.max(axis=0))
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    self.bins.setdefault((i, j), []).append(t_idx)
-
-    def _cell_index(self, p):
-        ij = np.floor((p - self.lo) / self.cell).astype(int)
-        return (
-            min(max(ij[0], 0), self.nx - 1),
-            min(max(ij[1], 0), self.ny - 1),
-        )
-
-    def candidates(self, p):
-        return self.bins.get(self._cell_index(np.asarray(p)), ())
-
-
-def _barycentric(pts, tri, p):
-    """Barycentric weights of p in triangle tri (exact for CCW triangles)."""
-    a, b, c = pts[tri[0]], pts[tri[1]], pts[tri[2]]
+def _barycentric(a, b, c, p):
+    """Barycentric weights of p in triangle (a, b, c) (exact for CCW
+    triangles). Each argument holds x in row 0 and y in row 1: a point, or
+    one column per (point, triangle) pair, giving weights of shape (3,) or
+    (3, pairs) from the same expression."""
     det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
     w1 = ((p[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (p[1] - a[1])) / det
     w2 = ((b[0] - a[0]) * (p[1] - a[1]) - (p[0] - a[0]) * (b[1] - a[1])) / det
@@ -211,11 +176,11 @@ def locate_point_brute(mesh, p):
 
     Returns the lowest-index containing triangle; if none contains p, the
     nearest triangle by squared distance with weights projected onto the
-    simplex. This is the correctness oracle for :func:`locate_point`.
+    simplex. This is the correctness oracle for :func:`locate_points`.
     """
     p = np.asarray(p, dtype=np.float64)
     for t_idx in range(mesh.n_triangles):
-        w = _barycentric(mesh.positions, mesh.triangles[t_idx], p)
+        w = _barycentric(*mesh.positions[mesh.triangles[t_idx]], p)
         if np.all(w >= _CONTAIN_TOL):
             w = np.clip(w, 0.0, None)
             return BaryLocation(t_idx, tuple(w / w.sum()))
@@ -233,7 +198,7 @@ def _nearest_snap(mesh, p):
     pts = mesh.positions
     best = (np.inf, -1, None)
     for t_idx, tri in enumerate(mesh.triangles):
-        w = _barycentric(pts, tri, p)
+        w = _barycentric(*pts[tri], p)
         if np.all(w >= _CONTAIN_TOL):
             q = p
         else:
@@ -248,47 +213,92 @@ def _nearest_snap(mesh, p):
         d2 = float(np.dot(q - p, q - p))
         if d2 < best[0] - 1e-300 or (abs(d2 - best[0]) <= 1e-300 and t_idx < best[1]):
             best = (d2, t_idx, q)
-    w = _barycentric(pts, mesh.triangles[best[1]], best[2])
+    w = _barycentric(*pts[mesh.triangles[best[1]]], best[2])
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
     return BaryLocation(best[1], tuple(w))
 
 
-def locate_point(mesh, p):
-    """Find the triangle containing p and its barycentric weights.
+def _grid_cells(points, lo, cell, shape):
+    """(i, j) background-grid cell of each point, clamped to the grid."""
+    return np.clip(np.floor((points - lo) / cell).astype(np.int64), 0, shape - 1)
 
-    Ties at shared vertices/edges go to the lowest triangle index. Points
-    inside the (slightly expanded) mesh bounding box that fall in no
-    triangle, e.g. in the sliver between a coarse obstacle polygon and the
-    true circle, snap to the nearest triangle with weights projected onto
-    the simplex. Points outside the expanded bounding box raise
-    :class:`OutsideDomainError`.
+
+def _ranges(starts, counts):
+    """Concatenated ``arange(start, start + count)`` of each pair."""
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return offsets + np.arange(offsets.size)
+
+
+def _triangle_grid(mesh):
+    """Background grid of about ``edge_max`` cells over the bounding box:
+    ``(lo, cell size, (nx, ny), indptr, triangles)``, the CSR lists of the
+    triangles whose bounding box meets each cell (``i * ny + j``), in
+    ascending order. Cached on the mesh."""
+    if "locator" not in mesh._cache:
+        lo, hi = mesh.bounding_box()
+        span = np.maximum(hi - lo, 1e-300)
+        shape = np.maximum(1, np.ceil(span / max(mesh.edge_max, 1e-12))).astype(np.int64)
+        cell = span / shape
+        corners = mesh.positions[mesh.triangles]
+        first = _grid_cells(corners.min(axis=1), lo, cell, shape)
+        extent = _grid_cells(corners.max(axis=1), lo, cell, shape) - first + 1
+        n_cells = extent.prod(axis=1)
+        tri = np.repeat(np.arange(mesh.n_triangles), n_cells)
+        box = np.divmod(_ranges(0, n_cells), extent[tri, 1])
+        cells = (first[tri] + np.column_stack(box)) @ (shape[1], 1)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cells, minlength=shape.prod()))])
+        mesh._cache["locator"] = (lo, cell, shape, indptr, tri[np.argsort(cells, kind="stable")])
+    return mesh._cache["locator"]
+
+
+def locate_points(mesh, points):
+    """Containing triangle index (n,) and barycentric weights (n, 3) of
+    every point, equal to :func:`locate_point_brute` point by point.
+
+    Each point is tested against the triangles of its grid cell in one
+    batched pass; the lowest-index container wins (shared vertices and
+    edges), its weights clipped and normalised. A point in no triangle,
+    e.g. between a coarse obstacle polygon and the true circle, snaps to
+    the nearest one. A point outside the slightly expanded bounding box,
+    or not finite, raises :class:`OutsideDomainError` naming the first.
     """
-    p = np.asarray(p, dtype=np.float64)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     lo, hi = mesh.bounding_box()
     tol = 1e-9 * float(np.hypot(*(hi - lo)))
-    if np.any(p < lo - tol) or np.any(p > hi + tol):
+    outside = ~((points >= lo - tol) & (points <= hi + tol)).all(axis=1)
+    if outside.any():
+        p = points[np.flatnonzero(outside)[0]]
         raise OutsideDomainError(f"point {p.tolist()} outside meshed domain")
-    cand = mesh._locator().candidates(p)
-    for t_idx in cand:
-        w = _barycentric(mesh.positions, mesh.triangles[t_idx], p)
-        if np.all(w >= _CONTAIN_TOL):
-            w = np.clip(w, 0.0, None)
-            return BaryLocation(t_idx, tuple(w / w.sum()))
-    return _nearest_snap(mesh, p)
+    grid_lo, cell, shape, indptr, cell_tris = _triangle_grid(mesh)
+    cells = _grid_cells(points, grid_lo, cell, shape) @ (shape[1], 1)
+    count = indptr[cells + 1] - indptr[cells]
+    point = np.repeat(np.arange(len(points)), count)
+    cand = cell_tris[_ranges(indptr[cells], count)]
+    w = _barycentric(*mesh.positions[mesh.triangles[cand]].transpose(1, 2, 0), points[point].T).T
+    hit = np.flatnonzero((w >= _CONTAIN_TOL).all(axis=1))
+    located, first = np.unique(point[hit], return_index=True)
+    triangle = np.empty(len(points), dtype=np.int64)
+    weights = np.empty((len(points), 3))
+    triangle[located] = cand[hit[first]]
+    w = np.clip(w[hit[first]], 0.0, None)
+    weights[located] = w / w.sum(axis=1, keepdims=True)
+    for i in np.setdiff1d(np.arange(len(points)), located):
+        loc = _nearest_snap(mesh, points[i])
+        triangle[i], weights[i] = loc.triangle_index, loc.weights
+    return triangle, weights
+
+
+def locate_point(mesh, p):
+    """One-point view of :func:`locate_points`, as a :class:`BaryLocation`."""
+    triangle, weights = locate_points(mesh, np.asarray(p, dtype=np.float64)[None])
+    return BaryLocation(int(triangle[0]), tuple(weights[0]))
 
 
 def build_interpolator(src_mesh, query_points):
     """Precompute (triangle corners, weights) rows for repeated interpolation."""
-    query_points = np.atleast_2d(np.asarray(query_points, dtype=np.float64))
-    n = query_points.shape[0]
-    corners = np.empty((n, 3), dtype=np.int64)
-    weights = np.empty((n, 3))
-    for i, p in enumerate(query_points):
-        loc = locate_point(src_mesh, p)
-        corners[i] = src_mesh.triangles[loc.triangle_index]
-        weights[i] = loc.weights
-    return corners, weights
+    triangle, weights = locate_points(src_mesh, query_points)
+    return src_mesh.triangles[triangle], weights
 
 
 def apply_interpolator(corners, weights, field):

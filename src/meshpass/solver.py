@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import KIND_INFLOW, generate_mesh, build_interpolator, apply_interpolator
+from .mesh import KIND_INFLOW, generate_mesh, build_interpolator, apply_interpolator, mesh_text
 
 
 class SimulationError(RuntimeError):
@@ -91,8 +91,6 @@ class Trajectory:
 
 def mesh_digest(mesh):
     """sha256 of the canonical mesh serialization."""
-    from .mesh import mesh_text
-
     return hashlib.sha256(mesh_text(mesh).encode()).digest()
 
 

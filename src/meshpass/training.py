@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .mesh import build_interpolator, apply_interpolator
-from .processor import ModelParams, PRESCRIBED_KINDS, forward_normalized_delta
+from .processor import ModelParams, PRESCRIBED_KINDS, forward_normalized_delta, predict_step
 from .solver import Trajectory, one_step_errors
 from .graphs import as_field_matrix, mesh_graph, transfer_graph
 
@@ -170,50 +170,43 @@ class ModelStepper:
         return self
 
     def step(self, u, bc_values=None):
-        from .processor import predict_step
-
         return predict_step(
             self.mesh, self.coarse_mesh, u, self.params, boundary_values=bc_values
         )
 
 
 def rollout(params, fine_mesh, coarse_mesh, initial, steps, dt=0.01):
-    """Iterate predict_step; prescribed boundary values are reapplied from
-    the initial state every step. Returns a Trajectory of steps+1 frames."""
-    from .processor import predict_step
-
-    initial = np.asarray(initial, dtype=np.float64)
+    """Iterate a :class:`ModelStepper`; prescribed boundary values are
+    reapplied from the initial state every step. Returns a Trajectory of
+    steps+1 frames."""
+    stepper = ModelStepper(params, coarse_mesh).bind(fine_mesh)
     initial_mat = as_field_matrix(initial)
     frames = np.empty((steps + 1,) + initial_mat.shape)
     frames[0] = initial_mat
     for t in range(steps):
-        frames[t + 1] = as_field_matrix(
-            predict_step(
-                fine_mesh,
-                coarse_mesh,
-                frames[t],
-                params,
-                boundary_values=initial_mat,
-            )
-        )
+        frames[t + 1] = as_field_matrix(stepper.step(frames[t], initial_mat))
     return Trajectory(fine_mesh, frames, dt)
 
 
 def rollout_errors(stepper, mesh, ref_traj, n_steps):
     """Per-step MSE of an unrolled prediction against the interpolated
-    reference; entry t is the error after t steps (entry 0 is zero)."""
+    reference, and the mean wall time of the stepper's ``step`` calls.
+    Entry t of the errors is the error after t steps (entry 0 is zero)."""
     corners, weights = build_interpolator(ref_traj.mesh, mesh.positions)
     ref = [
         apply_interpolator(corners, weights, ref_traj.fields[t, :, 0])
         for t in range(min(n_steps + 1, ref_traj.n_frames))
     ]
     errs = np.zeros(len(ref))
+    seconds = np.zeros(len(ref) - 1)
     u = ref[0]
     bc = ref[0]
     for t in range(1, len(ref)):
+        t0 = time.perf_counter()
         u = stepper.step(u, bc)
+        seconds[t - 1] = time.perf_counter() - t0
         errs[t] = np.mean((u - ref[t]) ** 2)
-    return errs
+    return errs, float(seconds.mean())
 
 
 @dataclass
@@ -230,7 +223,8 @@ class EvalRow:
     rollout: np.ndarray = field(default=None, repr=False)
 
 
-CSV_COLUMNS = ("edge_min", "model", "mps", "schedule", "mse1", "mse10", "mse50", "sec_per_step")
+CSV_COLUMNS = ("edge_min", "model", "mps", "schedule", "mse1", "mse10", "mse50", "sec_per_step",
+               "next_step_mse")
 
 
 @dataclass
@@ -242,18 +236,8 @@ class EvalReport:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in self.rows:
-                writer.writerow(
-                    [
-                        repr(r.edge_min),
-                        r.model,
-                        r.mps,
-                        r.schedule,
-                        repr(r.mse1),
-                        repr(r.mse10),
-                        repr(r.mse50),
-                        repr(r.sec_per_step),
-                    ]
-                )
+                values = (getattr(r, column) for column in CSV_COLUMNS)
+                writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
 
     def write_rollout_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -267,19 +251,20 @@ class EvalReport:
 
 
 def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule="",
-             sec_per_step=float("nan"), max_rollout=50):
+             max_rollout=50):
     """Evaluate a stepper factory over test meshes against a reference.
 
     ``stepper_for_mesh(mesh)`` must return an object with
     ``step(u, bc_values)``. The next-step MSE averages one-step errors over
     every reference transition (the ground-truth-error protocol); MSE-N
-    averages the first N rollout errors.
+    averages the first N rollout errors; ``sec_per_step`` is the mean wall
+    time of the stepper's ``step`` calls in the rollout.
     """
     rows = []
     for mesh in meshes:
         stepper = stepper_for_mesh(mesh)
         errs_next = one_step_errors(mesh, stepper, ref_traj)
-        roll = rollout_errors(stepper, mesh, ref_traj, max_rollout)
+        roll, sec_per_step = rollout_errors(stepper, mesh, ref_traj, max_rollout)
 
         def mse_n(n):
             n = min(n, len(roll) - 1)

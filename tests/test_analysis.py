@@ -55,12 +55,6 @@ class TestLaplacian:
         res = lap @ basis.eigenvectors - basis.eigenvectors * basis.eigenvalues
         assert np.abs(res).max() <= 1e-8 * norm
 
-    def test_weighted_option(self, channel_mesh):
-        lw = A.graph_laplacian(channel_mesh, weighted=True)
-        lu = A.graph_laplacian(channel_mesh, weighted=False)
-        assert not np.allclose(lw, lu)
-        np.testing.assert_allclose(lw.sum(axis=1), 0.0, atol=1e-9)
-
     def test_cap_enforced(self):
         with pytest.raises(A.AnalysisError):
             A.spectral_basis(np.eye(10), cap=5)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: reproducibility, file layout, error handling."""
 
+import csv
 import os
 import shutil
 
@@ -8,6 +9,7 @@ import pytest
 
 from meshpass import dataset
 from meshpass import solver as S
+from meshpass import training as T
 from meshpass.cli import CONFIG_DEFAULTS, ConfigError, load_config, main
 
 DESK = ["--set", "edge_min_lo=7e-3", "--set", "edge_min_hi=1e-2",
@@ -246,8 +248,61 @@ class TestTrain:
         for a, b in zip(whole.parameters(), resumed.parameters()):
             assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("key, flags, held, wanted", [
+        ("processor", ["--processor", "p=3H (U=0,D=0)"],
+         "'p=1H 1L 1H (U=1,D=1)'", "'p=3H (U=0,D=0)'"),
+        ("latent_size", ["--set", "latent_size=8"], "16", "8"),
+        ("hidden_size", ["--set", "hidden_size=8"], "16", "8"),
+    ])
+    def test_resume_rejects_other_model(self, generated, tmp_path, capsys, monkeypatch,
+                                        key, flags, held, wanted):
+        first = str(tmp_path / "first")
+        args = ["--dataset", generated, "--steps", "3"] + SMALL_MODEL
+        assert main(["train", "--out", first, "--processor", "p=1H 1L 1H (U=1,D=1)"]
+                    + args) == 0
+        capsys.readouterr()
+        ckpt = os.path.join(first, "checkpoint.bin")
+
+        def no_training(*a, **k):
+            raise AssertionError("training started on a mismatched checkpoint")
+
+        monkeypatch.setattr(T, "train", no_training)
+        rc = main(["train", "--out", str(tmp_path / "second"), "--resume", ckpt,
+                   "--processor", "p=1H 1L 1H (U=1,D=1)"] + args + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ckpt in err
+        assert f"{key}={held}" in err and f"{key}={wanted}" in err
+
 
 class TestEval:
+    def test_model_eval_writes_step_time_and_next_step_mse(self, generated, tmp_path):
+        run = str(tmp_path / "run")
+        assert main(["train", "--dataset", generated, "--out", run, "--steps", "2",
+                     "--processor", "p=1H 1L 1H (U=1,D=1)"] + SMALL_MODEL) == 0
+        out = str(tmp_path / "ev")
+        ckpt = os.path.join(run, "checkpoint.bin")
+        rc = main(["eval", "--out", out, "--checkpoint", ckpt, "--seed", "3",
+                   "--set", "eval_resolutions=2e-2,1.4e-2", "--set", "eval_steps=3",
+                   "--set", "max_rollout=3"])
+        assert rc == 0
+        with open(os.path.join(out, "eval.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        secs = [float(r["sec_per_step"]) for r in rows]
+        assert all(np.isfinite(s) and s > 0 for s in secs)
+        # The library-level evaluation of the same checkpoint and test set
+        # gives the next-step errors the CSV holds.
+        params = T.load_checkpoint(ckpt)[0]
+        meshes, ref_traj, pde_cfg = dataset.fixed_obstacle_testset(
+            resolutions=[2e-2, 1.4e-2], seed=3, n_steps=3
+        )
+        coarse = dataset.coarse_mesh(pde_cfg.domain, 3, CONFIG_DEFAULTS["coarse_edge_min"][0])
+        report = T.evaluate(lambda m: T.ModelStepper(params, coarse).bind(m), meshes,
+                            ref_traj, max_rollout=3)
+        assert [float(r["next_step_mse"]) for r in rows] == [
+            row.next_step_mse for row in report.rows
+        ]
+
     def test_solver_eval_matches_convergence_baseline(self, tmp_path):
         out = str(tmp_path / "ev")
         resolutions = [2e-2, 1.4e-2, 1e-2]
@@ -307,8 +362,8 @@ class TestAnalyze:
     def test_curve_merge(self, tmp_path):
         ev = tmp_path / "eval.csv"
         ev.write_text(
-            "edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step\n"
-            '0.05,model,9,"p=9H (U=0,D=0)",0.5,0.6,0.7,0.1\n'
+            "edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step,next_step_mse\n"
+            '0.05,model,9,"p=9H (U=0,D=0)",0.5,0.6,0.7,0.1,0.25\n'
         )
         base = tmp_path / "base.csv"
         base.write_text("edge_min,mse1\n0.05,0.9\n0.1,2.0\n")
@@ -318,6 +373,23 @@ class TestAnalyze:
         assert rc == 0
         text = open(os.path.join(out, "curve.csv")).read()
         assert "solver_baseline" in text
+        with open(os.path.join(out, "curve.csv")) as fh:
+            model = [r for r in csv.DictReader(fh) if r["source"] == "model"]
+        assert [float(r["next_step_mse"]) for r in model] == [0.25]
+
+    def test_curve_eval_without_next_step_column(self, tmp_path, capsys):
+        ev = tmp_path / "eval.csv"
+        ev.write_text(
+            "edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step\n"
+            '0.05,model,9,"p=9H (U=0,D=0)",0.5,0.6,0.7,0.1\n'
+        )
+        base = tmp_path / "base.csv"
+        base.write_text("edge_min,mse1\n0.05,0.9\n")
+        rc = main(["analyze", "--mode", "curve", "--out", str(tmp_path / "curve"),
+                   "--eval", str(ev), "--baseline", str(base)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ev) in err and "'next_step_mse'" in err
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -109,6 +109,14 @@ class TestBuildTransfer:
             got = set(up.receivers[up.senders == i].tolist())
             assert got == expected
 
+    def test_receivers_are_interpolator_corners(self, channel):
+        _, fine, coarse = channel
+        for src, dst in ((fine, coarse), (coarse, fine)):
+            senders, receivers = G.containment_edges(src, dst)
+            corners, _ = M.build_interpolator(dst, src.positions)
+            assert np.array_equal(senders, np.repeat(np.arange(src.n_nodes), 3))
+            assert np.array_equal(receivers, corners.ravel())
+
     def test_obstacle_exclusion(self, params, channel):
         # No transfer endpoint may lie strictly inside the obstacle.
         domain, fine, coarse = channel

@@ -212,6 +212,50 @@ class TestLocate:
             assert abs(sum(loc.weights) - 1.0) <= 1e-12
 
 
+def assert_matches_brute(mesh, points):
+    """locate_points equals the exhaustive oracle in triangle index and in
+    weight bytes at every point."""
+    triangle, weights = M.locate_points(mesh, points)
+    assert triangle.shape == (len(points),) and weights.shape == (len(points), 3)
+    for p, t, w in zip(points, triangle, weights):
+        ref = M.locate_point_brute(mesh, p)
+        assert t == ref.triangle_index
+        assert w.tobytes() == np.array(ref.weights).tobytes()
+
+
+class TestLocatePoints:
+    def test_nodes_of_the_other_mesh(self, channel_mesh, channel_mesh_half):
+        assert_matches_brute(channel_mesh, channel_mesh_half.positions)
+        assert_matches_brute(channel_mesh_half, channel_mesh.positions)
+
+    def test_random_in_domain_points(self, channel_mesh):
+        pts = np.random.default_rng(2).uniform(
+            [0, 0], [PAPER_DOMAIN.length, PAPER_DOMAIN.height], size=(2500, 2)
+        )
+        pts = pts[PAPER_DOMAIN.signed_distance(pts) < 0][:2000]
+        assert len(pts) == 2000
+        assert_matches_brute(channel_mesh, pts)
+
+    def test_shared_vertices_and_edges(self, channel_mesh):
+        e = channel_mesh.undirected_edges()
+        a, b = channel_mesh.positions[e[:, 0]], channel_mesh.positions[e[:, 1]]
+        assert_matches_brute(channel_mesh, np.concatenate([channel_mesh.positions, 0.5 * (a + b)]))
+
+    def test_obstacle_gap_points_snap_among_located_ones(self, channel_mesh):
+        cx, cy = PAPER_DOMAIN.obstacle_center
+        r = PAPER_DOMAIN.obstacle_radius
+        theta = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+        gap = np.column_stack([cx + 0.999 * r * np.cos(theta), cy + 0.999 * r * np.sin(theta)])
+        pts = np.concatenate([channel_mesh.positions[:5], gap, channel_mesh.positions[5:10]])
+        assert_matches_brute(channel_mesh, pts)
+
+    def test_first_point_outside_is_named(self, channel_mesh):
+        with pytest.raises(M.OutsideDomainError, match=r"point \[2\.0, 2\.0\]"):
+            M.locate_points(channel_mesh, [[0.5, 0.2], [2.0, 2.0], [3.0, 3.0]])
+        with pytest.raises(M.OutsideDomainError, match="nan"):
+            M.locate_points(channel_mesh, [[0.5, 0.2], [np.nan, 0.1]])
+
+
 class TestInterpolation:
     def test_linear_field_exact(self, channel_mesh, channel_mesh_half):
         f = 2.0 * channel_mesh_half.positions[:, 0] + 3.0 * channel_mesh_half.positions[:, 1]

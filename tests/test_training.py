@@ -151,7 +151,7 @@ class TestRollout:
         params = small_params(seed=2)
         T.train(params, samples, small_config(60, seed=2, noise=0.01))
         stepper = T.ModelStepper(params, coarse).bind(fine)
-        errs = T.rollout_errors(stepper, fine, ref, n_steps=30)
+        errs, _ = T.rollout_errors(stepper, fine, ref, n_steps=30)
         n = len(errs) - 1
         early = errs[1 : 1 + max(1, n // 10)].mean()
         late = errs[-max(1, n // 10):].mean()
@@ -228,7 +228,8 @@ class TestEvaluate:
         path = tmp_path / "eval.csv"
         report.write_csv(path)
         header = path.read_text().splitlines()[0]
-        assert header == "edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step"
+        assert header == ("edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step,"
+                          "next_step_mse")
 
 
 def permute_mesh(mesh, perm):
@@ -248,14 +249,14 @@ class TestInvariances:
                                    0.1, 0.004, (0.3, 0.0))
         ref = S.simulate(fine, cfg, init)
         stepper = T.ModelStepper(params, coarse).bind(fine)
-        errs = T.rollout_errors(stepper, fine, ref, 5)
+        errs, _ = T.rollout_errors(stepper, fine, ref, 5)
 
         rng = np.random.default_rng(11)
         perm = rng.permutation(fine.n_nodes)
         fine_p = permute_mesh(fine, perm)
         ref_p = S.Trajectory(fine_p, ref.fields[:, perm], ref.dt)
         stepper_p = T.ModelStepper(params, coarse).bind(fine_p)
-        errs_p = T.rollout_errors(stepper_p, fine_p, ref_p, 5)
+        errs_p, _ = T.rollout_errors(stepper_p, fine_p, ref_p, 5)
         np.testing.assert_allclose(errs_p, errs, rtol=1e-9, atol=1e-13)
 
     def test_rollout_deterministic_and_noise_free(self, toy_pair):

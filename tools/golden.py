@@ -1,0 +1,102 @@
+"""Golden-bytes run: a tiny gen + train + eval set, hashed file by file.
+
+Usage: python tools/golden.py OUT
+
+Runs, in-process through ``meshpass.cli.main`` and with the ``src/`` tree
+next to this file on the import path:
+
+- ``gen`` of 2 scenarios, native (OUT/native) and with high-accuracy
+  labels at ``--refine 2`` (OUT/ha);
+- ``train --steps 3`` on OUT/ha and ``eval`` of the checkpoint, with the
+  default processor (OUT/train, OUT/eval) and with ``p=3H (U=0,D=0)``
+  (OUT/train3h, OUT/eval3h).
+
+Then prints one ``sha256  relative/path`` line per file under OUT, sorted
+by path (the commands' own output goes to stderr).
+The ``sec_per_step`` columns of CSV files are wall time, so they are
+blanked before hashing. A refactor that keeps behaviour prints the same
+lines before and after.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from meshpass.cli import main  # noqa: E402
+
+GEN = ["--scenarios", "2", "--seed", "3", "--set", "edge_min_lo=8e-3",
+       "--set", "edge_min_hi=1.2e-2", "--set", "n_steps=4"]
+MODEL = ["--set", "latent_size=16", "--set", "hidden_size=16", "--set", "normalizer_steps=3"]
+EVAL = ["--set", "eval_resolutions=1.2e-2,8e-3", "--set", "eval_steps=3",
+        "--set", "max_rollout=3"]
+WALL_TIME_COLUMN = "sec_per_step"
+
+
+def run(out):
+    def path(name):
+        return os.path.join(out, name)
+
+    commands = [
+        ["gen", "--out", path("native")] + GEN,
+        ["gen", "--out", path("ha"), "--labels", "high-accuracy", "--refine", "2"] + GEN,
+    ]
+    for suffix, processor in (("", []), ("3h", ["--processor", "p=3H (U=0,D=0)"])):
+        commands += [
+            ["train", "--dataset", path("ha"), "--out", path("train" + suffix),
+             "--steps", "3"] + processor + MODEL,
+            ["eval", "--out", path("eval" + suffix),
+             "--checkpoint", os.path.join(path("train" + suffix), "checkpoint.bin")] + EVAL,
+        ]
+    for argv in commands:
+        if main(argv) != 0:
+            raise SystemExit(f"golden run failed: meshpass {' '.join(argv)}")
+
+
+def deterministic_bytes(path):
+    """File bytes, with the wall-time column of a CSV file blanked."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not path.endswith(".csv"):
+        return raw
+    rows = list(csv.reader(io.StringIO(raw.decode())))
+    if not rows or WALL_TIME_COLUMN not in rows[0]:
+        return raw
+    col = rows[0].index(WALL_TIME_COLUMN)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(rows[0])
+    for row in rows[1:]:
+        writer.writerow(row[:col] + [""] + row[col + 1:])
+    return text.getvalue().encode()
+
+
+def digests(out):
+    lines = []
+    for dirpath, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            digest = hashlib.sha256(deterministic_bytes(path)).hexdigest()
+            lines.append(f"{digest}  {os.path.relpath(path, out)}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main_golden(argv):
+    if len(argv) != 1:
+        raise SystemExit("usage: python tools/golden.py OUT")
+    out = argv[0]
+    if os.path.exists(out) and os.listdir(out):
+        raise SystemExit(f"{out} is not empty")
+    with contextlib.redirect_stdout(sys.stderr):
+        run(out)
+    print("\n".join(digests(out)))
+
+
+if __name__ == "__main__":
+    main_golden(sys.argv[1:])

@@ -19,13 +19,13 @@ from scipy.sparse.csgraph import shortest_path
 from . import graphs, nn
 from .graphs import as_field_matrix
 from .processor import (
+    StaticLatents,
     forward_normalized_delta,
     high_res_update,
     low_res_update,
     downsample_update,
     upsample_update,
 )
-from .training import TrainConfig, train
 
 DEFAULT_EIG_CAP = 4000
 
@@ -127,45 +127,41 @@ def receptive_field(params, fine_mesh, coarse_mesh, fields=None):
     return mask
 
 
-def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5, sample=None,
-                     train_config=None):
-    """Median wall time per H/L/D/U step (and a full training step when a
-    sample is provided). Returns a dict kind -> seconds."""
-    fields = np.zeros((fine_mesh.n_nodes, params.field_width))
-    fine_g, fine, fine_e = graphs.encode_fine(
-        fine_mesh, params.node_field_normalizer.apply(nn.Tensor(fields)), params
-    )
-    coarse_g, coarse, coarse_e = graphs.encode_coarse(coarse_mesh, params)
-    down_g, down_e = graphs.build_transfer(fine_mesh, coarse_mesh, "down", params)
-    up_g, up_e = graphs.build_transfer(coarse_mesh, fine_mesh, "up", params)
+def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5):
+    """Median wall time of one update of each step kind with processor
+    block 0, run without a tape as in evaluation. Returns a dict kind ->
+    seconds (L, D and U only when the schedule has coarse steps), plus the
+    mesh and edge counts."""
     block = params.blocks[0]
 
-    def median_time(fn):
+    def median_time(update, *args):
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            fn()
+            update(*args, block)
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 
-    out = {
-        "H": median_time(lambda: high_res_update(fine_g, fine, fine_e, block)),
-        "L": median_time(lambda: low_res_update(coarse_g, coarse, coarse_e, block)),
-        "D": median_time(lambda: downsample_update(down_g, fine, coarse, down_e, block)),
-        "U": median_time(lambda: upsample_update(up_g, coarse, fine, up_e, block)),
-        "fine_nodes": fine_mesh.n_nodes,
-        "coarse_nodes": coarse_mesh.n_nodes,
-        "fine_edges": len(fine_g.senders),
-        "coarse_edges": len(coarse_g.senders),
-    }
-    if sample is not None:
-        cfg = train_config or TrainConfig(steps=repeats, normalizer_steps=0,
-                                          latent_size=params.latent_size,
-                                          hidden_size=params.hidden_size,
-                                          schedule=params.schedule.text)
-        history = train(params, [sample], cfg)
-        out["train_step"] = float(np.median([h["sec_per_step"] for h in history]))
-    return out
+    with nn.no_tape():
+        static = StaticLatents(params, fine_mesh, coarse_mesh)
+        fields = np.zeros((fine_mesh.n_nodes, params.field_width))
+        fine = graphs.encode_fine(fine_mesh, params.node_field_normalizer.apply(fields), params)
+        row = {
+            "H": median_time(high_res_update, static.fine_graph, fine, static.fine_edges),
+            "fine_nodes": fine_mesh.n_nodes,
+            "coarse_nodes": coarse_mesh.n_nodes,
+            "fine_edges": len(static.fine_graph.senders),
+        }
+        coarse = static.coarse
+        if coarse is not None:
+            row.update(
+                L=median_time(low_res_update, static.coarse_graph, coarse, static.coarse_edges),
+                D=median_time(downsample_update, static.down_graph, fine, coarse,
+                              static.down_edges),
+                U=median_time(upsample_update, static.up_graph, coarse, fine, static.up_edges),
+                coarse_edges=len(static.coarse_graph.senders),
+            )
+    return row
 
 
 def write_timing_csv(path, rows):

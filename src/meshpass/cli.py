@@ -266,7 +266,15 @@ def _csv_rows(path, columns):
         return list(reader)
 
 
+# analyze mode -> the flags it reads
+ANALYZE_INPUTS = {"spectrum": ("mesh", "traj", "ref"), "curve": ("eval", "baseline")}
+
+
 def cmd_analyze(args):
+    for flag in ANALYZE_INPUTS.get(args.mode, ()):
+        if getattr(args, flag) is None:
+            print(f"error: --mode {args.mode} needs --{flag}", file=sys.stderr)
+            return 1
     os.makedirs(args.out, exist_ok=True)
     if args.mode == "spectrum":
         mesh = load_mesh(args.mesh)
@@ -323,10 +331,10 @@ def cmd_bench(args):
     params = ModelParams(
         cfg["processor"], 1, cfg["latent_size"], cfg["hidden_size"], cfg["seed"]
     )
+    coarse = dataset.coarse_mesh(domain, cfg["seed"], cfg["coarse_edge_min"])
     rows = []
     for res in resolutions:
         fine = dataset.generate_mesh(domain, res, seed=cfg["seed"])
-        coarse = dataset.coarse_mesh(domain, cfg["seed"], cfg["coarse_edge_min"])
         row = analysis.timing_benchmark(params, fine, coarse)
         row["edge_min"] = res
         rows.append(row)

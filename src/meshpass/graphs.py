@@ -102,21 +102,19 @@ def encode_edges(graph, kind, params):
 
 
 def encode_fine(mesh, fields, params):
-    """Encode the simulation mesh and its (normalized) fields.
+    """Node latents of the simulation mesh and its (normalized) fields.
 
     Node features are the node-kind one-hot concatenated with the field
-    channels; edge features are relative sender-receiver coordinates plus
-    their norm. ``fields`` may be a Tensor (differentiable path) or an
-    array. Returns (graph, node latents, edge latents).
+    channels. ``fields`` may be a Tensor (differentiable path) or an array.
+    The fine edge latents do not depend on the fields; they come from
+    ``encode_edges(mesh_graph(mesh), "fine", params)``.
     """
     fields_t = fields if isinstance(fields, nn.Tensor) else nn.Tensor(as_field_matrix(fields))
     if fields_t.data.shape[0] != mesh.n_nodes:
         raise ValueError(
             f"field rows {fields_t.data.shape[0]} != mesh node count {mesh.n_nodes}"
         )
-    graph = mesh_graph(mesh)
-    nodes = params.fine_node_encoder(nn.concat([one_hot_kinds(mesh.node_kind), fields_t]))
-    return graph, nodes, encode_edges(graph, "fine", params)
+    return params.fine_node_encoder(nn.concat([one_hot_kinds(mesh.node_kind), fields_t]))
 
 
 def encode_coarse(mesh, params):

@@ -556,8 +556,8 @@ def generate_mesh(domain, edge_min, seed=0):
         fresh[pts.shape[0] - midpoints.shape[0]:] = True
         pts = _project_to_boundary(domain, pts, deps)
 
-    tris = Delaunay(pts).simplices
-    tris = _interior_triangles(domain, pts, tris, geps)
+    # The pass only leaves the loop through its break, so ``tris`` is the
+    # triangulation of the final ``pts``.
     points, kinds = _classify_and_snap(domain, pts, edge_min)
     tris = _remove_slivers(points, tris)
     points, kinds, tris = _drop_unused(points, kinds, tris)

@@ -12,6 +12,7 @@ from .autodiff import (
     matmul,
     mean_sq,
     mul,
+    no_tape,
     relu,
     spmm,
     sub,
@@ -41,6 +42,7 @@ __all__ = [
     "mean_sq",
     "mlp_apply",
     "mul",
+    "no_tape",
     "relu",
     "save_blocks",
     "spmm",

@@ -5,9 +5,15 @@ The engine records a tape of primitive operations as the forward pass runs;
 products. Only the primitives the model needs are implemented: dense affine
 maps, ReLU, concatenation, sparse gather/scatter (for graph message
 passing), layer normalization and the reductions used by the loss.
+
+Inside ``with no_tape():`` the same ops record nothing: their outputs have
+no parents and no vjp, so intermediates are freed as soon as the forward
+pass drops them. Every op still checks its output for non-finite values.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +31,29 @@ def _check(op_name, data):
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(op_name)
     return data
+
+
+_taping = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Inference mode: ops inside the block record no tape (no parents, no
+    vjp), so nothing computed in it can be differentiated. The previous
+    mode is restored on exit, also when the block raises."""
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
+
+
+def _result(out, op, parents, vjp):
+    # The op's output Tensor, with its tape record only when taping.
+    if _taping:
+        return Tensor(out, op, parents, vjp)
+    return Tensor(out, op)
 
 
 class Tensor:
@@ -89,7 +118,7 @@ def matmul(a, b):
     def vjp(g):
         return g @ bv.T, av.T @ g
 
-    return Tensor(out, "matmul", (a, b), vjp)
+    return _result(out, "matmul", (a, b), vjp)
 
 
 def add(a, b):
@@ -99,7 +128,7 @@ def add(a, b):
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
 
-    return Tensor(out, "add", (a, b), vjp)
+    return _result(out, "add", (a, b), vjp)
 
 
 def sub(a, b):
@@ -109,7 +138,7 @@ def sub(a, b):
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
 
-    return Tensor(out, "sub", (a, b), vjp)
+    return _result(out, "sub", (a, b), vjp)
 
 
 def mul(a, b):
@@ -119,18 +148,17 @@ def mul(a, b):
     def vjp(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return Tensor(out, "mul", (a, b), vjp)
+    return _result(out, "mul", (a, b), vjp)
 
 
 def relu(a):
     av = value(a)
-    out = np.maximum(av, 0.0)
-    mask = av > 0.0
+    out = _check("relu", np.maximum(av, 0.0))
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (av > 0.0),)
 
-    return Tensor(out, "relu", (a,), vjp)
+    return _result(out, "relu", (a,), vjp)
 
 
 def concat(parts):
@@ -143,7 +171,7 @@ def concat(parts):
     def vjp(g):
         return tuple(np.split(g, splits, axis=-1))
 
-    return Tensor(out, "concat", tuple(parts), vjp)
+    return _result(out, "concat", tuple(parts), vjp)
 
 
 class SparseOp:
@@ -184,7 +212,7 @@ def spmm(op, a):
     def vjp(g):
         return (op.mat_t @ g,)
 
-    return Tensor(out, "spmm", (a,), vjp)
+    return _result(out, "spmm", (a,), vjp)
 
 
 _LN_EPS = 1e-8
@@ -210,7 +238,7 @@ def layer_norm(x, gain, bias):
         gb = _unbroadcast(g, bv.shape)
         return gx, gg, gb
 
-    return Tensor(out, "layer_norm", (x, gain, bias), vjp)
+    return _result(out, "layer_norm", (x, gain, bias), vjp)
 
 
 def sum_all(a):
@@ -221,7 +249,7 @@ def sum_all(a):
     def vjp(g):
         return (np.broadcast_to(g, shape),)
 
-    return Tensor(out, "sum", (a,), vjp)
+    return _result(out, "sum", (a,), vjp)
 
 
 def mean_sq(a):
@@ -233,7 +261,7 @@ def mean_sq(a):
     def vjp(g):
         return (g * (2.0 / n) * av,)
 
-    return Tensor(out, "mean_sq", (a,), vjp)
+    return _result(out, "mean_sq", (a,), vjp)
 
 
 def _topo_order(root):

@@ -300,59 +300,92 @@ def upsample_update(graph, coarse, fine, edges, block):
 # ---------------------------------------------------------------------------
 
 
-def forward_normalized_delta(params, fine_mesh, coarse_level, fields):
+class StaticLatents:
+    """The part of a forward pass that does not depend on the fields.
+
+    For one fine mesh and coarse level: the fine Graph and edge latents and,
+    when the schedule has L, D or U steps, the coarse Graph, node and edge
+    latents and the down/up transfer Graphs and edge latents (otherwise
+    those are None). They are valid while ``params`` (weights and
+    normalizer statistics) stay unchanged. ``coarse_level`` must be of
+    ``params.coarse_kind``.
+    """
+
+    def __init__(self, params, fine_mesh, coarse_level):
+        if coarse_level is not None:
+            level_kind = "grid" if isinstance(coarse_level, GridLevel) else "mesh"
+            if level_kind != params.coarse_kind:
+                raise ValueError(
+                    f"model coarse_kind is {params.coarse_kind!r} but the coarse level "
+                    f"given is a {level_kind!r} level"
+                )
+        self.fine_graph = graphs.mesh_graph(fine_mesh)
+        self.fine_edges = graphs.encode_edges(self.fine_graph, "fine", params)
+        self.coarse_graph = self.coarse = self.coarse_edges = None
+        self.down_graph = self.down_edges = self.up_graph = self.up_edges = None
+        # Every L run is entered by a D step, so d_count > 0 iff the schedule
+        # has any L, D or U step.
+        if params.schedule.d_count == 0:
+            return
+        if coarse_level is None:
+            raise ValueError("schedule uses L/D/U steps but no coarse level was given")
+        self.coarse_graph, self.coarse, self.coarse_edges = graphs.encode_coarse(
+            coarse_level, params
+        )
+        if params.coarse_kind == "grid":
+            self.down_graph, self.down_edges = graphs.build_grid_transfer(
+                fine_mesh, None, "down", params, grid=coarse_level
+            )
+            self.up_graph, self.up_edges = graphs.build_grid_transfer(
+                fine_mesh, None, "up", params, grid=coarse_level
+            )
+        else:
+            self.down_graph, self.down_edges = graphs.build_transfer(
+                fine_mesh, coarse_level, "down", params
+            )
+            self.up_graph, self.up_edges = graphs.build_transfer(
+                coarse_level, fine_mesh, "up", params
+            )
+
+
+def forward_normalized_delta(params, fine_mesh, coarse_level, fields, static=None):
     """Differentiable core of the model: normalized per-node delta.
 
     Returns (delta Tensor (N, field_width), input leaf Tensor) so callers
     can take gradients with respect to either parameters or inputs. The
-    coarse level and the transfers are encoded only when the schedule has
-    L, D or U steps; ``coarse_level`` must be of ``params.coarse_kind``.
+    :class:`StaticLatents` of (fine_mesh, coarse_level) are encoded here
+    unless ``static`` holds them for these params; the per-step part
+    normalizes the fields, encodes the fine nodes, runs the schedule and
+    decodes.
     """
-    if coarse_level is not None:
-        level_kind = "grid" if isinstance(coarse_level, GridLevel) else "mesh"
-        if level_kind != params.coarse_kind:
-            raise ValueError(
-                f"model coarse_kind is {params.coarse_kind!r} but the coarse level "
-                f"given is a {level_kind!r} level"
-            )
+    if static is None:
+        static = StaticLatents(params, fine_mesh, coarse_level)
     leaf = fields if isinstance(fields, nn.Tensor) else nn.Tensor(as_field_matrix(fields))
     xn = params.node_field_normalizer.apply(leaf)
-    fine_g, fine, fine_e = graphs.encode_fine(fine_mesh, xn, params)
-    # Every L run is entered by a D step, so d_count > 0 iff the schedule
-    # has any L, D or U step.
-    if params.schedule.d_count > 0:
-        if coarse_level is None:
-            raise ValueError("schedule uses L/D/U steps but no coarse level was given")
-        coarse_g, coarse, coarse_e = graphs.encode_coarse(coarse_level, params)
-        if params.coarse_kind == "grid":
-            down_g, down_e = graphs.build_grid_transfer(
-                fine_mesh, None, "down", params, grid=coarse_level
-            )
-            up_g, up_e = graphs.build_grid_transfer(
-                fine_mesh, None, "up", params, grid=coarse_level
-            )
-        else:
-            down_g, down_e = graphs.build_transfer(fine_mesh, coarse_level, "down", params)
-            up_g, up_e = graphs.build_transfer(coarse_level, fine_mesh, "up", params)
+    fine = graphs.encode_fine(fine_mesh, xn, params)
+    fine_e, coarse, coarse_e = static.fine_edges, static.coarse, static.coarse_edges
+    down_e, up_e = static.down_edges, static.up_edges
     for step, block in zip(params.schedule.steps, params.blocks):
         if step == STEP_FINE:
-            fine, fine_e = high_res_update(fine_g, fine, fine_e, block)
+            fine, fine_e = high_res_update(static.fine_graph, fine, fine_e, block)
         elif step == STEP_COARSE:
-            coarse, coarse_e = low_res_update(coarse_g, coarse, coarse_e, block)
+            coarse, coarse_e = low_res_update(static.coarse_graph, coarse, coarse_e, block)
         elif step == STEP_DOWN:
-            coarse, down_e = downsample_update(down_g, fine, coarse, down_e, block)
+            coarse, down_e = downsample_update(static.down_graph, fine, coarse, down_e, block)
         else:
-            fine, up_e = upsample_update(up_g, coarse, fine, up_e, block)
-    delta = params.decoder(fine)
-    return delta, leaf
+            fine, up_e = upsample_update(static.up_graph, coarse, fine, up_e, block)
+    return params.decoder(fine), leaf
 
 
-def predict_step(fine_mesh, coarse_mesh, fields, params, schedule=None, boundary_values=None):
-    """One next-step prediction on the fine mesh.
+def predict_step(fine_mesh, coarse_mesh, fields, params, schedule=None, boundary_values=None,
+                 static=None):
+    """One next-step prediction on the fine mesh, computed without a tape.
 
-    Encodes both levels and the transfer graphs, runs the schedule, decodes
-    a normalized delta, and adds its unnormalized value to the current
-    fields. Nodes of a prescribed kind (inflow) are overwritten with their
+    Encodes the fine nodes, runs the schedule, decodes a normalized delta,
+    and adds its unnormalized value to the current fields. The static
+    latents are encoded here unless ``static`` holds the
+    :class:`StaticLatents` of (fine_mesh, coarse_mesh) for these params.
+    Nodes of a prescribed kind (inflow) are overwritten with their
     boundary values afterwards; by default they keep their current value,
     matching a time-constant Dirichlet condition.
     """
@@ -364,7 +397,8 @@ def predict_step(fine_mesh, coarse_mesh, fields, params, schedule=None, boundary
                 f"were built for ({params.schedule.text!r})"
             )
     fields_mat = as_field_matrix(fields)
-    delta_n, _ = forward_normalized_delta(params, fine_mesh, coarse_mesh, fields_mat)
+    with nn.no_tape():
+        delta_n, _ = forward_normalized_delta(params, fine_mesh, coarse_mesh, fields_mat, static)
     delta = params.output_normalizer.unapply(delta_n.data)
     nxt = fields_mat + delta
     mask = np.isin(fine_mesh.node_kind, PRESCRIBED_KINDS)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .mesh import build_interpolator, apply_interpolator
-from .processor import ModelParams, PRESCRIBED_KINDS, forward_normalized_delta, predict_step
+from .processor import ModelParams, StaticLatents, forward_normalized_delta, predict_step
 from .solver import Trajectory, one_step_errors
 from .graphs import as_field_matrix, mesh_graph, transfer_graph
 
@@ -158,20 +158,30 @@ def load_checkpoint(path):
 
 
 class ModelStepper:
-    """predict_step wrapped in the stepper interface used by evaluation."""
+    """predict_step wrapped in the stepper interface used by evaluation.
+
+    ``bind(mesh)`` encodes the :class:`StaticLatents` of (mesh, coarse
+    mesh) once, and every ``step`` reuses them. The params (weights and
+    normalizer statistics) are therefore frozen for the stepper's lifetime:
+    changing them after ``bind`` leaves the stepper on the old latents.
+    """
 
     def __init__(self, params, coarse_mesh):
         self.params = params
         self.coarse_mesh = coarse_mesh
         self.mesh = None
+        self.static = None
 
     def bind(self, mesh):
         self.mesh = mesh
+        with nn.no_tape():
+            self.static = StaticLatents(self.params, mesh, self.coarse_mesh)
         return self
 
     def step(self, u, bc_values=None):
         return predict_step(
-            self.mesh, self.coarse_mesh, u, self.params, boundary_values=bc_values
+            self.mesh, self.coarse_mesh, u, self.params, boundary_values=bc_values,
+            static=self.static,
         )
 
 

@@ -395,6 +395,22 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", "--mode", "bogus", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("mode,given,missing", [
+        ("spectrum", ("traj", "ref"), "mesh"),
+        ("spectrum", ("mesh", "ref"), "traj"),
+        ("spectrum", ("mesh", "traj"), "ref"),
+        ("curve", ("baseline",), "eval"),
+        ("curve", ("eval",), "baseline"),
+    ])
+    def test_missing_input_flag_named(self, tmp_path, capsys, mode, given, missing):
+        out = tmp_path / "an"
+        argv = ["analyze", "--mode", mode, "--out", str(out)]
+        for flag in given:
+            argv += [f"--{flag}", str(tmp_path / flag)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --mode {mode} needs --{missing}\n"
+        assert not out.exists()
+
 
 class TestBench:
     def test_bench_writes_timing(self, tmp_path):

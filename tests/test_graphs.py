@@ -35,21 +35,22 @@ def channel():
 class TestEncodeFine:
     def test_two_triangle_square_counts(self, params):
         mesh = square_mesh()
-        _, nodes, edges = G.encode_fine(mesh, np.zeros(4), params)
+        nodes = G.encode_fine(mesh, np.zeros(4), params)
+        edges = G.encode_edges(G.mesh_graph(mesh), "fine", params)
         assert nodes.data.shape[0] == 4
         assert edges.data.shape[0] == 10  # 5 undirected edges
 
     def test_zero_weight_encoders_zero_latents(self):
         p = ModelParams("p=1H (U=0,D=0)", 1, 8, 8, seed=0).zero_()
         mesh = square_mesh()
-        _, nodes, edges = G.encode_fine(mesh, np.random.default_rng(0).normal(size=4), p)
+        nodes = G.encode_fine(mesh, np.random.default_rng(0).normal(size=4), p)
+        edges = G.encode_edges(G.mesh_graph(mesh), "fine", p)
         assert np.all(nodes.data == 0)
         assert np.all(edges.data == 0)
 
     def test_translation_leaves_edge_latents_unchanged(self, params):
-        fields = np.random.default_rng(1).normal(size=4)
-        _, _, a = G.encode_fine(square_mesh(), fields, params)
-        _, _, b = G.encode_fine(square_mesh(shift=(0.3, -0.1)), fields, params)
+        a = G.encode_edges(G.mesh_graph(square_mesh()), "fine", params)
+        b = G.encode_edges(G.mesh_graph(square_mesh(shift=(0.3, -0.1))), "fine", params)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_field_count_mismatch(self, params):
@@ -193,9 +194,9 @@ class TestGraph:
 
     def test_built_once_per_mesh_and_pair(self, params, channel):
         _, fine, coarse = channel
-        a, _, _ = G.encode_fine(fine, np.zeros(fine.n_nodes), params)
-        b, _, _ = G.encode_fine(fine, np.ones(fine.n_nodes), params)
-        assert a is b
+        a = G.mesh_graph(fine)
+        G.encode_fine(fine, np.ones(fine.n_nodes), params)
+        assert G.mesh_graph(fine) is a
         assert G.encode_coarse(coarse, params)[0] is G.mesh_graph(coarse)
         down, _ = G.build_transfer(fine, coarse, "down", params)
         assert G.build_transfer(fine, coarse, "down", params)[0] is down

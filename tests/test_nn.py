@@ -77,6 +77,38 @@ class TestAutodiffOps:
         assert g[0, 0] == 7.0
 
 
+class TestNoTape:
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_nan_into_relu_raises_named_op(self, taped):
+        x = ad.Tensor([[1.0, np.nan]])
+        with pytest.raises(nn.NonFiniteError) as err:
+            if taped:
+                ad.relu(x)
+            else:
+                with nn.no_tape():
+                    ad.relu(x)
+        assert err.value.op_name == "relu"
+
+    def test_outputs_have_no_parents_and_same_bytes(self):
+        rng = np.random.default_rng(0)
+        mlp = nn.Mlp(4, 3, hidden=8, rng=rng)
+        x = rng.normal(size=(6, 4))
+        taped = nn.mlp_apply(mlp, x)
+        with nn.no_tape():
+            free = nn.mlp_apply(mlp, x)
+        assert taped.parents and taped.vjp is not None
+        assert free.parents == () and free.vjp is None and free.op == "layer_norm"
+        assert free.data.tobytes() == taped.data.tobytes()
+
+    def test_mode_restored_after_exception(self):
+        w = ad.Tensor(np.array([[2.0]]))
+        with pytest.raises(nn.NonFiniteError):
+            with nn.no_tape():
+                ad.mul(w, np.inf)
+        (g,) = nn.grad(lambda ps: ad.mean_sq(ad.matmul(np.ones((1, 1)), ps[0])), [w])
+        assert g[0, 0] == 4.0
+
+
 class TestGrad:
     def test_quadratic_loss_hand_derivation(self):
         # loss = 0.5 ||W x||^2  =>  dloss/dW = (W x) x^T

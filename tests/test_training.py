@@ -1,14 +1,18 @@
 """Training loop, rollout, and evaluation pipeline tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from meshpass import dataset as D
+from meshpass import graphs as G
 from meshpass import mesh as M
 from meshpass import nn
 from meshpass import solver as S
 from meshpass import training as T
-from meshpass.processor import ModelParams
+from meshpass.graphs import GridLevel, as_field_matrix
+from meshpass.processor import PRESCRIBED_KINDS, ModelParams, forward_normalized_delta
 
 UNIT_SQUARE = M.ChannelDomain(1.0, 1.0)
 SCHED = "p=1H 2L 1H (U=1,D=1)"
@@ -111,6 +115,69 @@ class TestLossMasking:
         out_a = predict_step(fine, coarse, fields, params)
         out_b = predict_step(fine, other_coarse, fields, params)
         np.testing.assert_array_equal(out_a, out_b)
+
+
+def _taped_step(params, fine, coarse, u, bc):
+    """Taped forward_normalized_delta, unnormalized, with inflow held."""
+    u = as_field_matrix(u)
+    delta_n, _ = forward_normalized_delta(params, fine, coarse, u)
+    out = u + params.output_normalizer.unapply(delta_n.data)
+    held = np.isin(fine.node_kind, PRESCRIBED_KINDS)
+    out[held] = as_field_matrix(bc)[held]
+    return out[:, 0]
+
+
+@pytest.fixture(scope="module")
+def stepper_meshes():
+    return [M.generate_mesh(UNIT_SQUARE, em) for em in (0.1, 0.07)]
+
+
+class TestModelStepper:
+    @pytest.mark.parametrize("schedule,coarse_kind", [
+        ("p=1H 11L 1H (U=1,D=1)", "mesh"),
+        ("p=3H (U=0,D=0)", "mesh"),
+        ("p=1H 2L 1H (U=1,D=1)", "grid"),
+    ])
+    def test_matches_taped_path_bytes(self, stepper_meshes, schedule, coarse_kind):
+        params = ModelParams(schedule, 1, 16, 16, seed=3, coarse_kind=coarse_kind)
+        rng = np.random.default_rng(5)
+        params.node_field_normalizer.accumulate(rng.normal(0.3, 2.0, size=(50, 1)))
+        params.output_normalizer.accumulate(rng.normal(0.0, 0.1, size=(50, 1)))
+        for norm in params.edge_normalizers.values():
+            norm.accumulate(rng.normal(0.0, 0.05, size=(50, 3)))
+        if coarse_kind == "grid":
+            coarse = GridLevel(UNIT_SQUARE, 0.25)
+        else:
+            coarse = M.generate_mesh(UNIT_SQUARE, 0.3)
+        for fine in stepper_meshes:
+            stepper = T.ModelStepper(params, coarse).bind(fine)
+            u = rng.normal(size=fine.n_nodes)
+            bc = rng.normal(size=fine.n_nodes)
+            for _ in range(3):
+                out = stepper.step(u, bc)
+                assert out.tobytes() == _taped_step(params, fine, coarse, u, bc).tobytes()
+                u = out
+
+    def test_static_latents_encoded_once_per_bind(self, toy_pair, monkeypatch):
+        fine, coarse = toy_pair
+        calls = Counter()
+        for name in ("encode_coarse", "build_transfer", "encode_fine"):
+            real = getattr(G, name)
+            monkeypatch.setattr(
+                G, name, lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a)
+            )
+        stepper = T.ModelStepper(small_params(), coarse).bind(fine)
+        u = np.random.default_rng(4).normal(size=fine.n_nodes)
+        for _ in range(4):
+            u = stepper.step(u)
+        assert calls == {"encode_coarse": 1, "build_transfer": 2, "encode_fine": 4}
+
+    def test_static_latents_have_no_tape(self, toy_pair):
+        fine, coarse = toy_pair
+        static = T.ModelStepper(small_params(), coarse).bind(fine).static
+        for latent in (static.fine_edges, static.coarse, static.coarse_edges,
+                       static.down_edges, static.up_edges):
+            assert latent.parents == () and latent.vjp is None
 
 
 class TestRollout:

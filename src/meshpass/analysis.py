@@ -174,8 +174,8 @@ def write_timing_csv(path, rows):
 
 
 def convergence_curve(eval_rows, baseline_rows):
-    """Merge model evaluation rows with the classical-solver baseline into
-    one table sorted by edge_min (log-log plots are made from this CSV)."""
+    """Merge model evaluation rows with the solver baseline's (edge_min, mse1,
+    next_step_mse) rows into one table sorted by edge_min (for log-log plots)."""
     merged = []
     for r in eval_rows:
         merged.append(
@@ -196,7 +196,7 @@ def convergence_curve(eval_rows, baseline_rows):
                 "mps": 0,
                 "schedule": "",
                 "mse1": float(b["mse1"]),
-                "next_step_mse": float(b["mse1"]),
+                "next_step_mse": float(b["next_step_mse"]),
             }
         )
     merged.sort(key=lambda row: (row["edge_min"], row["source"]))

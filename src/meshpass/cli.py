@@ -302,9 +302,10 @@ def cmd_analyze(args):
             )
             for row in _csv_rows(args.eval, training.CSV_COLUMNS)
         ]
+        baseline_columns = ("edge_min", "mse1", "next_step_mse")
         baseline_rows = [
-            {"edge_min": float(row["edge_min"]), "mse1": float(row["mse1"])}
-            for row in _csv_rows(args.baseline, ("edge_min", "mse1"))
+            {k: float(row[k]) for k in baseline_columns}
+            for row in _csv_rows(args.baseline, baseline_columns)
         ]
         merged = analysis.convergence_curve(eval_rows, baseline_rows)
         analysis.write_curve_csv(os.path.join(args.out, "curve.csv"), merged)

@@ -297,14 +297,3 @@ def load_dataset(root, coarse_edge_min=COARSE_EDGE_MIN):
         provenance = "high_accuracy" if ha is not None else "native"
         samples.extend(trajectory_to_samples(mesh, coarse, use, provenance, scenario))
     return samples
-
-
-def split_samples(samples, holdout_fraction, seed):
-    """Seed-deterministic shuffled train/validation split."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(samples))
-    n_holdout = int(round(holdout_fraction * len(samples)))
-    val_idx = set(order[:n_holdout].tolist())
-    train = [s for i, s in enumerate(samples) if i not in val_idx]
-    val = [s for i, s in enumerate(samples) if i in val_idx]
-    return train, val

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import nn
-from .mesh import KIND_OBSTACLE, NODE_KINDS, ChannelDomain, build_interpolator
+from .mesh import KIND_OBSTACLE, NODE_KINDS, ChannelDomain, build_interpolator, unique_edges
 
 ONE_HOT_WIDTH = len(NODE_KINDS)
 
@@ -186,18 +186,13 @@ class GridLevel:
     def undirected_edges(self):
         """Lattice links, omitting endpoints inside the obstacle."""
         if "lattice" not in self._cache:
-            pairs = []
-            for ix in range(self.nx + 1):
-                for iy in range(self.ny + 1):
-                    a = self.node_index(ix, iy)
-                    if ix < self.nx:
-                        pairs.append((a, self.node_index(ix + 1, iy)))
-                    if iy < self.ny:
-                        pairs.append((a, self.node_index(ix, iy + 1)))
-            pairs = np.array(pairs, dtype=np.int64)
-            ok = ~(self.inside_obstacle[pairs[:, 0]] | self.inside_obstacle[pairs[:, 1]])
-            pairs = np.sort(pairs[ok], axis=1)
-            self._cache["lattice"] = np.unique(pairs, axis=0)
+            node = np.arange(self.n_nodes).reshape(self.nx + 1, self.ny + 1)
+            pairs = np.concatenate([
+                np.column_stack([node[:-1].ravel(), node[1:].ravel()]),
+                np.column_stack([node[:, :-1].ravel(), node[:, 1:].ravel()]),
+            ])
+            ok = ~self.inside_obstacle[pairs].any(axis=1)
+            self._cache["lattice"] = unique_edges(pairs[ok], self.n_nodes)
         return self._cache["lattice"]
 
 

@@ -185,7 +185,6 @@ class FrameStepper:
         mu = np.full(tris.shape[0], config.viscosity)
         if config.stabilize:
             mu += np.maximum(0.0, 0.5 * speed * h_elem - config.viscosity)
-        self.element_peclet = speed * h_elem / max(2.0 * config.viscosity, 1e-300)
 
         rows, cols, vals = [], [], []
         for i in range(3):
@@ -200,10 +199,8 @@ class FrameStepper:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n),
         )
-        lumped = np.zeros(n)
-        np.add.at(lumped, tris.ravel(), np.repeat(area / 3.0, 3))
-        self.lumped_mass = lumped
-        self.dirichlet = mesh.node_kind == KIND_INFLOW
+        self.lumped_mass = np.bincount(tris.ravel(), np.repeat(area / 3.0, 3), minlength=n)
+        self.dirichlet = np.flatnonzero(mesh.node_kind == KIND_INFLOW)
 
         # Explicit-stability substep count (CFL <= config.cfl).
         rate = speed / h_elem + 4.0 * mu / h_elem**2
@@ -219,9 +216,9 @@ class FrameStepper:
         the incoming values, i.e. a time-constant inflow)."""
         u = np.asarray(u, dtype=np.float64).copy()
         bc = u[self.dirichlet] if bc_values is None else np.asarray(bc_values)[self.dirichlet]
-        inv_m = 1.0 / self.lumped_mass
+        scale = self.dt_sub * (1.0 / self.lumped_mass)
         for _ in range(self.n_substeps):
-            u -= self.dt_sub * inv_m * (self.operator @ u)
+            u -= scale * (self.operator @ u)
             u[self.dirichlet] = bc
         return u
 

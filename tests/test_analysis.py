@@ -150,13 +150,14 @@ class TestConvergenceCurve:
 
     def test_merged_sorted_and_baseline_preserved(self, tmp_path):
         baseline = [
-            {"edge_min": 0.1, "mse1": 2.0},
-            {"edge_min": 0.05, "mse1": 0.9},
+            {"edge_min": 0.1, "mse1": 2.0, "next_step_mse": 0.8},
+            {"edge_min": 0.05, "mse1": 0.9, "next_step_mse": 0.3},
         ]
         merged = A.convergence_curve(self.make_rows(), baseline)
         assert [r["edge_min"] for r in merged] == sorted(r["edge_min"] for r in merged)
         base_rows = [r for r in merged if r["source"] == "solver_baseline"]
         assert {r["edge_min"]: r["mse1"] for r in base_rows} == {0.1: 2.0, 0.05: 0.9}
+        assert {r["edge_min"]: r["next_step_mse"] for r in base_rows} == {0.1: 0.8, 0.05: 0.3}
         path = tmp_path / "curve.csv"
         A.write_curve_csv(path, merged)
         assert path.read_text().splitlines()[0] == (

@@ -326,6 +326,17 @@ class TestEval:
             for m in meshes
         ]
         assert errs[-1] == 0.0  # finest is the reference itself
+        # The solver's eval.csv is a valid curve baseline; its next-step
+        # errors carry into curve.csv.
+        curve = str(tmp_path / "curve")
+        evcsv = os.path.join(out, "eval.csv")
+        assert main(["analyze", "--mode", "curve", "--out", curve,
+                     "--eval", evcsv, "--baseline", evcsv]) == 0
+        with open(os.path.join(curve, "curve.csv")) as fh:
+            base = [r for r in csv.DictReader(fh) if r["source"] == "solver_baseline"]
+        assert {float(r["edge_min"]): float(r["next_step_mse"]) for r in base} == {
+            float(r["edge_min"]): float(r["next_step_mse"]) for r in rows
+        }
 
     def test_eval_requires_model_or_solver(self, tmp_path, capsys):
         rc = main(["eval", "--out", str(tmp_path / "x")])
@@ -366,16 +377,18 @@ class TestAnalyze:
             '0.05,model,9,"p=9H (U=0,D=0)",0.5,0.6,0.7,0.1,0.25\n'
         )
         base = tmp_path / "base.csv"
-        base.write_text("edge_min,mse1\n0.05,0.9\n0.1,2.0\n")
+        base.write_text("edge_min,mse1,next_step_mse\n0.05,0.9,0.3\n0.1,2.0,0.8\n")
         out = str(tmp_path / "curve")
         rc = main(["analyze", "--mode", "curve", "--out", out,
                    "--eval", str(ev), "--baseline", str(base)])
         assert rc == 0
-        text = open(os.path.join(out, "curve.csv")).read()
-        assert "solver_baseline" in text
         with open(os.path.join(out, "curve.csv")) as fh:
-            model = [r for r in csv.DictReader(fh) if r["source"] == "model"]
+            rows = list(csv.DictReader(fh))
+        model = [r for r in rows if r["source"] == "model"]
         assert [float(r["next_step_mse"]) for r in model] == [0.25]
+        solver = [r for r in rows if r["source"] == "solver_baseline"]
+        assert [(float(r["edge_min"]), float(r["mse1"]), float(r["next_step_mse"]))
+                for r in solver] == [(0.05, 0.9, 0.3), (0.1, 2.0, 0.8)]
 
     def test_curve_eval_without_next_step_column(self, tmp_path, capsys):
         ev = tmp_path / "eval.csv"
@@ -390,6 +403,19 @@ class TestAnalyze:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(ev) in err and "'next_step_mse'" in err
+
+    def test_curve_baseline_without_next_step_column(self, tmp_path, capsys):
+        ev = tmp_path / "eval.csv"
+        ev.write_text(
+            "edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step,next_step_mse\n"
+            '0.05,model,9,"p=9H (U=0,D=0)",0.5,0.6,0.7,0.1,0.25\n'
+        )
+        base = tmp_path / "base.csv"
+        base.write_text("edge_min,mse1\n0.05,0.9\n")
+        rc = main(["analyze", "--mode", "curve", "--out", str(tmp_path / "curve"),
+                   "--eval", str(ev), "--baseline", str(base)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {base} has no 'next_step_mse' column\n"
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -73,14 +73,6 @@ class TestNativeDataset:
             assert np.all(np.isfinite(s.inputs))
             assert np.all(np.isfinite(s.targets))
 
-    def test_split_deterministic(self, tmp_path):
-        samples = load_samples(tmp_path, small_scenario(), n_steps=10)
-        tr1, va1 = D.split_samples(samples, 0.3, seed=5)
-        tr2, va2 = D.split_samples(samples, 0.3, seed=5)
-        assert [id(s) for s in tr1] == [id(s) for s in tr2]
-        assert [id(s) for s in va1] == [id(s) for s in va2]
-        assert len(va1) == 3
-
 
 class TestHighAccuracyDataset:
     def test_refinement_below_two_rejected(self):

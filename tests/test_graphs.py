@@ -166,6 +166,26 @@ class TestGridTransfer:
         pairs_up = set(zip(up.receivers.tolist(), up.senders.tolist()))
         assert pairs_down == pairs_up
 
+    def test_lattice_edges_match_link_loop(self):
+        # Every x and y link between grid nodes, both ends outside the
+        # obstacle, as unique sorted (i < j) rows.
+        domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.06)
+        grid = G.GridLevel(domain, 0.05)
+        pairs = []
+        for ix in range(grid.nx + 1):
+            for iy in range(grid.ny + 1):
+                a = grid.node_index(ix, iy)
+                if ix < grid.nx:
+                    pairs.append((a, grid.node_index(ix + 1, iy)))
+                if iy < grid.ny:
+                    pairs.append((a, grid.node_index(ix, iy + 1)))
+        pairs = np.array(pairs, dtype=np.int64)
+        pairs = pairs[~grid.inside_obstacle[pairs].any(axis=1)]
+        expected = np.unique(np.sort(pairs, axis=1), axis=0)
+        assert grid.inside_obstacle.sum() >= 1
+        edges = grid.undirected_edges()
+        assert edges.dtype == expected.dtype and edges.tobytes() == expected.tobytes()
+
     def test_grid_must_cover_2x2_cells(self, params):
         mesh = square_mesh()
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from meshpass import mesh as M
 
@@ -132,6 +133,53 @@ class TestSplitCollapse:
                            match=r"did not converge after 1 rounds: edge \(") as err:
             M.generate_mesh(PAPER_DOMAIN, 2.8e-2, seed=7)
         assert "edge length out of bounds" not in str(err.value)
+
+
+def old_unique_edges(pairs):
+    """The row-wise idiom :func:`M.unique_edges` replaces."""
+    return np.unique(np.sort(pairs, axis=1), axis=0)
+
+
+def triangle_sides(tris):
+    return np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+
+
+def assert_same_edges(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+class TestUniqueEdges:
+    """``unique_edges`` gives the values and dtype of the row-wise
+    ``np.unique(np.sort(pairs, axis=1), axis=0)``."""
+
+    def test_triangles_of_test_meshes(self, channel_mesh, channel_mesh_half):
+        for mesh in (channel_mesh, channel_mesh_half):
+            sides = triangle_sides(mesh.triangles)
+            old = old_unique_edges(sides)
+            assert_same_edges(M.unique_edges(sides, mesh.n_nodes), old)
+            assert_same_edges(M.triangle_edges(mesh.triangles, mesh.n_nodes), old)
+            fresh = M.TriMesh(mesh.positions, mesh.triangles, mesh.node_kind,
+                              mesh.edge_min, mesh.edge_max)
+            assert_same_edges(fresh.undirected_edges(), old)
+
+    def test_raw_int32_delaunay_simplices(self, channel_mesh_half):
+        tris = Delaunay(channel_mesh_half.positions).simplices
+        assert tris.dtype == np.int32
+        n = channel_mesh_half.n_nodes
+        sides = triangle_sides(tris)
+        assert_same_edges(M.unique_edges(sides, n), old_unique_edges(sides))
+        assert_same_edges(M.triangle_edges(tris, n), old_unique_edges(sides))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_duplicates_in_both_orientations(self, dtype):
+        rng = np.random.default_rng(0)
+        n = 50
+        pairs = rng.integers(0, n, size=(400, 2)).astype(dtype)
+        pairs = np.concatenate([pairs, pairs[::3, ::-1], pairs[:40]])
+        rng.shuffle(pairs)
+        assert_same_edges(M.unique_edges(pairs, n), old_unique_edges(pairs))
+        assert_same_edges(M.unique_edges(pairs[:0], n), old_unique_edges(pairs[:0]))
 
 
 class TestTopology:

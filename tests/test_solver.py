@@ -94,6 +94,31 @@ class TestSimulate:
             assert nxt.min() >= prev.min() - 1e-10
             assert nxt.max() <= prev.max() + 1e-10
 
+    def test_step_matches_reference_substep_loop(self):
+        # The substep loop as first written: a boolean Dirichlet mask and
+        # dt_sub / lumped mass formed inside the loop, lumped mass by np.add.at.
+        domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.05)
+        mesh = M.generate_mesh(domain, 1e-2)
+        cfg = S.PdeConfig(domain, viscosity=1e-3, inflow_mean=0.85, dt=0.01, n_steps=3)
+        stepper = S.FrameStepper(mesh, cfg)
+        lumped = np.zeros(mesh.n_nodes)
+        area = mesh.triangle_areas()
+        np.add.at(lumped, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
+        assert stepper.lumped_mass.tobytes() == lumped.tobytes()
+        inflow = mesh.node_kind == M.KIND_INFLOW
+        inv_m = 1.0 / lumped
+        u0 = np.random.default_rng(2).uniform(0.0, 1.0, mesh.n_nodes)
+        u_ref = u_new = u0
+        for _ in range(3):
+            u = u_ref.copy()
+            for _ in range(stepper.n_substeps):
+                u -= stepper.dt_sub * inv_m * (stepper.operator @ u)
+                u[inflow] = u0[inflow]
+            u_ref = u
+            u_new = stepper.step(u_new, u0)
+            assert u_new.tobytes() == u_ref.tobytes()
+        assert stepper.n_substeps > 1
+
     def test_dirichlet_inflow_held(self):
         domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.05)
         mesh = M.generate_mesh(domain, 1.5e-2)

@@ -12,7 +12,10 @@ next to this file on the import path:
   (OUT/train3h, OUT/eval3h).
 
 Then prints one ``sha256  relative/path`` line per file under OUT, sorted
-by path (the commands' own output goes to stderr).
+by path (the commands' own output goes to stderr), and among them one
+``sha256  meshes/sweep`` line: the hash of ``mesh_text`` over the meshes of
+``MESH_SWEEP``, the mesh generator's byte guard (about 7 s of the run on a
+2-core Xeon VM).
 The ``sec_per_step`` columns of CSV files are wall time, so they are
 blanked before hashing. A refactor that keeps behaviour prints the same
 lines before and after.
@@ -30,6 +33,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from meshpass.cli import main  # noqa: E402
+from meshpass.mesh import ChannelDomain, generate_mesh, mesh_text  # noqa: E402
 
 GEN = ["--scenarios", "2", "--seed", "3", "--set", "edge_min_lo=8e-3",
        "--set", "edge_min_hi=1.2e-2", "--set", "n_steps=4"]
@@ -37,6 +41,16 @@ MODEL = ["--set", "latent_size=16", "--set", "hidden_size=16", "--set", "normali
 EVAL = ["--set", "eval_resolutions=1.2e-2,8e-3", "--set", "eval_steps=3",
         "--set", "max_rollout=3"]
 WALL_TIME_COLUMN = "sec_per_step"
+
+TEST_DOMAIN = ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.05)
+# (domain, edge_min, seeds) of the meshes hashed into ``meshes/sweep``.
+MESH_SWEEP = [
+    (TEST_DOMAIN, 1e-2, range(4)),
+    (TEST_DOMAIN, 5e-3, range(4)),
+    (TEST_DOMAIN, 3.5e-3, range(1)),
+    (ChannelDomain(1.0, 1.0), 0.05, range(1)),
+    (ChannelDomain(1.0, 0.12), 0.024, range(1)),
+]
 
 
 def run(out):
@@ -57,6 +71,14 @@ def run(out):
     for argv in commands:
         if main(argv) != 0:
             raise SystemExit(f"golden run failed: meshpass {' '.join(argv)}")
+
+
+def mesh_sweep_line():
+    h = hashlib.sha256()
+    for domain, edge_min, seeds in MESH_SWEEP:
+        for seed in seeds:
+            h.update(mesh_text(generate_mesh(domain, edge_min, seed=seed)).encode())
+    return f"{h.hexdigest()}  meshes/sweep"
 
 
 def deterministic_bytes(path):
@@ -84,7 +106,7 @@ def digests(out):
             path = os.path.join(dirpath, name)
             digest = hashlib.sha256(deterministic_bytes(path)).hexdigest()
             lines.append(f"{digest}  {os.path.relpath(path, out)}")
-    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+    return lines
 
 
 def main_golden(argv):
@@ -95,7 +117,8 @@ def main_golden(argv):
         raise SystemExit(f"{out} is not empty")
     with contextlib.redirect_stdout(sys.stderr):
         run(out)
-    print("\n".join(digests(out)))
+    lines = digests(out) + [mesh_sweep_line()]
+    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
 
 
 if __name__ == "__main__":

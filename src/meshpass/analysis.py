@@ -174,31 +174,21 @@ def write_timing_csv(path, rows):
 
 
 def convergence_curve(eval_rows, baseline_rows):
-    """Merge model evaluation rows with the solver baseline's (edge_min, mse1,
-    next_step_mse) rows into one table sorted by edge_min (for log-log plots)."""
-    merged = []
-    for r in eval_rows:
-        merged.append(
-            {
-                "edge_min": float(r.edge_min),
-                "source": r.model,
-                "mps": r.mps,
-                "schedule": r.schedule,
-                "mse1": float(r.mse1),
-                "next_step_mse": float(r.next_step_mse),
-            }
-        )
-    for b in baseline_rows:
-        merged.append(
-            {
-                "edge_min": float(b["edge_min"]),
-                "source": "solver_baseline",
-                "mps": 0,
-                "schedule": "",
-                "mse1": float(b["mse1"]),
-                "next_step_mse": float(b["next_step_mse"]),
-            }
-        )
+    """Merge model and solver-baseline ``training.EvalRow`` lists into one table
+    sorted by edge_min (for log-log plots); baseline rows get the source
+    ``solver_baseline``."""
+    merged = [
+        {
+            "edge_min": float(r.edge_min),
+            "source": source or r.model,
+            "mps": r.mps,
+            "schedule": r.schedule,
+            "mse1": float(r.mse1),
+            "next_step_mse": float(r.next_step_mse),
+        }
+        for rows, source in ((eval_rows, None), (baseline_rows, "solver_baseline"))
+        for r in rows
+    ]
     merged.sort(key=lambda row: (row["edge_min"], row["source"]))
     return merged
 

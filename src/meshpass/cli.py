@@ -8,7 +8,6 @@ directory and is reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -85,6 +84,22 @@ def load_config(path=None, overrides=()):
         key, raw = item.split("=", 1)
         apply(key.strip(), raw.strip(), "--set")
     return cfg
+
+
+def _resolution_list(text, name):
+    """The comma-separated edge lengths of ``text``; ConfigError naming
+    ``name`` (a config key or a flag) and the first entry that is not a
+    positive number."""
+    values = []
+    for entry in text.split(","):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = np.nan
+        if not 0 < value < np.inf:
+            raise ConfigError(f"{name}: {entry.strip()!r} is not a positive number")
+        values.append(value)
+    return values
 
 
 def _edge_min_range(cfg):
@@ -212,7 +227,8 @@ def cmd_train(args):
 
 def _eval_resolutions(cfg):
     if cfg["eval_resolutions"]:
-        return sorted((float(v) for v in cfg["eval_resolutions"].split(",")), reverse=True)
+        return sorted(_resolution_list(cfg["eval_resolutions"], "eval_resolutions"),
+                      reverse=True)
     return None
 
 
@@ -223,10 +239,11 @@ def cmd_eval(args):
     if not (args.solver or args.checkpoint):
         print("error: --checkpoint or --solver required", file=sys.stderr)
         return 1
+    resolutions = _eval_resolutions(cfg)
     params = None if args.solver else load_checkpoint(args.checkpoint)[0]
     os.makedirs(args.out, exist_ok=True)
     meshes, ref_traj, pde_cfg = dataset.fixed_obstacle_testset(
-        resolutions=_eval_resolutions(cfg),
+        resolutions=resolutions,
         n_resolutions=cfg["n_resolutions"],
         seed=cfg["seed"],
         viscosity=cfg["viscosity"],
@@ -255,17 +272,6 @@ def cmd_eval(args):
     return 0
 
 
-def _csv_rows(path, columns):
-    """The rows of a CSV file as dicts; ValueError naming the file and the
-    first of ``columns`` its header lacks."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path} has no {missing[0]!r} column")
-        return list(reader)
-
-
 # analyze mode -> the flags it reads
 ANALYZE_INPUTS = {"spectrum": ("mesh", "traj", "ref"), "curve": ("eval", "baseline")}
 
@@ -275,6 +281,9 @@ def cmd_analyze(args):
         if getattr(args, flag) is None:
             print(f"error: --mode {args.mode} needs --{flag}", file=sys.stderr)
             return 1
+    if args.frame < 0:
+        print("error: --frame must be >= 0", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     if args.mode == "spectrum":
         mesh = load_mesh(args.mesh)
@@ -291,23 +300,10 @@ def cmd_analyze(args):
         print(f"wrote spectrum.csv (frame {frame}) to {args.out}")
         return 0
     if args.mode == "curve":
-        eval_rows = [
-            training.EvalRow(
-                edge_min=float(row["edge_min"]), model=row["model"],
-                mps=int(row["mps"]), schedule=row["schedule"],
-                mse1=float(row["mse1"]), mse10=float(row["mse10"]),
-                mse50=float(row["mse50"]),
-                sec_per_step=float(row["sec_per_step"]),
-                next_step_mse=float(row["next_step_mse"]),
-            )
-            for row in _csv_rows(args.eval, training.CSV_COLUMNS)
-        ]
-        baseline_columns = ("edge_min", "mse1", "next_step_mse")
-        baseline_rows = [
-            {k: float(row[k]) for k in baseline_columns}
-            for row in _csv_rows(args.baseline, baseline_columns)
-        ]
-        merged = analysis.convergence_curve(eval_rows, baseline_rows)
+        merged = analysis.convergence_curve(
+            training.EvalReport.read_csv(args.eval).rows,
+            training.EvalReport.read_csv(args.baseline).rows,
+        )
         analysis.write_curve_csv(os.path.join(args.out, "curve.csv"), merged)
         print(f"wrote curve.csv to {args.out}")
         return 0
@@ -319,12 +315,12 @@ def cmd_bench(args):
     cfg = load_config(args.config, args.set or ())
     if args.processor is not None:
         cfg["processor"] = args.processor
-    os.makedirs(args.out, exist_ok=True)
     resolutions = (
-        [float(v) for v in args.resolutions.split(",")]
+        _resolution_list(args.resolutions, "--resolutions")
         if args.resolutions
         else [8e-3, 5e-3, 3.5e-3]
     )
+    os.makedirs(args.out, exist_ok=True)
     domain = dataset.ChannelDomain(
         dataset.CHANNEL_LENGTH, dataset.CHANNEL_HEIGHT,
         dataset.TEST_CENTER, dataset.TEST_RADIUS,

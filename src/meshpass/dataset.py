@@ -28,13 +28,11 @@ import numpy as np
 from .mesh import (
     ChannelDomain,
     TriMesh,
-    build_interpolator,
-    apply_interpolator,
     generate_mesh,
     load_mesh,
     save_mesh,
 )
-from .solver import PdeConfig, Trajectory, load_trajectory, save_trajectory, simulate
+from .solver import PdeConfig, load_trajectory, save_trajectory, simulate
 
 # Channel geometry and scenario distributions (meters, m/s).
 CHANNEL_LENGTH = 1.0
@@ -164,15 +162,7 @@ def high_accuracy_trajectory(mesh, config, refinement, seed, initial_fn):
     generated from ``seed``. Returns the interpolated Trajectory."""
     check_refinement(refinement)
     ref_mesh = generate_mesh(config.domain, mesh.edge_min / refinement, seed=seed + 2)
-    ref_traj = simulate(ref_mesh, config, initial_fn(ref_mesh.positions))
-    corners, weights = build_interpolator(ref_mesh, mesh.positions)
-    frames = np.stack(
-        [
-            apply_interpolator(corners, weights, ref_traj.fields[t, :, 0])
-            for t in range(ref_traj.n_frames)
-        ]
-    )
-    return Trajectory(mesh, frames, config.dt)
+    return simulate(ref_mesh, config, initial_fn(ref_mesh.positions)).interpolate_to(mesh)
 
 
 def trajectory_to_samples(fine, coarse, traj, provenance, scenario=None):

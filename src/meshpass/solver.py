@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import KIND_INFLOW, generate_mesh, build_interpolator, apply_interpolator, mesh_text
+from .mesh import KIND_INFLOW, build_interpolator, apply_interpolator, mesh_text
 
 
 class SimulationError(RuntimeError):
@@ -88,6 +88,16 @@ class Trajectory:
     def frame(self, t):
         return self.fields[t]
 
+    def interpolate_to(self, mesh):
+        """The first channel of every frame, interpolated at the nodes of
+        ``mesh``: a Trajectory on ``mesh`` with this one's dt."""
+        corners, weights = build_interpolator(self.mesh, mesh.positions)
+        frames = np.stack(
+            [apply_interpolator(corners, weights, self.fields[t, :, 0])
+             for t in range(self.n_frames)]
+        )
+        return Trajectory(mesh, frames, self.dt)
+
 
 def mesh_digest(mesh):
     """sha256 of the canonical mesh serialization."""
@@ -152,8 +162,8 @@ class FrameStepper:
     """Advances the scalar field by one recorded frame (all substeps).
 
     Assembles the lumped-mass explicit operator once per (mesh, config);
-    shared by trajectory generation, the convergence baseline, and the
-    evaluation pipeline so their numbers agree bit-exactly.
+    shared by trajectory generation and by evaluation (``eval --solver``,
+    the classical baseline), so their numbers agree bit-exactly.
     """
 
     def __init__(self, mesh, config):
@@ -254,43 +264,15 @@ def gaussian_solution(points, t, center, sigma0, viscosity, velocity, amplitude=
     return amplitude * (sigma0**2 / var) * np.exp(-(dx * dx + dy * dy) / var)
 
 
-def one_step_errors(mesh, stepper, ref_traj):
-    """Next-step MSE of the stepper against an interpolated reference.
+def one_step_errors(stepper, ref):
+    """Next-step MSE of the stepper against a reference on its own mesh.
 
-    For every reference frame t, the reference state is interpolated onto
-    the mesh, advanced one frame, and compared with the interpolated
-    reference at t+1.
+    For every reference frame t, the reference state is advanced one frame
+    and compared with the reference at t+1.
     """
-    corners, weights = build_interpolator(ref_traj.mesh, mesh.positions)
-    errors = np.empty(ref_traj.n_frames - 1)
-    prev = apply_interpolator(corners, weights, ref_traj.fields[0, :, 0])
-    for t in range(ref_traj.n_frames - 1):
-        nxt = apply_interpolator(corners, weights, ref_traj.fields[t + 1, :, 0])
-        pred = stepper.step(prev, prev)
-        errors[t] = np.mean((pred - nxt) ** 2)
-        prev = nxt
+    frames = ref.fields[:, :, 0]
+    errors = np.empty(ref.n_frames - 1)
+    for t in range(ref.n_frames - 1):
+        pred = stepper.step(frames[t], frames[t])
+        errors[t] = np.mean((pred - frames[t + 1]) ** 2)
     return errors
-
-
-def convergence_baseline(domain, config, resolutions, initial_fn, seed=0):
-    """Per-resolution one-step MSE of the classical solver against a
-    reference generated at the finest resolution.
-
-    ``resolutions`` must be sorted descending; ``initial_fn(points)`` gives
-    the initial scalar field on any mesh. Returns a list of dicts with
-    edge_min, n_nodes and mse1.
-    """
-    resolutions = list(resolutions)
-    if sorted(resolutions, reverse=True) != resolutions:
-        raise ValueError("resolutions must be sorted descending (coarse to fine)")
-    ref_mesh = generate_mesh(domain, resolutions[-1], seed=seed)
-    ref_traj = simulate(ref_mesh, config, initial_fn(ref_mesh.positions))
-    rows = []
-    for res in resolutions:
-        mesh = generate_mesh(domain, res, seed=seed)
-        stepper = FrameStepper(mesh, config)
-        errs = one_step_errors(mesh, stepper, ref_traj)
-        rows.append(
-            {"edge_min": res, "n_nodes": mesh.n_nodes, "mse1": float(errs.mean())}
-        )
-    return rows

@@ -4,20 +4,21 @@ Training minimizes the MSE of normalized per-node deltas on the fine graph,
 with Gaussian noise (in normalized units) added to the input fields. The
 per-step RNG stream is derived from (seed, step) so runs are bit-repeatable
 and resumable. Evaluation interpolates a reference trajectory onto each
-simulation mesh and measures next-step and rollout errors through the same
-code path used by the classical-solver baseline.
+simulation mesh once and measures next-step and rollout errors there; the
+classical solver (a :class:`FrameStepper`) and the model go through the
+same code path.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
-from .mesh import build_interpolator, apply_interpolator
 from .processor import ModelParams, StaticLatents, forward_normalized_delta, predict_step
 from .solver import Trajectory, one_step_errors
 from .graphs import as_field_matrix, mesh_graph, transfer_graph
@@ -36,7 +37,6 @@ class TrainConfig:
     noise_std: float = 0.02  # in normalized units
     seed: int = 0
     schedule: str = "p=1H 11L 1H (U=1,D=1)"
-    label_mode: str = "native"
     normalizer_steps: int = 300
     latent_size: int = 128
     hidden_size: int = 128
@@ -198,24 +198,20 @@ def rollout(params, fine_mesh, coarse_mesh, initial, steps, dt=0.01):
     return Trajectory(fine_mesh, frames, dt)
 
 
-def rollout_errors(stepper, mesh, ref_traj, n_steps):
-    """Per-step MSE of an unrolled prediction against the interpolated
-    reference, and the mean wall time of the stepper's ``step`` calls.
+def rollout_errors(stepper, ref, n_steps):
+    """Per-step MSE of an unrolled prediction against a reference on the
+    stepper's mesh, and the mean wall time of the stepper's ``step`` calls.
     Entry t of the errors is the error after t steps (entry 0 is zero)."""
-    corners, weights = build_interpolator(ref_traj.mesh, mesh.positions)
-    ref = [
-        apply_interpolator(corners, weights, ref_traj.fields[t, :, 0])
-        for t in range(min(n_steps + 1, ref_traj.n_frames))
-    ]
-    errs = np.zeros(len(ref))
-    seconds = np.zeros(len(ref) - 1)
-    u = ref[0]
-    bc = ref[0]
-    for t in range(1, len(ref)):
+    frames = [ref.fields[t, :, 0] for t in range(min(n_steps + 1, ref.n_frames))]
+    errs = np.zeros(len(frames))
+    seconds = np.zeros(len(frames) - 1)
+    u = frames[0]
+    bc = frames[0]
+    for t in range(1, len(frames)):
         t0 = time.perf_counter()
         u = stepper.step(u, bc)
         seconds[t - 1] = time.perf_counter() - t0
-        errs[t] = np.mean((u - ref[t]) ** 2)
+        errs[t] = np.mean((u - frames[t]) ** 2)
     return errs, float(seconds.mean())
 
 
@@ -249,6 +245,19 @@ class EvalReport:
                 values = (getattr(r, column) for column in CSV_COLUMNS)
                 writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
 
+    @classmethod
+    def read_csv(cls, path):
+        """The rows a :meth:`write_csv` file holds (without rollouts);
+        ValueError naming the file and the first column its header lacks."""
+        types = typing.get_type_hints(EvalRow)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path} has no {missing[0]!r} column")
+            return cls([EvalRow(**{c: types[c](row[c]) for c in CSV_COLUMNS})
+                        for row in reader])
+
     def write_rollout_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -273,8 +282,9 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
     rows = []
     for mesh in meshes:
         stepper = stepper_for_mesh(mesh)
-        errs_next = one_step_errors(mesh, stepper, ref_traj)
-        roll, sec_per_step = rollout_errors(stepper, mesh, ref_traj, max_rollout)
+        ref = ref_traj.interpolate_to(mesh)
+        errs_next = one_step_errors(stepper, ref)
+        roll, sec_per_step = rollout_errors(stepper, ref, max_rollout)
 
         def mse_n(n):
             n = min(n, len(roll) - 1)

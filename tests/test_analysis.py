@@ -150,8 +150,10 @@ class TestConvergenceCurve:
 
     def test_merged_sorted_and_baseline_preserved(self, tmp_path):
         baseline = [
-            {"edge_min": 0.1, "mse1": 2.0, "next_step_mse": 0.8},
-            {"edge_min": 0.05, "mse1": 0.9, "next_step_mse": 0.3},
+            T.EvalRow(edge_min=0.1, model="solver", mps=0, schedule="", mse1=2.0,
+                      mse10=2.1, mse50=2.2, sec_per_step=0.01, next_step_mse=0.8),
+            T.EvalRow(edge_min=0.05, model="solver", mps=0, schedule="", mse1=0.9,
+                      mse10=1.0, mse50=1.1, sec_per_step=0.01, next_step_mse=0.3),
         ]
         merged = A.convergence_curve(self.make_rows(), baseline)
         assert [r["edge_min"] for r in merged] == sorted(r["edge_min"] for r in merged)
@@ -165,17 +167,18 @@ class TestConvergenceCurve:
         )
 
     def test_baseline_slope_negative(self):
-        # log-log slope of the real solver baseline on the toy problem.
-        cfg = S.PdeConfig(M.ChannelDomain(1.0, 1.0), viscosity=0.008,
-                          inflow_mean=0.2, dt=0.01, n_steps=6)
-        initial_fn = lambda pts: S.gaussian_solution(
-            pts, 0.0, np.array([0.45, 0.5]), 0.07, 0.008, (0.2, 0.0)
-        )
+        # log-log slope of the real solver baseline (evaluate with a
+        # FrameStepper factory, as ``eval --solver``) on the toy problem.
+        domain = M.ChannelDomain(1.0, 1.0)
+        cfg = S.PdeConfig(domain, viscosity=0.008, inflow_mean=0.2, dt=0.01, n_steps=6)
+        meshes = [M.generate_mesh(domain, r, seed=0) for r in [0.1, 0.05, 0.025, 0.02]]
+        initial = S.gaussian_solution(meshes[-1].positions, 0.0, np.array([0.45, 0.5]),
+                                      0.07, 0.008, (0.2, 0.0))
+        ref = S.simulate(meshes[-1], cfg, initial)
+        rows = T.evaluate(lambda m: S.FrameStepper(m, cfg), meshes, ref, model="solver").rows
         # the last resolution only provides the reference (its own error is
         # zero by self-comparison), so the slope is fitted over the others
-        rows = S.convergence_baseline(M.ChannelDomain(1.0, 1.0), cfg,
-                                      [0.1, 0.05, 0.025, 0.02], initial_fn)
-        x = np.log([r["edge_min"] for r in rows[:-1]])
-        y = np.log([r["mse1"] for r in rows[:-1]])
+        x = np.log([r.edge_min for r in rows[:-1]])
+        y = np.log([r.next_step_mse for r in rows[:-1]])
         slope = np.polyfit(x, y, 1)[0]
         assert slope > 0  # mse shrinks with edge_min: positive slope in (h, err)

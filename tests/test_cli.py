@@ -49,6 +49,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["seed=abc"])
 
+    @pytest.mark.parametrize("argv,bad", [
+        (["eval", "--solver", "--set", "eval_resolutions=abc"], "eval_resolutions: 'abc'"),
+        (["eval", "--solver", "--set", "eval_resolutions=0,1e-2"], "eval_resolutions: '0'"),
+        (["bench", "--resolutions", "1e-2,abc"], "--resolutions: 'abc'"),
+        (["bench", "--resolutions=-5e-3"], "--resolutions: '-5e-3'"),
+    ])
+    def test_bad_resolution_list_names_key_and_entry(self, tmp_path, capsys, argv, bad):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad} is not a positive number\n"
+        assert not out.exists()
+
 
 class TestGen:
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -303,7 +315,7 @@ class TestEval:
             row.next_step_mse for row in report.rows
         ]
 
-    def test_solver_eval_matches_convergence_baseline(self, tmp_path):
+    def test_solver_eval_matches_one_step_errors(self, tmp_path):
         out = str(tmp_path / "ev")
         resolutions = [2e-2, 1.4e-2, 1e-2]
         rc = main(["eval", "--out", out, "--solver", "--seed", "3",
@@ -322,10 +334,11 @@ class TestEval:
             resolutions=resolutions, seed=3, n_steps=4
         )
         errs = [
-            S.one_step_errors(m, S.FrameStepper(m, pde_cfg), ref_traj).mean()
+            S.one_step_errors(S.FrameStepper(m, pde_cfg), ref_traj.interpolate_to(m)).mean()
             for m in meshes
         ]
         assert errs[-1] == 0.0  # finest is the reference itself
+        assert [float(r["next_step_mse"]) for r in rows] == errs
         # The solver's eval.csv is a valid curve baseline; its next-step
         # errors carry into curve.csv.
         curve = str(tmp_path / "curve")
@@ -377,7 +390,11 @@ class TestAnalyze:
             '0.05,model,9,"p=9H (U=0,D=0)",0.5,0.6,0.7,0.1,0.25\n'
         )
         base = tmp_path / "base.csv"
-        base.write_text("edge_min,mse1,next_step_mse\n0.05,0.9,0.3\n0.1,2.0,0.8\n")
+        base.write_text(
+            "edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step,next_step_mse\n"
+            "0.05,solver,0,,0.9,1.0,1.1,0.01,0.3\n"
+            "0.1,solver,0,,2.0,2.1,2.2,0.01,0.8\n"
+        )
         out = str(tmp_path / "curve")
         rc = main(["analyze", "--mode", "curve", "--out", out,
                    "--eval", str(ev), "--baseline", str(base)])
@@ -411,11 +428,26 @@ class TestAnalyze:
             '0.05,model,9,"p=9H (U=0,D=0)",0.5,0.6,0.7,0.1,0.25\n'
         )
         base = tmp_path / "base.csv"
-        base.write_text("edge_min,mse1\n0.05,0.9\n")
+        base.write_text(
+            "edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step\n"
+            "0.05,solver,0,,0.9,1.0,1.1,0.01\n"
+        )
         rc = main(["analyze", "--mode", "curve", "--out", str(tmp_path / "curve"),
                    "--eval", str(ev), "--baseline", str(base)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {base} has no 'next_step_mse' column\n"
+
+    @pytest.mark.parametrize("frame", ["-1", "-100"])
+    def test_negative_frame_rejected(self, generated, tmp_path, capsys, frame):
+        out = tmp_path / "an"
+        s0 = os.path.join(generated, "scenario_0000")
+        rc = main(["analyze", "--mode", "spectrum", "--out", str(out), "--frame", frame,
+                   "--mesh", os.path.join(s0, "mesh.msh"),
+                   "--traj", os.path.join(s0, "trajectory.bin"),
+                   "--ref", os.path.join(s0, "trajectory.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --frame must be >= 0\n"
+        assert not out.exists()
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -5,6 +5,7 @@ import pytest
 
 from meshpass import mesh as M
 from meshpass import solver as S
+from meshpass import training as T
 
 UNIT_SQUARE = M.ChannelDomain(1.0, 1.0)
 
@@ -181,37 +182,32 @@ class TestAnalyticConvergence:
 
 
 class TestConvergenceBaseline:
-    def initial_fn(self):
-        return lambda pts: S.gaussian_solution(
+    """The classical baseline as ``eval --solver`` computes it: ``evaluate``
+    with a FrameStepper factory, against a reference simulated on the
+    finest mesh (seed 0)."""
+
+    def next_step_mse(self, cfg, resolutions):
+        initial_fn = lambda pts: S.gaussian_solution(
             pts, 0.0, GAUSS["center"], GAUSS["sigma0"], GAUSS["viscosity"],
             GAUSS["velocity"],
         )
+        meshes = [M.generate_mesh(UNIT_SQUARE, r, seed=0) for r in resolutions]
+        ref = S.simulate(meshes[-1], cfg, initial_fn(meshes[-1].positions))
+        report = T.evaluate(lambda m: S.FrameStepper(m, cfg), meshes, ref, model="solver")
+        return [row.next_step_mse for row in report.rows]
 
     def test_monotone_decreasing_with_margin(self):
-        cfg = gauss_config(10)
-        rows = S.convergence_baseline(UNIT_SQUARE, cfg, [0.1, 0.05, 0.025],
-                                      self.initial_fn())
-        errs = [r["mse1"] for r in rows]
+        errs = self.next_step_mse(gauss_config(10), [0.1, 0.05, 0.025])
         assert errs[1] <= errs[0] / 1.3
         assert errs[2] <= errs[1] / 1.3
 
     def test_finest_resolution_is_minimum(self):
-        cfg = gauss_config(8)
-        rows = S.convergence_baseline(UNIT_SQUARE, cfg, [0.1, 0.05, 0.025],
-                                      self.initial_fn())
-        errs = [r["mse1"] for r in rows]
+        errs = self.next_step_mse(gauss_config(8), [0.1, 0.05, 0.025])
         assert np.argmin(errs) == len(errs) - 1
 
     def test_identical_resolutions_identical_errors(self):
-        cfg = gauss_config(5)
-        rows = S.convergence_baseline(UNIT_SQUARE, cfg, [0.05, 0.05],
-                                      self.initial_fn())
-        assert rows[0]["mse1"] == rows[1]["mse1"]
-
-    def test_unsorted_resolutions_rejected(self):
-        with pytest.raises(ValueError):
-            S.convergence_baseline(UNIT_SQUARE, gauss_config(2), [0.05, 0.1],
-                                   self.initial_fn())
+        errs = self.next_step_mse(gauss_config(5), [0.05, 0.05])
+        assert errs[0] == errs[1]
 
 
 class TestTrajectoryIO:

@@ -218,7 +218,7 @@ class TestRollout:
         params = small_params(seed=2)
         T.train(params, samples, small_config(60, seed=2, noise=0.01))
         stepper = T.ModelStepper(params, coarse).bind(fine)
-        errs, _ = T.rollout_errors(stepper, fine, ref, n_steps=30)
+        errs, _ = T.rollout_errors(stepper, ref, n_steps=30)
         n = len(errs) - 1
         early = errs[1 : 1 + max(1, n // 10)].mean()
         late = errs[-max(1, n // 10):].mean()
@@ -230,11 +230,7 @@ class _ReferenceCheat:
     it recognizes the incoming frame and returns the next one."""
 
     def __init__(self, mesh, ref_traj):
-        corners, weights = M.build_interpolator(ref_traj.mesh, mesh.positions)
-        self.frames = [
-            M.apply_interpolator(corners, weights, ref_traj.fields[t, :, 0])
-            for t in range(ref_traj.n_frames)
-        ]
+        self.frames = list(ref_traj.interpolate_to(mesh).fields[:, :, 0])
 
     def step(self, u, bc_values=None):
         for t in range(len(self.frames) - 1):
@@ -273,20 +269,47 @@ class TestEvaluate:
         row = report.rows[0]
         assert row.mse1 == row.rollout[1]
 
-    def test_solver_pipeline_matches_convergence_baseline_bit_exact(self):
+    def test_one_interpolation_per_mesh_matches_two_interpolation_path(self, monkeypatch):
+        # evaluate resamples the reference onto each mesh once; its rows equal,
+        # byte for byte, those of the path that located every mesh twice (once
+        # for the next-step errors, once for the rollout).
         cfg = S.PdeConfig(UNIT_SQUARE, viscosity=0.008, inflow_mean=0.2,
                           dt=0.01, n_steps=8)
-        initial_fn = lambda pts: S.gaussian_solution(
-            pts, 0.0, np.array([0.45, 0.5]), 0.07, 0.008, (0.2, 0.0)
-        )
-        resolutions = [0.1, 0.05]
-        baseline = S.convergence_baseline(UNIT_SQUARE, cfg, resolutions, initial_fn)
-        meshes = [M.generate_mesh(UNIT_SQUARE, r, seed=0) for r in resolutions]
-        ref = S.simulate(meshes[-1], cfg, initial_fn(meshes[-1].positions))
-        report = T.evaluate(lambda m: S.FrameStepper(m, cfg), meshes, ref,
-                            model="solver")
-        for row, base in zip(report.rows, baseline):
-            assert row.next_step_mse == base["mse1"]
+        meshes = [M.generate_mesh(UNIT_SQUARE, r, seed=0) for r in [0.1, 0.07, 0.05]]
+        ref = S.simulate(meshes[-1], cfg, S.gaussian_solution(
+            meshes[-1].positions, 0.0, np.array([0.45, 0.5]), 0.07, 0.008, (0.2, 0.0)))
+        calls = []
+        locate_points = M.locate_points
+
+        def counted(src_mesh, points):
+            calls.append(len(points))
+            return locate_points(src_mesh, points)
+
+        monkeypatch.setattr(M, "locate_points", counted)
+        rows = T.evaluate(lambda m: S.FrameStepper(m, cfg), meshes, ref, model="solver",
+                          max_rollout=5).rows
+        assert calls == [m.n_nodes for m in meshes]
+
+        def interpolated(mesh, n_frames):
+            corners, weights = M.build_interpolator(ref.mesh, mesh.positions)
+            return [M.apply_interpolator(corners, weights, ref.fields[t, :, 0])
+                    for t in range(n_frames)]
+
+        for mesh, row in zip(meshes, rows):
+            stepper = S.FrameStepper(mesh, cfg)
+            frames = interpolated(mesh, ref.n_frames)
+            next_step = np.mean([np.mean((stepper.step(frames[t], frames[t]) - frames[t + 1]) ** 2)
+                                 for t in range(ref.n_frames - 1)])
+            frames = interpolated(mesh, 6)
+            roll = np.zeros(6)
+            u = frames[0]
+            for t in range(1, 6):
+                u = stepper.step(u, frames[0])
+                roll[t] = np.mean((u - frames[t]) ** 2)
+            assert row.next_step_mse == float(next_step)
+            assert row.rollout.tobytes() == roll.tobytes()
+            assert (row.mse1, row.mse10, row.mse50) == (
+                float(roll[1:2].mean()), float(roll[1:].mean()), float(roll[1:].mean()))
 
     def test_csv_schema(self, reference, tmp_path):
         cfg, ref = reference
@@ -297,6 +320,20 @@ class TestEvaluate:
         header = path.read_text().splitlines()[0]
         assert header == ("edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step,"
                           "next_step_mse")
+
+    def test_csv_read_back(self, reference, tmp_path):
+        cfg, ref = reference
+        meshes = [M.generate_mesh(UNIT_SQUARE, r) for r in (0.1, 0.07)]
+        report = T.evaluate(lambda m: S.FrameStepper(m, cfg), meshes, ref, model="solver",
+                            max_rollout=3)
+        path = tmp_path / "eval.csv"
+        report.write_csv(path)
+        back = T.EvalReport.read_csv(path).rows
+        for row in report.rows:
+            row.rollout = None
+        assert back == report.rows
+        assert [type(getattr(back[0], c)) for c in T.CSV_COLUMNS] == [
+            float, str, int, str, float, float, float, float, float]
 
 
 def permute_mesh(mesh, perm):
@@ -316,14 +353,14 @@ class TestInvariances:
                                    0.1, 0.004, (0.3, 0.0))
         ref = S.simulate(fine, cfg, init)
         stepper = T.ModelStepper(params, coarse).bind(fine)
-        errs, _ = T.rollout_errors(stepper, fine, ref, 5)
+        errs, _ = T.rollout_errors(stepper, ref, 5)
 
         rng = np.random.default_rng(11)
         perm = rng.permutation(fine.n_nodes)
         fine_p = permute_mesh(fine, perm)
         ref_p = S.Trajectory(fine_p, ref.fields[:, perm], ref.dt)
         stepper_p = T.ModelStepper(params, coarse).bind(fine_p)
-        errs_p, _ = T.rollout_errors(stepper_p, fine_p, ref_p, 5)
+        errs_p, _ = T.rollout_errors(stepper_p, ref_p, 5)
         np.testing.assert_allclose(errs_p, errs, rtol=1e-9, atol=1e-13)
 
     def test_rollout_deterministic_and_noise_free(self, toy_pair):

@@ -9,7 +9,10 @@ next to this file on the import path:
   labels at ``--refine 2`` (OUT/ha);
 - ``train --steps 3`` on OUT/ha and ``eval`` of the checkpoint, with the
   default processor (OUT/train, OUT/eval) and with ``p=3H (U=0,D=0)``
-  (OUT/train3h, OUT/eval3h).
+  (OUT/train3h, OUT/eval3h);
+- ``eval --solver`` on the same test set (OUT/eval_solver) and
+  ``analyze --mode curve`` of OUT/eval/eval.csv against that solver
+  ``eval.csv`` (OUT/curve).
 
 Then prints one ``sha256  relative/path`` line per file under OUT, sorted
 by path (the commands' own output goes to stderr), and among them one
@@ -68,6 +71,12 @@ def run(out):
             ["eval", "--out", path("eval" + suffix),
              "--checkpoint", os.path.join(path("train" + suffix), "checkpoint.bin")] + EVAL,
         ]
+    commands += [
+        ["eval", "--out", path("eval_solver"), "--solver"] + EVAL,
+        ["analyze", "--mode", "curve", "--out", path("curve"),
+         "--eval", os.path.join(path("eval"), "eval.csv"),
+         "--baseline", os.path.join(path("eval_solver"), "eval.csv")],
+    ]
     for argv in commands:
         if main(argv) != 0:
             raise SystemExit(f"golden run failed: meshpass {' '.join(argv)}")

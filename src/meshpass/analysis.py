@@ -8,7 +8,6 @@ signals; a constant signal loads entirely on the first eigenvalue.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from . import graphs, nn
 from .graphs import as_field_matrix
+from .records import write_csv
 from .processor import (
     StaticLatents,
     forward_normalized_delta,
@@ -85,11 +85,9 @@ def gft_spectrum(basis, signal):
 
 
 def write_spectrum_csv(path, basis, spectrum):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("n", "lambda_n", "power"))
-        for i, (lam, p) in enumerate(zip(basis.eigenvalues, spectrum.power), start=1):
-            writer.writerow([i, repr(float(lam)), repr(float(p))])
+    write_csv(path, ("n", "lambda_n", "power"),
+              ((i, lam, p) for i, (lam, p) in
+               enumerate(zip(basis.eigenvalues, spectrum.power), start=1)))
 
 
 def fine_graph_distances(mesh):
@@ -166,11 +164,7 @@ def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5):
 
 def write_timing_csv(path, rows):
     keys = sorted({k for row in rows for k in row})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([repr(row[k]) if isinstance(row.get(k), float) else row.get(k, "") for k in keys])
+    write_csv(path, keys, ([row.get(k, "") for k in keys] for row in rows))
 
 
 def convergence_curve(eval_rows, baseline_rows):
@@ -179,12 +173,12 @@ def convergence_curve(eval_rows, baseline_rows):
     ``solver_baseline``."""
     merged = [
         {
-            "edge_min": float(r.edge_min),
+            "edge_min": r.edge_min,
             "source": source or r.model,
             "mps": r.mps,
             "schedule": r.schedule,
-            "mse1": float(r.mse1),
-            "next_step_mse": float(r.next_step_mse),
+            "mse1": r.mse1,
+            "next_step_mse": r.next_step_mse,
         }
         for rows, source in ((eval_rows, None), (baseline_rows, "solver_baseline"))
         for r in rows
@@ -194,17 +188,5 @@ def convergence_curve(eval_rows, baseline_rows):
 
 
 def write_curve_csv(path, merged):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("edge_min", "source", "mps", "schedule", "mse1", "next_step_mse"))
-        for row in merged:
-            writer.writerow(
-                [
-                    repr(row["edge_min"]),
-                    row["source"],
-                    row["mps"],
-                    row["schedule"],
-                    repr(row["mse1"]),
-                    repr(row["next_step_mse"]),
-                ]
-            )
+    columns = ("edge_min", "source", "mps", "schedule", "mse1", "next_step_mse")
+    write_csv(path, columns, ([row[c] for c in columns] for row in merged))

@@ -19,6 +19,7 @@ from . import analysis, dataset, nn, solver, training
 from .mesh import load_mesh
 from .nn import NonFiniteError
 from .processor import ModelParams, parse_schedule
+from .records import read_key_values, write_key_values
 from .solver import FrameStepper, load_trajectory
 from .training import ModelStepper, TrainConfig, evaluate, load_checkpoint, save_checkpoint
 
@@ -26,6 +27,8 @@ from .training import ModelStepper, TrainConfig, evaluate, load_checkpoint, save
 class ConfigError(ValueError):
     pass
 
+
+LABEL_MODES = ("native", "high-accuracy")
 
 # key -> (default, type, help)
 CONFIG_DEFAULTS = {
@@ -56,6 +59,21 @@ CONFIG_DEFAULTS = {
 }
 
 
+# flag -> (config key, argparse options besides the key's type): the flags
+# that set a config key. A flag beats --set, which beats the --config file.
+KEY_FLAGS = {
+    "--scenarios": ("scenarios", {}),
+    "--seed": ("seed", {}),
+    "--labels": ("labels", {"choices": LABEL_MODES}),
+    "--refine": ("refine", {}),
+    "--processor": ("processor", {}),
+    "--steps": ("train_steps", {}),
+}
+
+# Keys that count something and must be at least 1.
+COUNT_KEYS = ("scenarios", "n_steps", "eval_steps", "max_rollout", "n_resolutions")
+
+
 def load_config(path=None, overrides=()):
     cfg = {k: v for k, (v, _, _) in CONFIG_DEFAULTS.items()}
 
@@ -69,20 +87,27 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"bad value for {key!r} in {where}: {raw!r}") from exc
 
     if path:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"line {lineno} of {path} is not key=value")
-                key, raw = line.split("=", 1)
-                apply(key.strip(), raw.strip(), path)
+        for key, raw in read_key_values(path).items():
+            apply(key, raw, path)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         apply(key.strip(), raw.strip(), "--set")
+    return cfg
+
+
+def resolve_config(args):
+    """The settings of a command: the defaults, then the ``--config`` file,
+    then ``--set``, then the command's key flags. ConfigError for a count
+    below 1."""
+    cfg = load_config(args.config, args.set or ())
+    for key, _ in KEY_FLAGS.values():
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    for key in COUNT_KEYS:
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     return cfg
 
 
@@ -112,16 +137,8 @@ def _edge_min_range(cfg):
 
 
 def cmd_gen(args):
-    cfg = load_config(args.config, args.set or ())
-    if args.scenarios is not None:
-        cfg["scenarios"] = args.scenarios
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.labels is not None:
-        cfg["labels"] = args.labels
-    if args.refine is not None:
-        cfg["refine"] = args.refine
-    if cfg["labels"] not in ("native", "high-accuracy"):
+    cfg = resolve_config(args)
+    if cfg["labels"] not in LABEL_MODES:
         raise ConfigError("labels must be 'native' or 'high-accuracy'")
     refinement = cfg["refine"] if cfg["labels"] == "high-accuracy" else None
     if refinement is not None:
@@ -149,33 +166,18 @@ def cmd_gen(args):
             results = pool.map(generate, scenarios)
     else:
         results = [generate(s) for s in scenarios]
-    extra = {
-        "viscosity": float(cfg["viscosity"]),
-        "dt": float(cfg["dt"]),
-        "n_steps": cfg["n_steps"],
-        "coarse_edge_min": float(cfg["coarse_edge_min"]),
-        "refinement": refinement or 1,
-        "domain_length": float(dataset.CHANNEL_LENGTH),
-        "domain_height": float(dataset.CHANNEL_HEIGHT),
-    }
+    extra = {key: cfg[key] for key in ("viscosity", "dt", "n_steps", "coarse_edge_min")}
+    extra.update(refinement=refinement or 1, domain_length=dataset.CHANNEL_LENGTH,
+                 domain_height=dataset.CHANNEL_HEIGHT)
     for index, (scenario, (mesh, traj, labels)) in enumerate(zip(scenarios, results)):
         dataset.write_scenario_dir(args.out, index, scenario, mesh, traj, labels, extra)
-    with open(os.path.join(args.out, "dataset_meta"), "w") as fh:
-        for key in sorted(cfg):
-            value = repr(float(cfg[key])) if isinstance(cfg[key], float) else cfg[key]
-            fh.write(f"{key}={value}\n")
+    write_key_values(os.path.join(args.out, "dataset_meta"), {k: cfg[k] for k in sorted(cfg)})
     print(f"wrote {len(scenarios)} scenarios to {args.out}")
     return 0
 
 
 def cmd_train(args):
-    cfg = load_config(args.config, args.set or ())
-    if args.processor is not None:
-        cfg["processor"] = args.processor
-    if args.steps is not None:
-        cfg["train_steps"] = args.steps
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = resolve_config(args)
     if not os.path.isdir(args.dataset):
         print(f"error: dataset directory not found: {args.dataset}", file=sys.stderr)
         return 1
@@ -233,9 +235,7 @@ def _eval_resolutions(cfg):
 
 
 def cmd_eval(args):
-    cfg = load_config(args.config, args.set or ())
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = resolve_config(args)
     if not (args.solver or args.checkpoint):
         print("error: --checkpoint or --solver required", file=sys.stderr)
         return 1
@@ -312,9 +312,7 @@ def cmd_analyze(args):
 
 
 def cmd_bench(args):
-    cfg = load_config(args.config, args.set or ())
-    if args.processor is not None:
-        cfg["processor"] = args.processor
+    cfg = resolve_config(args)
     resolutions = (
         _resolution_list(args.resolutions, "--resolutions")
         if args.resolutions
@@ -346,35 +344,34 @@ def build_parser():
         description="Two-level message-passing simulator toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config")
+    settings.add_argument("--set", action="append", metavar="KEY=VALUE")
 
-    p = sub.add_parser("gen", help="generate a dataset of scenarios")
+    def add_key_flags(p, *flags):
+        for flag in flags:
+            key, options = KEY_FLAGS[flag]
+            _, typ, text = CONFIG_DEFAULTS[key]
+            p.add_argument(flag, dest=key, type=typ, help=text, **options)
+
+    p = sub.add_parser("gen", parents=[settings], help="generate a dataset of scenarios")
     p.add_argument("--out", required=True)
-    p.add_argument("--scenarios", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--labels", choices=("native", "high-accuracy"))
-    p.add_argument("--refine", type=int)
-    p.add_argument("--config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    add_key_flags(p, "--scenarios", "--seed", "--labels", "--refine")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="train a model on a generated dataset")
+    p = sub.add_parser("train", parents=[settings], help="train a model on a generated dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--processor")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
+    add_key_flags(p, "--processor", "--steps", "--seed")
     p.add_argument("--resume")
-    p.add_argument("--config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint or the classical solver")
+    p = sub.add_parser("eval", parents=[settings],
+                       help="evaluate a checkpoint or the classical solver")
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--solver", action="store_true")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    add_key_flags(p, "--seed")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="spectra and convergence curves")
@@ -388,12 +385,11 @@ def build_parser():
     p.add_argument("--baseline")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("bench", help="wall-time per step kind across resolutions")
+    p = sub.add_parser("bench", parents=[settings],
+                       help="wall-time per step kind across resolutions")
     p.add_argument("--out", required=True)
-    p.add_argument("--processor")
+    add_key_flags(p, "--processor")
     p.add_argument("--resolutions")
-    p.add_argument("--config")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -32,6 +32,7 @@ from .mesh import (
     load_mesh,
     save_mesh,
 )
+from .records import read_key_values, write_key_values
 from .solver import PdeConfig, load_trajectory, save_trajectory, simulate
 
 # Channel geometry and scenario distributions (meters, m/s).
@@ -182,7 +183,9 @@ def fixed_obstacle_testset(resolutions=None, n_resolutions=5, seed=0, viscosity=
     range is documented in the CLI config defaults).
 
     Returns (meshes, ref_traj, config): simulation meshes sorted coarse to
-    fine, excluding the reference mesh itself.
+    fine. The last of them is the reference mesh itself, so its errors are
+    measured against its own trajectory (for the classical solver its
+    next-step error is 0.0).
     """
     if resolutions is None:
         rng = np.random.default_rng(seed)
@@ -210,36 +213,17 @@ def fixed_obstacle_testset(resolutions=None, n_resolutions=5, seed=0, viscosity=
 # ---------------------------------------------------------------------------
 
 
-def _write_meta(path, entries):
-    with open(path, "w") as fh:
-        for key, value in entries.items():
-            if isinstance(value, float):
-                value = repr(float(value))
-            fh.write(f"{key}={value}\n")
-
-
-def _read_meta(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, value = line.split("=", 1)
-                out[key] = value
-    return out
-
-
 def write_scenario_dir(root, index, scenario, mesh, traj, ha_traj=None, extra_meta=None):
     d = os.path.join(root, f"scenario_{index:04d}")
     os.makedirs(d, exist_ok=True)
     save_mesh(mesh, os.path.join(d, "mesh.msh"))
     save_trajectory(traj, os.path.join(d, "trajectory.bin"))
     meta = {
-        "radius": float(scenario.radius),
-        "center_x": float(scenario.center[0]),
-        "center_y": float(scenario.center[1]),
-        "inflow_mean": float(scenario.inflow_mean),
-        "edge_min": float(scenario.edge_min),
+        "radius": scenario.radius,
+        "center_x": scenario.center[0],
+        "center_y": scenario.center[1],
+        "inflow_mean": scenario.inflow_mean,
+        "edge_min": scenario.edge_min,
         "seed": scenario.seed,
         "provenance": "native" if ha_traj is None else "high_accuracy",
     }
@@ -247,19 +231,30 @@ def write_scenario_dir(root, index, scenario, mesh, traj, ha_traj=None, extra_me
         meta.update(extra_meta)
     if ha_traj is not None:
         save_trajectory(ha_traj, os.path.join(d, "labels_ha.bin"))
-    _write_meta(os.path.join(d, "meta"), meta)
+    write_key_values(os.path.join(d, "meta"), meta)
     return d
 
 
 def read_scenario_dir(path):
-    """Returns (scenario, mesh, trajectory, ha_trajectory_or_None, meta)."""
-    meta = _read_meta(os.path.join(path, "meta"))
+    """Returns (scenario, mesh, trajectory, ha_trajectory_or_None, meta);
+    ValueError naming the meta file for a missing or malformed entry."""
+    meta_path = os.path.join(path, "meta")
+    meta = read_key_values(meta_path)
+
+    def entry(key, typ=float):
+        try:
+            return typ(meta[key])
+        except KeyError:
+            raise ValueError(f"{meta_path} has no {key!r} entry") from None
+        except ValueError:
+            raise ValueError(f"bad value for {key!r} in {meta_path}: {meta[key]!r}") from None
+
     scenario = ScenarioParams(
-        radius=float(meta["radius"]),
-        center=(float(meta["center_x"]), float(meta["center_y"])),
-        inflow_mean=float(meta["inflow_mean"]),
-        edge_min=float(meta["edge_min"]),
-        seed=int(meta["seed"]),
+        radius=entry("radius"),
+        center=(entry("center_x"), entry("center_y")),
+        inflow_mean=entry("inflow_mean"),
+        edge_min=entry("edge_min"),
+        seed=entry("seed", int),
     )
     mesh = load_mesh(os.path.join(path, "mesh.msh"))
     traj, _ = load_trajectory(os.path.join(path, "trajectory.bin"), mesh)

@@ -62,14 +62,6 @@ class ChannelDomain:
     def has_obstacle(self):
         return self.obstacle_center is not None and self.obstacle_radius > 0.0
 
-    @property
-    def diagonal(self):
-        return float(np.hypot(self.length, self.height))
-
-    @property
-    def scale(self):
-        return max(self.length, self.height)
-
     def signed_distance(self, pts):
         """Negative inside the domain, positive outside (rect minus disk)."""
         pts = np.atleast_2d(pts)

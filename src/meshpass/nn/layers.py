@@ -78,18 +78,18 @@ def mlp_apply(mlp, x):
 
 
 class Normalizer:
-    """Running per-channel standardization with a capped accumulation budget.
+    """Running per-channel standardization.
 
-    Statistics freeze once ``max_accumulations`` batches have been absorbed;
-    ``apply`` then keeps using the frozen mean/std. Fresh normalizers act as
-    the identity (mean 0, std 1).
+    The statistics freeze when the caller stops calling :meth:`accumulate`
+    (training does after ``TrainConfig.normalizer_steps`` steps);
+    ``n_accumulations`` counts the batches absorbed. Fresh normalizers act
+    as the identity (mean 0, std 1).
     """
 
     STD_FLOOR = 1e-8
 
-    def __init__(self, width, max_accumulations=10**6):
+    def __init__(self, width):
         self.width = width
-        self.max_accumulations = max_accumulations
         self.n_accumulations = 0
         self.count = 0.0
         self.sum = np.zeros(width)
@@ -101,8 +101,6 @@ class Normalizer:
             batch = batch[:, None]
         if batch.shape[1] != self.width:
             raise ValueError("channel count mismatch in normalizer")
-        if self.n_accumulations >= self.max_accumulations:
-            return
         self.n_accumulations += 1
         self.count += batch.shape[0]
         self.sum += batch.sum(axis=0)

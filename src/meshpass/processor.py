@@ -227,18 +227,11 @@ class ModelParams:
                 blocks[f"norm/{group}/{key}"] = arr
         return blocks
 
-    def save(self, path):
-        nn.save_blocks(path, self.to_blocks())
-
     def _normalizers(self):
         out = {"node_fields": self.node_field_normalizer, "output": self.output_normalizer}
         for k, v in self.edge_normalizers.items():
             out[f"edge_{k}"] = v
         return out
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_blocks(nn.load_blocks(path))
 
     @classmethod
     def from_blocks(cls, blocks):

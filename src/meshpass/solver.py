@@ -85,9 +85,6 @@ class Trajectory:
     def field_width(self):
         return self.fields.shape[2]
 
-    def frame(self, t):
-        return self.fields[t]
-
     def interpolate_to(self, mesh):
         """The first channel of every frame, interpolated at the nodes of
         ``mesh``: a Trajectory on ``mesh`` with this one's dt."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import nn
 from .processor import ModelParams, StaticLatents, forward_normalized_delta, predict_step
+from .records import write_csv
 from .solver import Trajectory, one_step_errors
 from .graphs import as_field_matrix, mesh_graph, transfer_graph
 
@@ -238,35 +239,38 @@ class EvalReport:
     rows: list
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                values = (getattr(r, column) for column in CSV_COLUMNS)
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
+        write_csv(path, CSV_COLUMNS, ([getattr(r, c) for c in CSV_COLUMNS] for r in self.rows))
 
     @classmethod
     def read_csv(cls, path):
         """The rows a :meth:`write_csv` file holds (without rollouts);
-        ValueError naming the file and the first column its header lacks."""
+        ValueError naming the file and the first column its header lacks,
+        or the line and column of the first missing or malformed value."""
         types = typing.get_type_hints(EvalRow)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:
                 raise ValueError(f"{path} has no {missing[0]!r} column")
-            return cls([EvalRow(**{c: types[c](row[c]) for c in CSV_COLUMNS})
-                        for row in reader])
+            rows = []
+            for row in reader:
+                values = {}
+                for column in CSV_COLUMNS:
+                    raw = row[column]
+                    if raw is None:
+                        raise ValueError(f"{path} line {reader.line_num}: no {column!r} value")
+                    try:
+                        values[column] = types[column](raw)
+                    except ValueError:
+                        raise ValueError(f"{path} line {reader.line_num}: bad {column!r} "
+                                         f"value {raw!r}") from None
+                rows.append(EvalRow(**values))
+            return cls(rows)
 
     def write_rollout_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("edge_min", "step", "mse"))
-            for r in self.rows:
-                if r.rollout is None:
-                    continue
-                for t, e in enumerate(r.rollout):
-                    writer.writerow([repr(r.edge_min), t, repr(float(e))])
+        write_csv(path, ("edge_min", "step", "mse"),
+                  ((r.edge_min, t, e) for r in self.rows if r.rollout is not None
+                   for t, e in enumerate(r.rollout)))
 
 
 def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule="",
@@ -308,10 +312,5 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
 
 
 def write_history_csv(history, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("step", "loss", "lr", "sec_per_step"))
-        for row in history:
-            writer.writerow(
-                [row["step"], repr(row["loss"]), repr(row["lr"]), repr(row["sec_per_step"])]
-            )
+    columns = ("step", "loss", "lr", "sec_per_step")
+    write_csv(path, columns, ([row[c] for c in columns] for row in history))

@@ -61,6 +61,33 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {bad} is not a positive number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,key,value", [
+        (["gen", "--scenarios", "-1"], "scenarios", -1),
+        (["gen", "--set", "n_steps=0"], "n_steps", 0),
+        (["eval", "--solver", "--set", "eval_steps=0"], "eval_steps", 0),
+        (["eval", "--solver", "--set", "max_rollout=0"], "max_rollout", 0),
+        (["eval", "--solver", "--set", "n_resolutions=0"], "n_resolutions", 0),
+    ])
+    def test_count_below_one_rejected(self, tmp_path, capsys, argv, key, value):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,seed", [
+        (["--seed", "4", "--set", "seed=5"], 4),
+        (["--set", "seed=5"], 5),
+        ([], 6),
+    ])
+    def test_gen_flag_beats_set_beats_file(self, tmp_path, flags, seed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=6\n")
+        out = tmp_path / "ds"
+        assert main(["gen", "--out", str(out), "--scenarios", "1", "--config", str(cfg),
+                     "--set", "edge_min_lo=1e-2", "--set", "edge_min_hi=1e-2",
+                     "--set", "n_steps=2"] + flags) == 0
+        assert f"seed={seed}" in (out / "dataset_meta").read_text().splitlines()
+
 
 class TestGen:
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -227,6 +254,46 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "operation 'matmul'" in err
+
+    @pytest.mark.parametrize("damage,named", [
+        ("no_radius", "has no 'radius' entry"),
+        ("garbage", "is not key=value: 'garbage'"),
+        ("bad_seed", "bad value for 'seed'"),
+    ])
+    def test_bad_scenario_meta_exits_1(self, generated, tmp_path, capsys, damage, named):
+        data = str(tmp_path / "ds")
+        shutil.copytree(generated, data)
+        meta = os.path.join(data, "scenario_0001", "meta")
+        lines = open(meta).read().splitlines()
+        if damage == "no_radius":
+            lines = [line for line in lines if not line.startswith("radius=")]
+        elif damage == "garbage":
+            lines.append("garbage")
+        else:
+            lines = ["seed=abc" if line.startswith("seed=") else line for line in lines]
+        with open(meta, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--dataset", data, "--out", str(out), "--steps", "2"] + SMALL_MODEL)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and meta in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,steps", [
+        (["--steps", "2", "--set", "train_steps=3"], 2),
+        (["--set", "train_steps=3"], 3),
+        ([], 4),
+    ])
+    def test_steps_flag_beats_set_beats_file(self, generated, tmp_path, flags, steps):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("train_steps=4\n")
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", generated, "--out", str(out),
+                     "--processor", "p=1H (U=0,D=0)", "--config", str(cfg)]
+                    + SMALL_MODEL + flags) == 0
+        history = (out / "history.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in history[1:]] == [str(s) for s in range(steps)]
 
     def test_resume_reproduces_run(self, generated, tmp_path):
         one = str(tmp_path / "one")
@@ -436,6 +503,21 @@ class TestAnalyze:
                    "--eval", str(ev), "--baseline", str(base)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {base} has no 'next_step_mse' column\n"
+
+    @pytest.mark.parametrize("row,named", [
+        ('0.05,model,9,"p=9H (U=0,D=0)",0.5', "line 2: no 'mse10' value"),
+        ('0.05,model,9,"p=9H (U=0,D=0)",abc,0.6,0.7,0.1,0.25', "line 2: bad 'mse1' value 'abc'"),
+    ])
+    def test_curve_malformed_row_named(self, tmp_path, capsys, row, named):
+        ev = tmp_path / "eval.csv"
+        ev.write_text(
+            "edge_min,model,mps,schedule,mse1,mse10,mse50,sec_per_step,next_step_mse\n"
+            + row + "\n"
+        )
+        rc = main(["analyze", "--mode", "curve", "--out", str(tmp_path / "curve"),
+                   "--eval", str(ev), "--baseline", str(ev)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {ev} {named}\n"
 
     @pytest.mark.parametrize("frame", ["-1", "-100"])
     def test_negative_frame_rejected(self, generated, tmp_path, capsys, frame):

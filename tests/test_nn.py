@@ -239,12 +239,6 @@ class TestNormalizer:
         x = np.random.default_rng(1).normal(size=(4, 2))
         np.testing.assert_array_equal(norm.apply(x), x)
 
-    def test_accumulation_budget(self):
-        norm = nn.Normalizer(1, max_accumulations=2)
-        for v in (1.0, 2.0, 100.0):
-            norm.accumulate(np.array([[v]]))
-        np.testing.assert_allclose(norm.mean, [1.5])  # third batch ignored
-
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):

@@ -7,6 +7,7 @@ from meshpass import graphs as G
 from meshpass import mesh as M
 from meshpass import nn
 from meshpass import processor as P
+from meshpass import training as T
 
 
 @pytest.fixture(scope="module")
@@ -236,8 +237,8 @@ class TestModelParams:
         params = P.ModelParams("p=1H 2L 1H (U=1,D=1)", 2, 8, 8, seed=3)
         params.node_field_normalizer.accumulate(np.random.default_rng(0).normal(size=(10, 2)))
         path = tmp_path / "params.bin"
-        params.save(path)
-        loaded = P.ModelParams.load(path)
+        T.save_checkpoint(path, params, nn.Adam(params.parameters()), 0)
+        loaded = T.load_checkpoint(path)[0]
         assert loaded.schedule == params.schedule
         assert loaded.field_width == 2
         for (na, a), (nb, b) in zip(

@@ -94,6 +94,16 @@ class TestTrain:
         with pytest.raises(T.TrainingError):
             T.train(small_params(), [], small_config(5))
 
+    def test_normalizers_freeze_after_normalizer_steps(self, linear_sample):
+        params = small_params()
+        cfg = T.TrainConfig(steps=4, schedule=SCHED, normalizer_steps=2,
+                            latent_size=16, hidden_size=16)
+        T.train(params, [linear_sample], cfg)
+        n_nodes = linear_sample.fine_mesh.n_nodes
+        for norm in (params.node_field_normalizer, params.output_normalizer):
+            assert (norm.n_accumulations, norm.count) == (2, 2.0 * n_nodes)
+        assert [norm.n_accumulations for norm in params.edge_normalizers.values()] == [2] * 4
+
     def test_warmup_budget_validated(self):
         with pytest.raises(ValueError):
             T.TrainConfig(steps=5, normalizer_steps=10)

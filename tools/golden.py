@@ -12,7 +12,9 @@ next to this file on the import path:
   (OUT/train3h, OUT/eval3h);
 - ``eval --solver`` on the same test set (OUT/eval_solver) and
   ``analyze --mode curve`` of OUT/eval/eval.csv against that solver
-  ``eval.csv`` (OUT/curve).
+  ``eval.csv`` (OUT/curve);
+- ``analyze --mode spectrum`` of the first high-accuracy scenario, its
+  native ``trajectory.bin`` against its ``labels_ha.bin`` (OUT/spectrum).
 
 Then prints one ``sha256  relative/path`` line per file under OUT, sorted
 by path (the commands' own output goes to stderr), and among them one
@@ -76,6 +78,10 @@ def run(out):
         ["analyze", "--mode", "curve", "--out", path("curve"),
          "--eval", os.path.join(path("eval"), "eval.csv"),
          "--baseline", os.path.join(path("eval_solver"), "eval.csv")],
+        ["analyze", "--mode", "spectrum", "--out", path("spectrum"),
+         "--mesh", os.path.join(path("ha"), "scenario_0000", "mesh.msh"),
+         "--traj", os.path.join(path("ha"), "scenario_0000", "trajectory.bin"),
+         "--ref", os.path.join(path("ha"), "scenario_0000", "labels_ha.bin")],
     ]
     for argv in commands:
         if main(argv) != 0:

@@ -319,17 +319,13 @@ def cmd_bench(args):
         else [8e-3, 5e-3, 3.5e-3]
     )
     os.makedirs(args.out, exist_ok=True)
-    domain = dataset.ChannelDomain(
-        dataset.CHANNEL_LENGTH, dataset.CHANNEL_HEIGHT,
-        dataset.TEST_CENTER, dataset.TEST_RADIUS,
-    )
     params = ModelParams(
         cfg["processor"], 1, cfg["latent_size"], cfg["hidden_size"], cfg["seed"]
     )
-    coarse = dataset.coarse_mesh(domain, cfg["seed"], cfg["coarse_edge_min"])
+    coarse = dataset.coarse_mesh(dataset.TEST_DOMAIN, cfg["seed"], cfg["coarse_edge_min"])
     rows = []
     for res in resolutions:
-        fine = dataset.generate_mesh(domain, res, seed=cfg["seed"])
+        fine = dataset.generate_mesh(dataset.TEST_DOMAIN, res, seed=cfg["seed"])
         row = analysis.timing_benchmark(params, fine, coarse)
         row["edge_min"] = res
         rows.append(row)

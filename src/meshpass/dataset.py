@@ -47,8 +47,7 @@ COARSE_EDGE_MIN = 1e-2
 
 # Fixed-obstacle test scenario.
 TEST_U_MEAN = 0.85
-TEST_RADIUS = 0.05
-TEST_CENTER = (0.275, 0.25)
+TEST_DOMAIN = ChannelDomain(CHANNEL_LENGTH, CHANNEL_HEIGHT, (0.275, 0.25), 0.05)
 
 
 @dataclass(frozen=True)
@@ -197,12 +196,12 @@ def fixed_obstacle_testset(resolutions=None, n_resolutions=5, seed=0, viscosity=
     resolutions = [float(r) for r in resolutions]
     if sorted(resolutions, reverse=True) != resolutions:
         raise ValueError("resolutions must be sorted descending")
-    domain = ChannelDomain(CHANNEL_LENGTH, CHANNEL_HEIGHT, TEST_CENTER, TEST_RADIUS)
-    config = PdeConfig(domain, viscosity=viscosity, inflow_mean=u_mean, dt=dt, n_steps=n_steps)
-    meshes = [generate_mesh(domain, r, seed=seed) for r in resolutions]
+    config = PdeConfig(TEST_DOMAIN, viscosity=viscosity, inflow_mean=u_mean, dt=dt,
+                       n_steps=n_steps)
+    meshes = [generate_mesh(TEST_DOMAIN, r, seed=seed) for r in resolutions]
     ref_mesh = meshes[-1]  # the finest trajectory is the designated reference
     rng = np.random.default_rng(seed)
-    initial = blob_initial(ref_mesh.positions, rng, domain)
+    initial = blob_initial(ref_mesh.positions, rng, TEST_DOMAIN)
     ref_traj = simulate(ref_mesh, config, initial)
     return meshes, ref_traj, config
 

@@ -3,9 +3,16 @@
 Every edge set of the model is a :class:`Graph`: the fine and coarse mesh
 edges (both orientations of each mesh edge) and the down and up transfer
 edges between the levels. A Graph holds static data only, so it is built
-once per mesh or mesh pair and cached in the source mesh's ``_cache``;
+once per mesh or mesh pair and cached in the source level's ``_cache``;
 latents are plain values that the encoders return and the processor
 threads through its steps.
+
+The coarse level is a coarse mesh or a uniform :class:`GridLevel`, built
+as ``GridLevel(domain, spacing)``. One ``transfer_graph`` (and
+``build_transfer``, which adds the edge latents) serves both kinds: toward
+a mesh it links each source node to the corners of its containing
+triangle, toward a grid to the corners of its grid cell outside the
+obstacle, and from a grid it reverses the edges toward that grid.
 
 Raw edge features follow the canonical layout [dx, dy, norm] with
 dx = x_sender - x_receiver. The Graph constructor is the one place that
@@ -21,7 +28,7 @@ import warnings
 import numpy as np
 
 from . import nn
-from .mesh import KIND_OBSTACLE, NODE_KINDS, ChannelDomain, build_interpolator, unique_edges
+from .mesh import KIND_OBSTACLE, NODE_KINDS, build_interpolator, unique_edges
 
 ONE_HOT_WIDTH = len(NODE_KINDS)
 
@@ -82,16 +89,24 @@ def mesh_graph(mesh):
     return mesh._cache["graph"]
 
 
-def transfer_graph(src_mesh, dst_mesh):
-    """Containment edges from ``src_mesh`` to ``dst_mesh`` (cached on the
-    source mesh)."""
-    key = ("transfer", id(dst_mesh))
-    if key not in src_mesh._cache:
-        senders, receivers = containment_edges(src_mesh, dst_mesh)
-        graph = Graph(senders, receivers, src_mesh.positions, dst_mesh.positions)
-        # Hold dst_mesh so the id key cannot be recycled while cached.
-        src_mesh._cache[key] = (dst_mesh, graph)
-    return src_mesh._cache[key][1]
+def transfer_graph(src, dst):
+    """Transfer edges from level ``src`` to level ``dst`` (cached on
+    ``src``): each source node to the corners of its containing ``dst``
+    triangle, or of its ``dst`` grid cell; from a grid, the edges toward it
+    reversed."""
+    key = ("transfer", id(dst))
+    if key not in src._cache:
+        if isinstance(dst, GridLevel):
+            senders, receivers = _grid_cell_pairs(src, dst)
+        elif isinstance(src, GridLevel):
+            toward = transfer_graph(dst, src)
+            senders, receivers = toward.receivers, toward.senders
+        else:
+            senders, receivers = containment_edges(src, dst)
+        graph = Graph(senders, receivers, src.positions, dst.positions)
+        # Hold dst so the id key cannot be recycled while cached.
+        src._cache[key] = (dst, graph)
+    return src._cache[key][1]
 
 
 def encode_edges(graph, kind, params):
@@ -132,17 +147,18 @@ def containment_edges(src_mesh, dst_mesh):
     return np.repeat(np.arange(src_mesh.n_nodes, dtype=np.int64), 3), corners.ravel()
 
 
-def build_transfer(src_mesh, dst_mesh, direction, params):
-    """Transfer edges connecting each source node to the corners of the
-    destination triangle that contains it (3 edges per source node), with
-    their latents: returns (graph, edge latents)."""
-    graph = transfer_graph(src_mesh, dst_mesh)
+def build_transfer(src, dst, direction, params):
+    """The :func:`transfer_graph` from ``src`` to ``dst`` and its edge
+    latents for ``direction`` ('down' or 'up'): returns (graph, edge
+    latents)."""
+    graph = transfer_graph(src, dst)
     return graph, encode_edges(graph, direction, params)
 
 
 class GridLevel:
-    """Uniform-grid coarse level; duck-types the mesh surface the coarse
-    encoder needs (positions, node_kind, undirected_edges)."""
+    """Uniform-grid coarse level; duck-types the mesh surface that the coarse
+    encoder and :func:`transfer_graph` need (positions, node_kind,
+    undirected_edges, _cache)."""
 
     def __init__(self, domain, spacing):
         nx = int(np.ceil(domain.length / spacing))
@@ -178,11 +194,6 @@ class GridLevel:
     def node_index(self, ix, iy):
         return ix * (self.ny + 1) + iy
 
-    def cell_of(self, p):
-        ix = min(max(int(p[0] // self.spacing[0]), 0), self.nx - 1)
-        iy = min(max(int(p[1] // self.spacing[1]), 0), self.ny - 1)
-        return ix, iy
-
     def undirected_edges(self):
         """Lattice links, omitting endpoints inside the obstacle."""
         if "lattice" not in self._cache:
@@ -198,50 +209,18 @@ class GridLevel:
 
 def _grid_cell_pairs(mesh, grid):
     """(mesh node, grid corner) index pairs: each mesh node with the corners
-    of its grid cell that lie outside the obstacle."""
-    mesh_idx, grid_idx = [], []
-    for i, p in enumerate(mesh.positions):
-        ix, iy = grid.cell_of(p)
-        corners = [
-            grid.node_index(ix, iy),
-            grid.node_index(ix + 1, iy),
-            grid.node_index(ix, iy + 1),
-            grid.node_index(ix + 1, iy + 1),
-        ]
-        kept = [c for c in corners if not grid.inside_obstacle[c]]
-        if not kept:
-            warnings.warn(
-                f"source node {i} dropped: all grid-cell corners inside obstacle"
-            )
-            continue
-        mesh_idx.extend([i] * len(kept))
-        grid_idx.extend(kept)
-    return np.asarray(mesh_idx, dtype=np.int64), np.asarray(grid_idx, dtype=np.int64)
-
-
-def build_grid_transfer(src_mesh, grid_spacing, direction, params, domain=None, grid=None):
-    """Transfer edges between mesh nodes and the corners of their grid cell,
-    with their latents: returns (graph, edge latents).
-
-    Each source-mesh node pairs with the 4 corners of the uniform-grid cell
-    containing it; corners inside the obstacle are omitted. ``direction``
-    'down' orients edges mesh->grid, 'up' grid->mesh (the same pairing
-    reversed, as the grid variant has no containing triangle to query).
-    Nodes whose 4 corners all fall inside the obstacle are dropped with a
-    warning. Both graphs are cached on the mesh per grid.
-    """
-    if grid is None:
-        if domain is None:
-            lo, hi = src_mesh.bounding_box()
-            domain = ChannelDomain(float(hi[0]), float(hi[1]))
-        grid = GridLevel(domain, grid_spacing)
-    key = ("grid_transfer", id(grid))
-    if key not in src_mesh._cache:
-        mesh_idx, grid_idx = _grid_cell_pairs(src_mesh, grid)
-        pos_m, pos_g = src_mesh.positions, grid.positions
-        src_mesh._cache[key] = (grid, {
-            "down": Graph(mesh_idx, grid_idx, pos_m, pos_g),
-            "up": Graph(grid_idx, mesh_idx, pos_g, pos_m),
-        })
-    graph = src_mesh._cache[key][1][direction]
-    return graph, encode_edges(graph, direction, params)
+    of its grid cell that lie outside the obstacle. Nodes whose 4 corners
+    all lie inside it are dropped with a warning."""
+    cell = np.floor_divide(mesh.positions, grid.spacing).astype(np.int64)
+    ix = np.clip(cell[:, 0], 0, grid.nx - 1)
+    iy = np.clip(cell[:, 1], 0, grid.ny - 1)
+    corners = np.column_stack([
+        grid.node_index(ix, iy),
+        grid.node_index(ix + 1, iy),
+        grid.node_index(ix, iy + 1),
+        grid.node_index(ix + 1, iy + 1),
+    ])
+    kept = ~grid.inside_obstacle[corners]
+    for i in np.flatnonzero(~kept.any(axis=1)):
+        warnings.warn(f"source node {i} dropped: all grid-cell corners inside obstacle")
+    return np.repeat(np.arange(len(corners), dtype=np.int64), kept.sum(axis=1)), corners[kept]

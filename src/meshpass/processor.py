@@ -325,20 +325,12 @@ class StaticLatents:
         self.coarse_graph, self.coarse, self.coarse_edges = graphs.encode_coarse(
             coarse_level, params
         )
-        if params.coarse_kind == "grid":
-            self.down_graph, self.down_edges = graphs.build_grid_transfer(
-                fine_mesh, None, "down", params, grid=coarse_level
-            )
-            self.up_graph, self.up_edges = graphs.build_grid_transfer(
-                fine_mesh, None, "up", params, grid=coarse_level
-            )
-        else:
-            self.down_graph, self.down_edges = graphs.build_transfer(
-                fine_mesh, coarse_level, "down", params
-            )
-            self.up_graph, self.up_edges = graphs.build_transfer(
-                coarse_level, fine_mesh, "up", params
-            )
+        self.down_graph, self.down_edges = graphs.build_transfer(
+            fine_mesh, coarse_level, "down", params
+        )
+        self.up_graph, self.up_edges = graphs.build_transfer(
+            coarse_level, fine_mesh, "up", params
+        )
 
 
 def forward_normalized_delta(params, fine_mesh, coarse_level, fields, static=None):
@@ -370,8 +362,7 @@ def forward_normalized_delta(params, fine_mesh, coarse_level, fields, static=Non
     return params.decoder(fine), leaf
 
 
-def predict_step(fine_mesh, coarse_mesh, fields, params, schedule=None, boundary_values=None,
-                 static=None):
+def predict_step(fine_mesh, coarse_mesh, fields, params, boundary_values=None, static=None):
     """One next-step prediction on the fine mesh, computed without a tape.
 
     Encodes the fine nodes, runs the schedule, decodes a normalized delta,
@@ -382,13 +373,6 @@ def predict_step(fine_mesh, coarse_mesh, fields, params, schedule=None, boundary
     boundary values afterwards; by default they keep their current value,
     matching a time-constant Dirichlet condition.
     """
-    if schedule is not None:
-        sched = parse_schedule(schedule) if isinstance(schedule, str) else schedule
-        if sched != params.schedule:
-            raise ScheduleError(
-                "schedule argument does not match the schedule the parameters "
-                f"were built for ({params.schedule.text!r})"
-            )
     fields_mat = as_field_matrix(fields)
     with nn.no_tape():
         delta_n, _ = forward_normalized_delta(params, fine_mesh, coarse_mesh, fields_mat, static)

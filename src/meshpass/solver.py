@@ -169,10 +169,7 @@ class FrameStepper:
         pts = mesh.positions
         tris = mesh.triangles
         a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
-        area = 0.5 * (
-            (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-            - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-        )
+        area = mesh.triangle_areas()
         if np.any(area <= 0):
             raise SimulationError("mesh has non-CCW or degenerate triangles")
         # P1 basis gradients (constant per element).

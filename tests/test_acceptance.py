@@ -67,7 +67,7 @@ def test_criterion_2_transfer_graph_structure():
             got = set(transfer.receivers[transfer.senders == i].tolist())
             assert got == expected
 
-    grid_t, _ = G.build_grid_transfer(fine, 0.08, "down", params, domain=domain)
+    grid_t, _ = G.build_transfer(fine, G.GridLevel(domain, 0.08), "down", params)
     counts = np.bincount(grid_t.senders, minlength=fine.n_nodes)
     assert counts.max() <= 4
     assert counts.min() >= 1

@@ -126,9 +126,10 @@ class TestFixedObstacleTestset:
         assert S.mesh_digest(ref_traj.mesh) == S.mesh_digest(meshes[-1])
         for mesh in meshes:
             obs = mesh.node_kind == M.KIND_OBSTACLE
-            r = np.hypot(mesh.positions[obs, 0] - D.TEST_CENTER[0],
-                         mesh.positions[obs, 1] - D.TEST_CENTER[1])
-            np.testing.assert_allclose(r, D.TEST_RADIUS, rtol=1e-9)
+            cx, cy = D.TEST_DOMAIN.obstacle_center
+            r = np.hypot(mesh.positions[obs, 0] - cx, mesh.positions[obs, 1] - cy)
+            np.testing.assert_allclose(r, D.TEST_DOMAIN.obstacle_radius, rtol=1e-9)
+        assert config.domain == D.TEST_DOMAIN
         assert config.inflow_mean == D.TEST_U_MEAN
 
     def test_node_count_grows_as_edge_min_shrinks(self):

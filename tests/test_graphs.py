@@ -140,8 +140,8 @@ class TestBuildTransfer:
 class TestGridTransfer:
     def test_node_at_cell_center_four_edges(self, params):
         mesh = square_mesh(shift=(0.05, 0.05), scale=0.4)
-        t, _ = G.build_grid_transfer(mesh, 0.5, "down", params,
-                                  domain=M.ChannelDomain(1.0, 1.0))
+        t, _ = G.build_transfer(mesh, G.GridLevel(M.ChannelDomain(1.0, 1.0), 0.5), "down",
+                                params)
         counts = np.bincount(t.senders, minlength=mesh.n_nodes)
         assert np.all(counts == 4)
 
@@ -150,7 +150,7 @@ class TestGridTransfer:
         grid = G.GridLevel(domain, 0.1)
         assert grid.inside_obstacle.sum() >= 1
         mesh = M.generate_mesh(domain, 1.2e-2)
-        t, _ = G.build_grid_transfer(mesh, 0.1, "down", params, domain=domain)
+        t, _ = G.build_transfer(mesh, grid, "down", params)
         counts = np.bincount(t.senders, minlength=mesh.n_nodes)
         assert counts.max() == 4
         assert counts.min() >= 1
@@ -160,11 +160,48 @@ class TestGridTransfer:
     def test_up_direction_mirrors_pairs(self, params):
         mesh = square_mesh(shift=(0.1, 0.1), scale=0.5)
         domain = M.ChannelDomain(1.0, 1.0)
-        down, _ = G.build_grid_transfer(mesh, 0.5, "down", params, domain=domain)
-        up, _ = G.build_grid_transfer(mesh, 0.5, "up", params, domain=domain)
+        grid = G.GridLevel(domain, 0.5)
+        down, _ = G.build_transfer(mesh, grid, "down", params)
+        up, _ = G.build_transfer(grid, mesh, "up", params)
         pairs_down = set(zip(down.senders.tolist(), down.receivers.tolist()))
         pairs_up = set(zip(up.receivers.tolist(), up.senders.tolist()))
         assert pairs_down == pairs_up
+
+    def test_transfer_matches_cell_loop_bytes(self):
+        # Each mesh node with the corners of its (clamped) grid cell that lie
+        # outside the obstacle, one node at a time; up reverses the pairs.
+        domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.06)
+        grid = G.GridLevel(domain, 0.1)
+        mesh = M.generate_mesh(domain, 1.2e-2)
+        mesh_idx, grid_idx = [], []
+        for i, p in enumerate(mesh.positions):
+            ix = min(max(int(p[0] // grid.spacing[0]), 0), grid.nx - 1)
+            iy = min(max(int(p[1] // grid.spacing[1]), 0), grid.ny - 1)
+            corners = [grid.node_index(ix, iy), grid.node_index(ix + 1, iy),
+                       grid.node_index(ix, iy + 1), grid.node_index(ix + 1, iy + 1)]
+            kept = [c for c in corners if not grid.inside_obstacle[c]]
+            mesh_idx.extend([i] * len(kept))
+            grid_idx.extend(kept)
+        assert len(mesh_idx) < 4 * mesh.n_nodes  # some nodes lost a corner
+        expected = {
+            "down": G.Graph(mesh_idx, grid_idx, mesh.positions, grid.positions),
+            "up": G.Graph(grid_idx, mesh_idx, grid.positions, mesh.positions),
+        }
+        got = {"down": G.transfer_graph(mesh, grid), "up": G.transfer_graph(grid, mesh)}
+        for direction, ref in expected.items():
+            for name in ("senders", "receivers", "features"):
+                a, b = getattr(got[direction], name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (direction, name)
+
+    def test_node_with_every_corner_inside_obstacle_dropped(self):
+        # A 0.1 grid around a 0.2 disk: cell [0.4, 0.5]^2 has all 4 corners
+        # inside, so node 2, at (0.45, 0.45), is dropped with a warning.
+        grid = G.GridLevel(M.ChannelDomain(1.0, 1.0, (0.5, 0.5), 0.2), 0.1)
+        mesh = square_mesh(shift=(0.05, 0.05), scale=0.4)
+        with pytest.warns(UserWarning, match="source node 2 dropped"):
+            down = G.transfer_graph(mesh, grid)
+        assert 2 not in down.senders and set(down.senders.tolist()) == {0, 1, 3}
+        assert 2 not in G.transfer_graph(grid, mesh).receivers
 
     def test_lattice_edges_match_link_loop(self):
         # Every x and y link between grid nodes, both ends outside the
@@ -189,8 +226,7 @@ class TestGridTransfer:
     def test_grid_must_cover_2x2_cells(self, params):
         mesh = square_mesh()
         with pytest.raises(ValueError):
-            G.build_grid_transfer(mesh, 2.0, "down", params,
-                                  domain=M.ChannelDomain(1.0, 1.0))
+            G.build_transfer(mesh, G.GridLevel(M.ChannelDomain(1.0, 1.0), 2.0), "down", params)
 
 
 class TestGraph:

@@ -276,16 +276,6 @@ class TestPredictStep:
         mask = np.isin(fine.node_kind, P.PRESCRIBED_KINDS)
         np.testing.assert_array_equal(out[mask], bc[mask])
 
-    def test_schedule_argument_must_match_params(self, channel):
-        _, fine, coarse = channel
-        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0)
-        with pytest.raises(P.ScheduleError):
-            P.predict_step(fine, coarse, np.zeros(fine.n_nodes), params,
-                           schedule="p=2H (U=0,D=0)")
-        out = P.predict_step(fine, coarse, np.zeros(fine.n_nodes), params,
-                             schedule="p=1H 1L 1H (U=1,D=1)")
-        assert out.shape == (fine.n_nodes,)
-
     def test_translation_invariance(self, channel):
         _, fine, coarse = channel
         params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0)

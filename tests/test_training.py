@@ -12,7 +12,9 @@ from meshpass import nn
 from meshpass import solver as S
 from meshpass import training as T
 from meshpass.graphs import GridLevel, as_field_matrix
-from meshpass.processor import PRESCRIBED_KINDS, ModelParams, forward_normalized_delta
+from meshpass.processor import (
+    PRESCRIBED_KINDS, ModelParams, forward_normalized_delta, predict_step,
+)
 
 UNIT_SQUARE = M.ChannelDomain(1.0, 1.0)
 SCHED = "p=1H 2L 1H (U=1,D=1)"
@@ -104,6 +106,27 @@ class TestTrain:
             assert (norm.n_accumulations, norm.count) == (2, 2.0 * n_nodes)
         assert [norm.n_accumulations for norm in params.edge_normalizers.values()] == [2] * 4
 
+    def test_grid_level_model_trains_and_round_trips(self, linear_sample, tmp_path):
+        grid = GridLevel(UNIT_SQUARE, 0.25)
+        fine = linear_sample.fine_mesh
+        sample = D.Sample(fine, grid, linear_sample.inputs, linear_sample.targets,
+                          "native", None)
+        params = ModelParams(SCHED, 1, 16, 16, seed=0, coarse_kind="grid")
+        cfg = small_config(2)
+        optimizer = nn.Adam(params.parameters(), lr=cfg.learning_rate)
+        T.train(params, [sample], cfg, optimizer)
+        for kind, graph in (("down", G.transfer_graph(fine, grid)),
+                            ("up", G.transfer_graph(grid, fine))):
+            norm = params.edge_normalizers[kind]
+            assert (norm.n_accumulations, norm.count) == (2, 2.0 * len(graph.senders))
+        path = tmp_path / "grid.bin"
+        T.save_checkpoint(path, params, optimizer, 2)
+        loaded = T.load_checkpoint(path)[0]
+        assert loaded.coarse_kind == "grid"
+        u = as_field_matrix(linear_sample.inputs)
+        assert (predict_step(fine, grid, u, loaded).tobytes()
+                == predict_step(fine, grid, u, params).tobytes())
+
     def test_warmup_budget_validated(self):
         with pytest.raises(ValueError):
             T.TrainConfig(steps=5, normalizer_steps=10)
@@ -120,7 +143,6 @@ class TestLossMasking:
             if kind == "U":
                 block.zero_()
         fields = np.random.default_rng(1).normal(size=fine.n_nodes)
-        from meshpass.processor import predict_step
 
         out_a = predict_step(fine, coarse, fields, params)
         out_b = predict_step(fine, other_coarse, fields, params)

@@ -178,14 +178,6 @@ def cmd_gen(args):
 
 def cmd_train(args):
     cfg = resolve_config(args)
-    if not os.path.isdir(args.dataset):
-        print(f"error: dataset directory not found: {args.dataset}", file=sys.stderr)
-        return 1
-    samples = dataset.load_dataset(args.dataset, coarse_edge_min=cfg["coarse_edge_min"])
-    if not samples:
-        print(f"error: no scenarios under {args.dataset}", file=sys.stderr)
-        return 1
-    os.makedirs(args.out, exist_ok=True)
     train_cfg = TrainConfig(
         steps=cfg["train_steps"],
         learning_rate=cfg["learning_rate"],
@@ -198,6 +190,14 @@ def cmd_train(args):
         latent_size=cfg["latent_size"],
         hidden_size=cfg["hidden_size"],
     )
+    if not os.path.isdir(args.dataset):
+        print(f"error: dataset directory not found: {args.dataset}", file=sys.stderr)
+        return 1
+    samples = dataset.load_dataset(args.dataset, coarse_edge_min=cfg["coarse_edge_min"])
+    if not samples:
+        print(f"error: no scenarios under {args.dataset}", file=sys.stderr)
+        return 1
+    os.makedirs(args.out, exist_ok=True)
     if args.resume:
         params, optimizer, start_step = load_checkpoint(args.resume)
         schedule = parse_schedule(cfg["processor"])

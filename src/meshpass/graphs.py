@@ -3,16 +3,18 @@
 Every edge set of the model is a :class:`Graph`: the fine and coarse mesh
 edges (both orientations of each mesh edge) and the down and up transfer
 edges between the levels. A Graph holds static data only, so it is built
-once per mesh or mesh pair and cached in the source level's ``_cache``;
-latents are plain values that the encoders return and the processor
-threads through its steps.
+once per mesh or mesh pair and cached in the ``_cache`` of its mesh, or of
+the fine mesh for transfer edges; latents are plain values that the
+encoders return and the processor threads through its steps.
 
 The coarse level is a coarse mesh or a uniform :class:`GridLevel`, built
-as ``GridLevel(domain, spacing)``. One ``transfer_graph`` (and
-``build_transfer``, which adds the edge latents) serves both kinds: toward
-a mesh it links each source node to the corners of its containing
-triangle, toward a grid to the corners of its grid cell outside the
-obstacle, and from a grid it reverses the edges toward that grid.
+as ``GridLevel(domain, spacing)``. One rule links the levels for both
+kinds (``transfer_graph``, and ``build_transfer``, which adds the edge
+latents): down links each fine node to the corners of its containing
+coarse triangle, or of its grid cell outside the obstacle, and up is the
+same pairs reversed. So a U step reads, at each fine node, exactly the
+coarse nodes that P1 interpolation of a coarse field reads there, and
+every fine node receives a U message.
 
 Raw edge features follow the canonical layout [dx, dy, norm] with
 dx = x_sender - x_receiver. The Graph constructor is the one place that
@@ -89,24 +91,23 @@ def mesh_graph(mesh):
     return mesh._cache["graph"]
 
 
-def transfer_graph(src, dst):
-    """Transfer edges from level ``src`` to level ``dst`` (cached on
-    ``src``): each source node to the corners of its containing ``dst``
-    triangle, or of its ``dst`` grid cell; from a grid, the edges toward it
-    reversed."""
-    key = ("transfer", id(dst))
-    if key not in src._cache:
-        if isinstance(dst, GridLevel):
-            senders, receivers = _grid_cell_pairs(src, dst)
-        elif isinstance(src, GridLevel):
-            toward = transfer_graph(dst, src)
-            senders, receivers = toward.receivers, toward.senders
+def transfer_graph(fine, coarse, direction):
+    """The ``direction`` ('down' or 'up') transfer Graph between a fine mesh
+    and a coarse level (both cached on ``fine``). Down links each fine node
+    to the corners of its containing ``coarse`` triangle, or of its
+    ``coarse`` grid cell; up is the same pairs reversed."""
+    key = ("transfer", id(coarse))
+    if key not in fine._cache:
+        if isinstance(coarse, GridLevel):
+            fine_idx, coarse_idx = _grid_cell_pairs(fine, coarse)
         else:
-            senders, receivers = containment_edges(src, dst)
-        graph = Graph(senders, receivers, src.positions, dst.positions)
-        # Hold dst so the id key cannot be recycled while cached.
-        src._cache[key] = (dst, graph)
-    return src._cache[key][1]
+            fine_idx, coarse_idx = containment_edges(fine, coarse)
+        # Hold coarse so the id key cannot be recycled while cached.
+        fine._cache[key] = (coarse, {
+            "down": Graph(fine_idx, coarse_idx, fine.positions, coarse.positions),
+            "up": Graph(coarse_idx, fine_idx, coarse.positions, fine.positions),
+        })
+    return fine._cache[key][1][direction]
 
 
 def encode_edges(graph, kind, params):
@@ -147,11 +148,11 @@ def containment_edges(src_mesh, dst_mesh):
     return np.repeat(np.arange(src_mesh.n_nodes, dtype=np.int64), 3), corners.ravel()
 
 
-def build_transfer(src, dst, direction, params):
-    """The :func:`transfer_graph` from ``src`` to ``dst`` and its edge
-    latents for ``direction`` ('down' or 'up'): returns (graph, edge
+def build_transfer(fine, coarse, direction, params):
+    """The ``direction`` ('down' or 'up') :func:`transfer_graph` between
+    ``fine`` and ``coarse`` and its edge latents: returns (graph, edge
     latents)."""
-    graph = transfer_graph(src, dst)
+    graph = transfer_graph(fine, coarse, direction)
     return graph, encode_edges(graph, direction, params)
 
 

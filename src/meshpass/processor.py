@@ -169,6 +169,25 @@ class ModelParams:
         }
         self.output_normalizer = nn.Normalizer(field_width)
 
+    def reads_coarse_level(self, coarse_level):
+        """Whether a forward pass reads ``coarse_level``: True iff the
+        schedule has an L, D or U step. ValueError if ``coarse_level`` is
+        not of ``coarse_kind``, or is None and would be read."""
+        if coarse_level is not None:
+            level_kind = "grid" if isinstance(coarse_level, GridLevel) else "mesh"
+            if level_kind != self.coarse_kind:
+                raise ValueError(
+                    f"model coarse_kind is {self.coarse_kind!r} but the coarse level "
+                    f"given is a {level_kind!r} level"
+                )
+        # Every L run is entered by a D step, so d_count > 0 iff the schedule
+        # has any L, D or U step.
+        if self.schedule.d_count == 0:
+            return False
+        if coarse_level is None:
+            raise ValueError("schedule uses L/D/U steps but no coarse level was given")
+        return True
+
     def edge_encoder(self, kind):
         """The edge encoder of ``kind``: fine, coarse, down or up."""
         return self._encoders()[f"enc_{kind}_edge"]
@@ -305,23 +324,12 @@ class StaticLatents:
     """
 
     def __init__(self, params, fine_mesh, coarse_level):
-        if coarse_level is not None:
-            level_kind = "grid" if isinstance(coarse_level, GridLevel) else "mesh"
-            if level_kind != params.coarse_kind:
-                raise ValueError(
-                    f"model coarse_kind is {params.coarse_kind!r} but the coarse level "
-                    f"given is a {level_kind!r} level"
-                )
         self.fine_graph = graphs.mesh_graph(fine_mesh)
         self.fine_edges = graphs.encode_edges(self.fine_graph, "fine", params)
         self.coarse_graph = self.coarse = self.coarse_edges = None
         self.down_graph = self.down_edges = self.up_graph = self.up_edges = None
-        # Every L run is entered by a D step, so d_count > 0 iff the schedule
-        # has any L, D or U step.
-        if params.schedule.d_count == 0:
+        if not params.reads_coarse_level(coarse_level):
             return
-        if coarse_level is None:
-            raise ValueError("schedule uses L/D/U steps but no coarse level was given")
         self.coarse_graph, self.coarse, self.coarse_edges = graphs.encode_coarse(
             coarse_level, params
         )
@@ -329,7 +337,7 @@ class StaticLatents:
             fine_mesh, coarse_level, "down", params
         )
         self.up_graph, self.up_edges = graphs.build_transfer(
-            coarse_level, fine_mesh, "up", params
+            fine_mesh, coarse_level, "up", params
         )
 
 

@@ -43,10 +43,12 @@ class TrainConfig:
     hidden_size: int = 128
 
     def __post_init__(self):
-        if self.steps <= 0 or self.learning_rate <= 0 or self.batch_size <= 0:
-            raise ValueError("steps, learning_rate and batch_size must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        for name in ("steps", "learning_rate", "lr_decay", "batch_size"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std!r}")
         if self.normalizer_steps > self.steps:
             raise ValueError("normalizer warm-up budget exceeds total steps")
 
@@ -55,7 +57,8 @@ class TrainConfig:
 
 
 def warm_up_normalizers(params, samples):
-    """Accumulate feature statistics from a batch of samples."""
+    """Accumulate feature statistics from a batch of samples: the fields,
+    the deltas and the edge sets that a forward pass of ``params`` reads."""
     for sample in samples:
         inputs = as_field_matrix(sample.inputs)
         targets = as_field_matrix(sample.targets)
@@ -63,10 +66,10 @@ def warm_up_normalizers(params, samples):
         params.output_normalizer.accumulate(targets - inputs)
         fine, coarse = sample.fine_mesh, sample.coarse_mesh
         edge_sets = {"fine": mesh_graph(fine)}
-        if coarse is not None:
+        if params.reads_coarse_level(coarse):
             edge_sets["coarse"] = mesh_graph(coarse)
-            edge_sets["down"] = transfer_graph(fine, coarse)
-            edge_sets["up"] = transfer_graph(coarse, fine)
+            edge_sets["down"] = transfer_graph(fine, coarse, "down")
+            edge_sets["up"] = transfer_graph(fine, coarse, "up")
         for kind, graph in edge_sets.items():
             params.edge_normalizers[kind].accumulate(graph.features)
 

@@ -56,16 +56,17 @@ def test_criterion_2_transfer_graph_structure():
     params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0)
 
     down, _ = G.build_transfer(fine, coarse, "down", params)
-    up, _ = G.build_transfer(coarse, fine, "up", params)
+    up, _ = G.build_transfer(fine, coarse, "up", params)
     assert np.all(np.bincount(down.senders, minlength=fine.n_nodes) == 3)
-    assert np.all(np.bincount(up.senders, minlength=coarse.n_nodes) == 3)
-    # brute-force oracle over all triangles
-    for transfer, src, dst in ((down, fine, coarse), (up, coarse, fine)):
-        for i in range(src.n_nodes):
-            loc = M.locate_point_brute(dst, src.positions[i])
-            expected = set(dst.triangles[loc.triangle_index].tolist())
-            got = set(transfer.receivers[transfer.senders == i].tolist())
-            assert got == expected
+    assert np.all(np.bincount(up.receivers, minlength=fine.n_nodes) == 3)
+    # brute-force oracle over all coarse triangles, for both directions
+    for i in range(fine.n_nodes):
+        loc = M.locate_point_brute(coarse, fine.positions[i])
+        expected = set(coarse.triangles[loc.triangle_index].tolist())
+        assert set(down.receivers[down.senders == i].tolist()) == expected
+        assert set(up.senders[up.receivers == i].tolist()) == expected
+    assert (sorted(zip(up.receivers.tolist(), up.senders.tolist()))
+            == sorted(zip(down.senders.tolist(), down.receivers.tolist())))
 
     grid_t, _ = G.build_transfer(fine, G.GridLevel(domain, 0.08), "down", params)
     counts = np.bincount(grid_t.senders, minlength=fine.n_nodes)

@@ -215,6 +215,19 @@ class TestTrain:
         assert rc != 0
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("lr_decay", "-0.1"),
+        ("lr_decay", "0"), ("lr_decay", "nan"), ("noise_std", "nan"), ("noise_std", "inf"),
+    ])
+    def test_bad_optimiser_setting_rejected_before_any_work(self, generated, tmp_path,
+                                                             capsys, key, value):
+        out = tmp_path / "run"
+        rc = main(["train", "--dataset", generated, "--out", str(out), "--steps", "2",
+                   "--set", f"{key}={value}"] + SMALL_MODEL)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not out.exists()
+
     def test_malformed_processor_nonzero_exit(self, generated, tmp_path, capsys):
         rc = main(["train", "--dataset", generated, "--out", str(tmp_path / "r"),
                    "--processor", "p=1H 2L (U=0,D=1)", "--steps", "2"] + SMALL_MODEL)

@@ -93,22 +93,28 @@ class TestBuildTransfer:
         assert set(t.receivers.tolist()) <= set(coarse.triangles[0].tolist())
 
     def test_three_edges_per_source_node(self, params, channel):
+        # Every fine node sends 3 down edges and receives 3 up edges.
         _, fine, coarse = channel
         down, _ = G.build_transfer(fine, coarse, "down", params)
         counts = np.bincount(down.senders, minlength=fine.n_nodes)
         assert np.all(counts == 3)
-        up, _ = G.build_transfer(coarse, fine, "up", params)
-        counts = np.bincount(up.senders, minlength=coarse.n_nodes)
+        up, _ = G.build_transfer(fine, coarse, "up", params)
+        counts = np.bincount(up.receivers, minlength=fine.n_nodes)
         assert np.all(counts == 3)
 
     def test_receivers_match_brute_force_oracle(self, params, channel):
+        # Down and up edges of each fine node link it with the corners of
+        # its brute-force containing coarse triangle; up reverses down.
         _, fine, coarse = channel
-        up, _ = G.build_transfer(coarse, fine, "up", params)
-        for i in range(coarse.n_nodes):
-            loc = M.locate_point_brute(fine, coarse.positions[i])
-            expected = set(fine.triangles[loc.triangle_index].tolist())
-            got = set(up.receivers[up.senders == i].tolist())
-            assert got == expected
+        down, _ = G.build_transfer(fine, coarse, "down", params)
+        up, _ = G.build_transfer(fine, coarse, "up", params)
+        for i in range(fine.n_nodes):
+            loc = M.locate_point_brute(coarse, fine.positions[i])
+            expected = set(coarse.triangles[loc.triangle_index].tolist())
+            assert set(down.receivers[down.senders == i].tolist()) == expected
+            assert set(up.senders[up.receivers == i].tolist()) == expected
+        assert (sorted(zip(up.receivers.tolist(), up.senders.tolist()))
+                == sorted(zip(down.senders.tolist(), down.receivers.tolist())))
 
     def test_receivers_are_interpolator_corners(self, channel):
         _, fine, coarse = channel
@@ -123,7 +129,7 @@ class TestBuildTransfer:
         domain, fine, coarse = channel
         cx, cy = domain.obstacle_center
         for src, dst, direction in ((fine, coarse, "down"), (coarse, fine, "up")):
-            t, _ = G.build_transfer(src, dst, direction, params)
+            t, _ = G.build_transfer(fine, coarse, direction, params)
             for pos, idx in ((src.positions, t.senders), (dst.positions, t.receivers)):
                 r = np.hypot(pos[idx, 0] - cx, pos[idx, 1] - cy)
                 assert np.all(r >= domain.obstacle_radius - 1e-9)
@@ -162,7 +168,7 @@ class TestGridTransfer:
         domain = M.ChannelDomain(1.0, 1.0)
         grid = G.GridLevel(domain, 0.5)
         down, _ = G.build_transfer(mesh, grid, "down", params)
-        up, _ = G.build_transfer(grid, mesh, "up", params)
+        up, _ = G.build_transfer(mesh, grid, "up", params)
         pairs_down = set(zip(down.senders.tolist(), down.receivers.tolist()))
         pairs_up = set(zip(up.receivers.tolist(), up.senders.tolist()))
         assert pairs_down == pairs_up
@@ -187,7 +193,7 @@ class TestGridTransfer:
             "down": G.Graph(mesh_idx, grid_idx, mesh.positions, grid.positions),
             "up": G.Graph(grid_idx, mesh_idx, grid.positions, mesh.positions),
         }
-        got = {"down": G.transfer_graph(mesh, grid), "up": G.transfer_graph(grid, mesh)}
+        got = {d: G.transfer_graph(mesh, grid, d) for d in ("down", "up")}
         for direction, ref in expected.items():
             for name in ("senders", "receivers", "features"):
                 a, b = getattr(got[direction], name), getattr(ref, name)
@@ -199,9 +205,9 @@ class TestGridTransfer:
         grid = G.GridLevel(M.ChannelDomain(1.0, 1.0, (0.5, 0.5), 0.2), 0.1)
         mesh = square_mesh(shift=(0.05, 0.05), scale=0.4)
         with pytest.warns(UserWarning, match="source node 2 dropped"):
-            down = G.transfer_graph(mesh, grid)
+            down = G.transfer_graph(mesh, grid, "down")
         assert 2 not in down.senders and set(down.senders.tolist()) == {0, 1, 3}
-        assert 2 not in G.transfer_graph(grid, mesh).receivers
+        assert 2 not in G.transfer_graph(mesh, grid, "up").receivers
 
     def test_lattice_edges_match_link_loop(self):
         # Every x and y link between grid nodes, both ends outside the
@@ -256,7 +262,7 @@ class TestGraph:
         assert G.encode_coarse(coarse, params)[0] is G.mesh_graph(coarse)
         down, _ = G.build_transfer(fine, coarse, "down", params)
         assert G.build_transfer(fine, coarse, "down", params)[0] is down
-        assert G.transfer_graph(fine, coarse) is down
+        assert G.transfer_graph(fine, coarse, "down") is down
 
 
 class TestEdgeFeatures:

@@ -313,6 +313,17 @@ class TestPredictStep:
         without = P.predict_step(fine, None, fields, params)
         assert with_coarse.tobytes() == without.tobytes()
 
+    def test_static_latents_never_locate_in_the_fine_mesh(self, channel, monkeypatch):
+        # Fresh copies, so no point location is hidden by a cached Graph.
+        fine, coarse = (M.TriMesh(m.positions, m.triangles, m.node_kind, m.edge_min, m.edge_max)
+                        for m in channel[1:])
+        located = []
+        real = M.locate_points
+        monkeypatch.setattr(M, "locate_points",
+                            lambda mesh, points: located.append(mesh) or real(mesh, points))
+        P.StaticLatents(P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0), fine, coarse)
+        assert located and all(mesh is coarse for mesh in located)
+
     def test_grid_model_rejects_mesh_coarse_level(self, channel):
         _, fine, coarse = channel
         params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0, coarse_kind="grid")

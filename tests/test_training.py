@@ -115,9 +115,8 @@ class TestTrain:
         cfg = small_config(2)
         optimizer = nn.Adam(params.parameters(), lr=cfg.learning_rate)
         T.train(params, [sample], cfg, optimizer)
-        for kind, graph in (("down", G.transfer_graph(fine, grid)),
-                            ("up", G.transfer_graph(grid, fine))):
-            norm = params.edge_normalizers[kind]
+        for kind in ("down", "up"):
+            graph, norm = G.transfer_graph(fine, grid, kind), params.edge_normalizers[kind]
             assert (norm.n_accumulations, norm.count) == (2, 2.0 * len(graph.senders))
         path = tmp_path / "grid.bin"
         T.save_checkpoint(path, params, optimizer, 2)
@@ -126,6 +125,21 @@ class TestTrain:
         u = as_field_matrix(linear_sample.inputs)
         assert (predict_step(fine, grid, u, loaded).tobytes()
                 == predict_step(fine, grid, u, params).tobytes())
+
+    def test_single_level_schedule_skips_coarse_level(self, linear_sample, monkeypatch):
+        # Fresh meshes, so no containment_edges call is hidden by a cached Graph.
+        fine, coarse = M.generate_mesh(UNIT_SQUARE, 0.1), M.generate_mesh(UNIT_SQUARE, 0.3)
+        sample = D.Sample(fine, coarse, linear_sample.inputs, linear_sample.targets,
+                          "native", None)
+        calls = []
+        real = G.containment_edges
+        monkeypatch.setattr(G, "containment_edges", lambda *a: calls.append(a) or real(*a))
+        params = small_params(schedule="p=3H (U=0,D=0)")
+        T.train(params, [sample], small_config(2))
+        assert calls == []
+        assert params.edge_normalizers["fine"].n_accumulations == 2
+        for kind in ("coarse", "down", "up"):
+            assert params.edge_normalizers[kind].n_accumulations == 0
 
     def test_warmup_budget_validated(self):
         with pytest.raises(ValueError):

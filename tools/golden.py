@@ -108,7 +108,7 @@ def mesh_sweep_line():
 def grid_line():
     h = hashlib.sha256()
     mesh, grid = generate_mesh(GRID_CHANNEL, 1.2e-2), GridLevel(GRID_CHANNEL, 0.1)
-    for graph in (transfer_graph(mesh, grid), transfer_graph(grid, mesh)):
+    for graph in (transfer_graph(mesh, grid, "down"), transfer_graph(mesh, grid, "up")):
         for arr in (graph.senders, graph.receivers, graph.features):
             h.update(arr.tobytes())
     fine = generate_mesh(TEST_DOMAIN, 1.2e-2)

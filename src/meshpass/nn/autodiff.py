@@ -3,8 +3,10 @@
 The engine records a tape of primitive operations as the forward pass runs;
 ``backward``/``grad`` replay it in reverse to accumulate vector-Jacobian
 products. Only the primitives the model needs are implemented: dense affine
-maps, ReLU, concatenation, sparse gather/scatter (for graph message
-passing), layer normalization and the reductions used by the loss.
+maps (``matmul`` with an optional bias, added in place on its own output),
+ReLU, concatenation, sparse gather/scatter (for graph message passing; a
+gather runs forward as ``np.take`` of its stored indices), layer
+normalization and the reductions used by the loss.
 
 Inside ``with no_tape():`` the same ops record nothing: their outputs have
 no parents and no vjp, so intermediates are freed as soon as the forward
@@ -98,14 +100,23 @@ def _unbroadcast(g, shape):
     return g
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """``a @ b``, plus ``bias`` broadcast over the rows when given."""
     av, bv = value(a), value(b)
-    out = _check("matmul", av @ bv)
+    out = av @ bv
+    if bias is None:
+        parents = (a, b)
+    else:
+        out += value(bias)
+        parents = (a, b, bias)
+    _check("matmul", out)
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        if bias is None:
+            return g @ bv.T, av.T @ g
+        return g @ bv.T, av.T @ g, g.sum(axis=0)
 
-    return _result(out, "matmul", (a, b), vjp)
+    return _result(out, "matmul", parents, vjp)
 
 
 def add(a, b):
@@ -166,14 +177,17 @@ class SparseOp:
 
     Rows of ``mat`` select (gather) or sum (scatter-add) rows of the dense
     operand. CSR matmul applies terms in index order, which keeps the
-    aggregation bit-deterministic regardless of edge storage order.
+    aggregation bit-deterministic regardless of edge storage order. A
+    gather also keeps its ``indices``, so its forward pass is a plain
+    ``np.take``; it is None for any other operator.
     """
 
-    def __init__(self, mat):
+    def __init__(self, mat, indices=None):
         self.mat = sp.csr_matrix(mat)
         self.mat.sort_indices()
         self.mat_t = self.mat.T.tocsr()
         self.mat_t.sort_indices()
+        self.indices = indices
 
     @staticmethod
     def gather(indices, n_rows):
@@ -183,7 +197,7 @@ class SparseOp:
         mat = sp.csr_matrix(
             (np.ones(m), indices, np.arange(m + 1)), shape=(m, n_rows)
         )
-        return SparseOp(mat)
+        return SparseOp(mat, indices)
 
     @staticmethod
     def segment_sum(indices, n_rows):
@@ -194,7 +208,11 @@ class SparseOp:
 def spmm(op, a):
     """Multiply a constant :class:`SparseOp` with a dense tensor."""
     av = value(a)
-    out = _check("spmm", op.mat @ av)
+    if op.indices is None:
+        out = op.mat @ av
+    else:
+        out = np.take(av, op.indices, axis=0)
+    _check("spmm", out)
 
     def vjp(g):
         return (op.mat_t @ g,)

@@ -34,9 +34,9 @@ class Mlp:
             self.ln_bias = Tensor(np.zeros(out_width))
 
     def __call__(self, x):
-        h = ad.relu(ad.add(ad.matmul(x, self.weights[0]), self.biases[0]))
-        h = ad.relu(ad.add(ad.matmul(h, self.weights[1]), self.biases[1]))
-        out = ad.add(ad.matmul(h, self.weights[2]), self.biases[2])
+        h = ad.relu(ad.matmul(x, self.weights[0], self.biases[0]))
+        h = ad.relu(ad.matmul(h, self.weights[1], self.biases[1]))
+        out = ad.matmul(h, self.weights[2], self.biases[2])
         if self.layer_norm:
             out = ad.layer_norm(out, self.ln_gain, self.ln_bias)
         return out

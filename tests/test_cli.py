@@ -260,7 +260,8 @@ class TestTrain:
         real_matmul = ad.matmul
         monkeypatch.setattr(
             ad, "matmul",
-            lambda a, b: real_matmul(ad.Tensor(np.full_like(ad.value(a), np.nan)), b),
+            lambda a, b, bias=None: real_matmul(
+                ad.Tensor(np.full_like(ad.value(a), np.nan)), b, bias),
         )
         rc = main(["train", "--dataset", generated, "--out", str(tmp_path / "run"),
                    "--steps", "2"] + SMALL_MODEL)

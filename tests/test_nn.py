@@ -36,8 +36,8 @@ def max_rel_err(a, b, floor=1e-6):
 class TestAutodiffOps:
     @pytest.mark.parametrize(
         "name",
-        ["matmul", "add_bias", "relu", "concat", "mul", "sub", "layer_norm",
-         "gather", "segment_sum"],
+        ["matmul", "matmul_bias", "add_bias", "relu", "concat", "mul", "sub",
+         "layer_norm", "gather", "segment_sum"],
     )
     def test_op_gradients_match_finite_differences(self, name):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -48,6 +48,7 @@ class TestAutodiffOps:
         idx = np.array([0, 2, 2, 5, 1, 3])
         builders = {
             "matmul": (lambda: ad.matmul(x, w), [x, w]),
+            "matmul_bias": (lambda: ad.matmul(x, w, b), [x, w, b]),
             "add_bias": (lambda: ad.add(ad.matmul(x, w), b), [x, w, b]),
             "relu": (lambda: ad.relu(ad.matmul(x, w)), [x, w]),
             "concat": (lambda: ad.concat([x, ad.mul(x, 2.0)]), [x]),
@@ -69,6 +70,39 @@ class TestAutodiffOps:
         with pytest.raises(nn.NonFiniteError) as err:
             ad.mul(x, 2.0)
         assert "mul" in str(err.value)
+
+    def test_nonfinite_bias_raises_at_matmul(self):
+        x = ad.Tensor(np.ones((2, 2)))
+        w = ad.Tensor(np.ones((2, 3)))
+        b = ad.Tensor([0.0, np.nan, 0.0])
+        with pytest.raises(nn.NonFiniteError) as err:
+            ad.matmul(x, w, b)
+        assert err.value.op_name == "matmul"
+
+    def test_matmul_bias_matches_separate_add_bytes(self):
+        rng = np.random.default_rng(3)
+        x = ad.Tensor(rng.normal(size=(7, 4)))
+        w = ad.Tensor(rng.normal(size=(4, 5)))
+        b = ad.Tensor(rng.normal(size=5))
+        g = rng.normal(size=(7, 5))
+        fused = ad.matmul(x, w, b)
+        split = ad.add(ad.matmul(x, w), b)
+        assert fused.data.tobytes() == split.data.tobytes()
+        fused_grads = ad.backward(fused, seed=g, wrt=[x, w, b])
+        split_grads = ad.backward(split, seed=g, wrt=[x, w, b])
+        for a, c in zip(fused_grads, split_grads):
+            assert a.tobytes() == c.tobytes()
+
+    def test_gather_take_matches_csr_bytes(self):
+        rng = np.random.default_rng(4)
+        idx = np.array([3, 0, 0, 4, 2, 4, 1])
+        op = ad.SparseOp.gather(idx, 5)
+        x = ad.Tensor(rng.normal(size=(5, 3)))
+        g = rng.normal(size=(len(idx), 3))
+        out = ad.spmm(op, x)
+        assert out.data.tobytes() == (op.mat @ x.data).tobytes()
+        (gx,) = ad.backward(out, seed=g, wrt=[x])
+        assert gx.tobytes() == (op.mat_t @ g).tobytes()
 
     def test_shared_subexpression_accumulates(self):
         x = ad.Tensor([[2.0]])

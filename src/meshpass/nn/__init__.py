@@ -14,6 +14,7 @@ from .autodiff import (
     mul,
     no_tape,
     relu,
+    row_block,
     spmm,
     sub,
     sum_all,
@@ -44,6 +45,7 @@ __all__ = [
     "mul",
     "no_tape",
     "relu",
+    "row_block",
     "save_blocks",
     "spmm",
     "sub",

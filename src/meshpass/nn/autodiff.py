@@ -4,7 +4,7 @@ The engine records a tape of primitive operations as the forward pass runs;
 ``backward``/``grad`` replay it in reverse to accumulate vector-Jacobian
 products. Only the primitives the model needs are implemented: dense affine
 maps (``matmul`` with an optional bias, added in place on its own output),
-ReLU, concatenation, sparse gather/scatter (for graph message passing; a
+row blocks of a weight (``row_block``), ReLU, concatenation, sparse gather/scatter (for graph message passing; a
 gather runs forward as ``np.take`` of its stored indices), layer
 normalization and the reductions used by the loss.
 
@@ -117,6 +117,19 @@ def matmul(a, b, bias=None):
         return g @ bv.T, av.T @ g, g.sum(axis=0)
 
     return _result(out, "matmul", parents, vjp)
+
+
+def row_block(a, start, stop):
+    """Rows ``start:stop`` of a 2-D tensor, as a view of its data."""
+    av = value(a)
+    out = _check("row_block", av[start:stop])
+
+    def vjp(g):
+        full = np.zeros_like(av)
+        full[start:stop] = g
+        return (full,)
+
+    return _result(out, "row_block", (a,), vjp)
 
 
 def add(a, b):

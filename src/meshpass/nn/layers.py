@@ -34,7 +34,12 @@ class Mlp:
             self.ln_bias = Tensor(np.zeros(out_width))
 
     def __call__(self, x):
-        h = ad.relu(ad.matmul(x, self.weights[0], self.biases[0]))
+        return self.tail(ad.matmul(x, self.weights[0], self.biases[0]))
+
+    def tail(self, pre):
+        """The rest of the forward pass from ``pre``, the output of the
+        first affine map (input times ``weights[0]`` plus ``biases[0]``)."""
+        h = ad.relu(pre)
         h = ad.relu(ad.matmul(h, self.weights[1], self.biases[1]))
         out = ad.matmul(h, self.weights[2], self.biases[2])
         if self.layer_norm:

@@ -279,10 +279,23 @@ class ModelParams:
 def update(graph, src, dst, edges, block):
     """One interaction-network step on ``graph``: edges read their sender
     in ``src`` and receiver in ``dst``; ``dst`` nodes sum their incoming
-    edges. Returns the new (dst, edges); ``src`` is untouched."""
-    vs = nn.spmm(graph.gather_send, src)
-    vr = nn.spmm(graph.gather_recv, dst)
-    edges = nn.add(edges, block.edge_mlp(nn.concat([edges, vs, vr])))
+    edges. Returns the new (dst, edges); ``src`` is untouched.
+
+    The edge MLP reads ``[e, v_s, v_r]`` per edge. Its first affine map is
+    applied by row blocks of its (3d, h) weight,
+    ``e @ W_e + b + (src @ W_s)[s] + (dst @ W_r)[r]``, so the sender and
+    receiver blocks are multiplied on node rows and then gathered to the
+    edges, instead of on the gathered E x 3d concatenation. A gather only
+    copies rows, so this is the same map in exact arithmetic; in floating
+    point only the order of the sums differs.
+    """
+    mlp, d = block.edge_mlp, edges.shape[-1]
+    w0 = mlp.weights[0]
+    pre = nn.matmul(edges, nn.row_block(w0, 0, d), mlp.biases[0])
+    vs = nn.matmul(src, nn.row_block(w0, d, 2 * d))
+    vr = nn.matmul(dst, nn.row_block(w0, 2 * d, 3 * d))
+    pre = nn.add(nn.add(pre, nn.spmm(graph.gather_send, vs)), nn.spmm(graph.gather_recv, vr))
+    edges = nn.add(edges, mlp.tail(pre))
     agg = nn.spmm(graph.aggregate, edges)
     return nn.add(dst, block.node_mlp(nn.concat([dst, agg]))), edges
 

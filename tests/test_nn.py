@@ -36,8 +36,8 @@ def max_rel_err(a, b, floor=1e-6):
 class TestAutodiffOps:
     @pytest.mark.parametrize(
         "name",
-        ["matmul", "matmul_bias", "add_bias", "relu", "concat", "mul", "sub",
-         "layer_norm", "gather", "segment_sum"],
+        ["matmul", "matmul_bias", "add_bias", "row_block", "relu", "concat", "mul",
+         "sub", "layer_norm", "gather", "segment_sum"],
     )
     def test_op_gradients_match_finite_differences(self, name):
         rng = np.random.default_rng(hash(name) % 2**32)
@@ -50,6 +50,9 @@ class TestAutodiffOps:
             "matmul": (lambda: ad.matmul(x, w), [x, w]),
             "matmul_bias": (lambda: ad.matmul(x, w, b), [x, w, b]),
             "add_bias": (lambda: ad.add(ad.matmul(x, w), b), [x, w, b]),
+            # Overlapping blocks: their gradients add up on rows 2 and 3.
+            "row_block": (lambda: ad.add(ad.matmul(ad.row_block(x, 0, 4), w),
+                                         ad.matmul(ad.row_block(x, 2, 6), w)), [x, w]),
             "relu": (lambda: ad.relu(ad.matmul(x, w)), [x, w]),
             "concat": (lambda: ad.concat([x, ad.mul(x, 2.0)]), [x]),
             "mul": (lambda: ad.mul(x, c), [x]),

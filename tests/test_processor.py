@@ -223,6 +223,89 @@ class TestGraphUpdates:
             assert got == influence[j]
 
 
+def concat_update(graph, src, dst, edges, block):
+    """The edge update written as the graph-network formula: the edge MLP
+    on ``concat([e, v_s, v_r])``, with the senders and receivers gathered
+    to the edges first."""
+    vs = nn.spmm(graph.gather_send, src)
+    vr = nn.spmm(graph.gather_recv, dst)
+    edges = nn.add(edges, block.edge_mlp(nn.concat([edges, vs, vr])))
+    agg = nn.spmm(graph.aggregate, edges)
+    return nn.add(dst, block.node_mlp(nn.concat([dst, agg]))), edges
+
+
+def max_rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestBlockFactoredEdgeUpdate:
+    """``update`` applies the edge MLP's first layer by row blocks of its
+    weight; it must equal the concatenated formula up to sum order."""
+
+    D, H = 8, 16
+
+    @pytest.fixture(scope="class")
+    def level_graphs(self, channel):
+        _, fine, coarse = channel
+        return {
+            "H": (G.mesh_graph(fine), fine.n_nodes, fine.n_nodes),
+            "D": (G.transfer_graph(fine, coarse, "down"), fine.n_nodes, coarse.n_nodes),
+            "U": (G.transfer_graph(fine, coarse, "up"), coarse.n_nodes, fine.n_nodes),
+        }
+
+    def _inputs(self, graph, n_src, n_dst, kind):
+        rng = np.random.default_rng(ord(kind))
+        block = P.ProcessorBlock(kind, self.D, self.H, rng)
+        src = nn.Tensor(rng.normal(size=(n_src, self.D)))
+        dst = src if kind == "H" else nn.Tensor(rng.normal(size=(n_dst, self.D)))
+        edges = nn.Tensor(rng.normal(size=(len(graph.senders), self.D)))
+        return block, src, dst, edges
+
+    @pytest.mark.parametrize("kind", ["H", "D", "U"])
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_outputs_match_concat_formula(self, level_graphs, kind, taped):
+        graph, n_src, n_dst = level_graphs[kind]
+        block, src, dst, edges = self._inputs(graph, n_src, n_dst, kind)
+        if taped:
+            new = P.update(graph, src, dst, edges, block)
+            ref = concat_update(graph, src, dst, edges, block)
+        else:
+            with nn.no_tape():
+                new = P.update(graph, src, dst, edges, block)
+                ref = concat_update(graph, src, dst, edges, block)
+            assert new[0].vjp is None and new[1].vjp is None
+        for got, want in zip(new, ref):
+            assert got.shape == want.shape
+            assert max_rel_diff(got.data, want.data) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["H", "D", "U"])
+    def test_gradients_match_concat_formula(self, level_graphs, kind):
+        graph, n_src, n_dst = level_graphs[kind]
+        block, src, dst, edges = self._inputs(graph, n_src, n_dst, kind)
+        leaves = [src, dst, edges] + block.edge_mlp.parameters()
+        seeds = np.random.default_rng(1).normal(size=(n_dst, self.D))
+        new = nn.backward(P.update(graph, src, dst, edges, block)[0], seed=seeds, wrt=leaves)
+        ref = nn.backward(concat_update(graph, src, dst, edges, block)[0], seed=seeds,
+                          wrt=leaves)
+        for got, want in zip(new, ref):
+            assert max_rel_diff(got, want) < 1e-12
+
+    def test_parameter_names_and_shapes_unchanged(self):
+        d, h = self.D, self.H
+        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, d, h, seed=0)
+        block_shapes = {
+            "edge/w0": (3 * d, h), "edge/b0": (h,), "edge/w1": (h, h), "edge/b1": (h,),
+            "edge/w2": (h, d), "edge/b2": (d,), "edge/ln_gain": (d,), "edge/ln_bias": (d,),
+            "node/w0": (2 * d, h), "node/b0": (h,), "node/w1": (h, h), "node/b1": (h,),
+            "node/w2": (h, d), "node/b2": (d,), "node/ln_gain": (d,), "node/ln_bias": (d,),
+        }
+        shapes = {name: t.shape for name, t in params.named_parameters().items()}
+        for i, kind in enumerate("HDLUH"):
+            for name, shape in block_shapes.items():
+                assert shapes.pop(f"block_{i:03d}_{kind}/{name}") == shape
+        assert all(name.startswith(("enc_", "decoder/")) for name in shapes)
+
+
 class TestModelParams:
     def test_one_block_per_step_no_sharing(self):
         params = P.ModelParams("p=2H 2L 2H (U=1,D=1)", 1, 8, 8, seed=0)

@@ -193,14 +193,17 @@ def cmd_train(args):
     if not os.path.isdir(args.dataset):
         print(f"error: dataset directory not found: {args.dataset}", file=sys.stderr)
         return 1
-    samples = dataset.load_dataset(args.dataset, coarse_edge_min=cfg["coarse_edge_min"])
+    schedule = parse_schedule(cfg["processor"])
+    samples = dataset.load_dataset(
+        args.dataset,
+        coarse_edge_min=cfg["coarse_edge_min"] if schedule.has_coarse_steps else None,
+    )
     if not samples:
         print(f"error: no scenarios under {args.dataset}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
     if args.resume:
         params, optimizer, start_step = load_checkpoint(args.resume)
-        schedule = parse_schedule(cfg["processor"])
         for key, held, same in (
             ("processor", params.schedule.text, schedule == params.schedule),
             ("latent_size", params.latent_size, cfg["latent_size"] == params.latent_size),
@@ -256,7 +259,9 @@ def cmd_eval(args):
         report = evaluate(factory, meshes, ref_traj, model="solver", mps=0,
                           schedule="", max_rollout=cfg["max_rollout"])
     else:
-        coarse = dataset.coarse_mesh(pde_cfg.domain, cfg["seed"], cfg["coarse_edge_min"])
+        coarse = None
+        if params.schedule.has_coarse_steps:
+            coarse = dataset.coarse_mesh(pde_cfg.domain, cfg["seed"], cfg["coarse_edge_min"])
 
         def factory(mesh):
             return ModelStepper(params, coarse).bind(mesh)

@@ -268,7 +268,9 @@ def load_dataset(root, coarse_edge_min=COARSE_EDGE_MIN):
     """Rebuild training samples from a dataset directory.
 
     Each scenario's coarse mesh is generated here, once, from its stored
-    parameters; high-accuracy labels are used when present.
+    parameters at ``coarse_edge_min``; with ``coarse_edge_min=None`` none
+    is generated and the samples hold None, for a single-level model.
+    High-accuracy labels are used when present.
     """
     samples = []
     names = sorted(
@@ -276,7 +278,9 @@ def load_dataset(root, coarse_edge_min=COARSE_EDGE_MIN):
     )
     for name in names:
         scenario, mesh, traj, ha, _ = read_scenario_dir(os.path.join(root, name))
-        coarse = coarse_mesh(scenario.domain(), scenario.seed, coarse_edge_min)
+        coarse = None
+        if coarse_edge_min is not None:
+            coarse = coarse_mesh(scenario.domain(), scenario.seed, coarse_edge_min)
         use = ha if ha is not None else traj
         provenance = "high_accuracy" if ha is not None else "native"
         samples.extend(trajectory_to_samples(mesh, coarse, use, provenance, scenario))

@@ -63,6 +63,12 @@ class Schedule:
     def d_count(self):
         return self.steps.count(STEP_DOWN)
 
+    @property
+    def has_coarse_steps(self):
+        """Whether any L, D or U step reads a coarse level. Every L run is
+        entered by a D step, so this is ``d_count > 0``."""
+        return self.d_count > 0
+
     def __eq__(self, other):
         return isinstance(other, Schedule) and self.steps == other.steps
 
@@ -180,9 +186,7 @@ class ModelParams:
                     f"model coarse_kind is {self.coarse_kind!r} but the coarse level "
                     f"given is a {level_kind!r} level"
                 )
-        # Every L run is entered by a D step, so d_count > 0 iff the schedule
-        # has any L, D or U step.
-        if self.schedule.d_count == 0:
+        if not self.schedule.has_coarse_steps:
             return False
         if coarse_level is None:
             raise ValueError("schedule uses L/D/U steps but no coarse level was given")

@@ -183,6 +183,23 @@ class TestMeshGeneratedOnce:
         dataset.load_dataset(out, coarse_edge_min=2e-2)
         assert mesh_calls == [(2e-2, s + 1) for s in seeds]
 
+    @pytest.mark.parametrize("processor,coarse_calls", [
+        ("p=3H (U=0,D=0)", 0),
+        ("p=1H 1L 1H (U=1,D=1)", 3),  # one per training scenario, one in eval
+    ])
+    def test_coarse_mesh_only_for_two_level_schedule(self, generated, tmp_path, mesh_calls,
+                                                    processor, coarse_calls):
+        run = str(tmp_path / "run")
+        assert main(["train", "--dataset", generated, "--out", run, "--steps", "1",
+                     "--processor", processor] + SMALL_MODEL) == 0
+        assert main(["eval", "--out", str(tmp_path / "ev"),
+                     "--checkpoint", os.path.join(run, "checkpoint.bin"),
+                     "--set", "eval_resolutions=2e-2,1.4e-2", "--set", "eval_steps=2",
+                     "--set", "max_rollout=2"]) == 0
+        coarse_edge_min = CONFIG_DEFAULTS["coarse_edge_min"][0]
+        assert [e for e, _ in mesh_calls].count(coarse_edge_min) == coarse_calls
+        assert len(mesh_calls) > coarse_calls  # the test meshes
+
     def test_refine_below_two_rejected_before_any_mesh(self, tmp_path, capsys, mesh_calls):
         rc = main(["gen", "--out", str(tmp_path / "r1"), "--scenarios", "1",
                    "--labels", "high-accuracy", "--refine", "1"] + self.GEN)

@@ -4,9 +4,10 @@ The engine records a tape of primitive operations as the forward pass runs;
 ``backward``/``grad`` replay it in reverse to accumulate vector-Jacobian
 products. Only the primitives the model needs are implemented: dense affine
 maps (``matmul`` with an optional bias, added in place on its own output),
-row blocks of a weight (``row_block``), ReLU, concatenation, sparse gather/scatter (for graph message passing; a
-gather runs forward as ``np.take`` of its stored indices), layer
-normalization and the reductions used by the loss.
+row blocks of a weight (``row_block``), ReLU, concatenation, sparse
+gather/scatter for graph message passing (a gather runs forward as
+``np.take`` of its stored indices), layer normalization and the reductions
+used by the loss.
 
 Inside ``with no_tape():`` the same ops record nothing: their outputs have
 no parents and no vjp, so intermediates are freed as soon as the forward
@@ -104,17 +105,15 @@ def matmul(a, b, bias=None):
     """``a @ b``, plus ``bias`` broadcast over the rows when given."""
     av, bv = value(a), value(b)
     out = av @ bv
-    if bias is None:
-        parents = (a, b)
-    else:
+    parents = (a, b)
+    if bias is not None:
         out += value(bias)
-        parents = (a, b, bias)
+        parents += (bias,)
     _check("matmul", out)
 
     def vjp(g):
-        if bias is None:
-            return g @ bv.T, av.T @ g
-        return g @ bv.T, av.T @ g, g.sum(axis=0)
+        grads = (g @ bv.T, av.T @ g)
+        return grads if bias is None else grads + (g.sum(axis=0),)
 
     return _result(out, "matmul", parents, vjp)
 

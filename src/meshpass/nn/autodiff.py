@@ -43,7 +43,11 @@ _taping = True
 def no_tape():
     """Inference mode: ops inside the block record no tape (no parents, no
     vjp), so nothing computed in it can be differentiated. The previous
-    mode is restored on exit, also when the block raises."""
+    mode is restored on exit, also when the block raises.
+
+    The mode is process-wide, not per thread: while one thread is inside
+    the block, ops of every other thread record nothing either. So worker
+    threads that run taped passes (``training.train``) must not enter it."""
     global _taping
     previous, _taping = _taping, False
     try:
@@ -239,18 +243,22 @@ def layer_norm(x, gain, bias):
     """Per-row layer normalization with learned gain and bias."""
     xv = value(x)
     gv, bv = value(gain), value(bias)
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (xv - mu) * inv
-    out = _check("layer_norm", xhat * gv + bv)
-    d = xv.shape[-1]
+    xhat = xv - xv.mean(axis=-1, keepdims=True)
+    sq = xhat * xhat
+    # The variance as np.var computes it, from the centred rows above.
+    inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / xv.shape[-1] + _LN_EPS)
+    xhat *= inv
+    out = np.multiply(xhat, gv, out=sq)
+    out += bv
+    _check("layer_norm", out)
 
     def vjp(g):
-        gx_hat = g * gv
-        m1 = gx_hat.mean(axis=-1, keepdims=True)
-        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gx_hat - m1 - xhat * m2)
+        gx = g * gv
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        gx -= m1
+        gx -= xhat * m2
+        gx *= inv
         gg = _unbroadcast(g * xhat, gv.shape)
         gb = _unbroadcast(g, bv.shape)
         return gx, gg, gb
@@ -316,14 +324,18 @@ def backward(root, seed=None, wrt=None):
         root.sum()).
     wrt : sequence of Tensor, optional
         If given, return a list of gradients aligned with ``wrt`` (zeros for
-        unused leaves); otherwise return the full id->gradient dict.
+        unused leaves); otherwise return the full id->gradient dict. With
+        ``wrt``, the adjoint of each node not in ``wrt`` is dropped as soon
+        as its vjp has run, so a spent adjoint is freed during the pass.
     """
     grads = {}
     if seed is None:
         seed = np.ones_like(root.data)
     grads[id(root)] = np.asarray(seed, dtype=np.float64)
+    keep = None if wrt is None else {id(p) for p in wrt}
     for node in _topo_order(root):
-        g = grads.get(id(node))
+        nid = id(node)
+        g = grads.get(nid) if keep is None or nid in keep else grads.pop(nid, None)
         if g is None:
             continue
         if not np.all(np.isfinite(g)):

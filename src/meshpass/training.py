@@ -12,8 +12,10 @@ same code path.
 from __future__ import annotations
 
 import csv
+import os
 import time
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,14 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """Settings of one training run.
+
+    ``normalizer_steps`` is the warm-up: while ``step < normalizer_steps``
+    a step absorbs every sample of its batch into the normalizers before
+    any of its forward passes runs, so all passes of a step normalize with
+    the same statistics. After the warm-up the statistics are frozen.
+    """
+
     steps: int = 10000
     learning_rate: float = 1e-4
     lr_decay: float = 0.1  # total multiplicative decay across the run
@@ -89,51 +99,63 @@ def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
           callback=None):
     """Train ``params`` in place on a list of samples; returns history rows.
 
-    History rows are dicts (step, loss, lr, sec_per_step). Deterministic for
-    fixed (config.seed, samples) in single-threaded mode; resuming from
-    ``start_step`` with the same optimizer state reproduces an uninterrupted
-    run because the RNG stream is derived per step. ``stop_step`` pauses a
-    run early without changing the learning-rate schedule (which is tied to
-    ``config.steps``).
+    History rows are dicts (step, loss, lr, sec_per_step). A step draws its
+    batch, absorbs it into the normalizers (while
+    ``step < config.normalizer_steps``) and draws each sample's input noise
+    in batch order. Only then do the forward and backward passes run, on
+    ``min(batch_size, usable cores)`` worker threads, so every pass of a
+    warm-up step sees the statistics of the whole batch. The gradients are
+    summed in batch order and averaged. The result is deterministic for
+    fixed (config.seed, samples) and does not depend on the worker count;
+    resuming from ``start_step`` with the same optimizer state reproduces
+    an uninterrupted run because the RNG stream is derived per step.
+    ``stop_step`` pauses a run early without changing the learning-rate
+    schedule (which is tied to ``config.steps``).
     """
     if not samples:
         raise TrainingError("empty training set")
     if optimizer is None:
         optimizer = nn.Adam(params.parameters(), lr=config.learning_rate)
     plist = params.parameters()
+
+    def sample_pass(step, sample, noisy):
+        # Runs in a worker: a taped pass whose tape dies with this call.
+        loss = training_loss(params, sample, noisy_inputs=noisy)
+        if not np.isfinite(loss.data):
+            raise TrainingError(f"training diverged at step {step}")
+        return float(loss.data), nn.backward(loss, wrt=plist)
+
     history = []
-    for step in range(start_step, config.steps if stop_step is None else stop_step):
-        rng = np.random.default_rng([config.seed, step])
-        t0 = time.perf_counter()
-        batch_idx = rng.integers(0, len(samples), size=config.batch_size)
-        grads = None
-        loss_total = 0.0
-        for idx in batch_idx:
-            sample = samples[int(idx)]
-            inputs = as_field_matrix(sample.inputs)
+    workers = min(config.batch_size, len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(workers) as pool:
+        for step in range(start_step, config.steps if stop_step is None else stop_step):
+            rng = np.random.default_rng([config.seed, step])
+            t0 = time.perf_counter()
+            batch = [samples[int(i)]
+                     for i in rng.integers(0, len(samples), size=config.batch_size)]
             if step < config.normalizer_steps:
-                warm_up_normalizers(params, [sample])
-            noise = rng.normal(0.0, config.noise_std, size=inputs.shape)
-            noisy = inputs + noise * params.node_field_normalizer.std
-            loss = training_loss(params, sample, noisy_inputs=noisy)
-            if not np.isfinite(loss.data):
-                raise TrainingError(f"training diverged at step {step}")
-            gs = nn.backward(loss, wrt=plist)
-            grads = gs if grads is None else [a + b for a, b in zip(grads, gs)]
-            loss_total += float(loss.data)
-        if config.batch_size > 1:
-            grads = [g / config.batch_size for g in grads]
-        optimizer.step(grads, lr=config.lr_at(step))
-        history.append(
-            {
-                "step": step,
-                "loss": loss_total / config.batch_size,
-                "lr": config.lr_at(step),
-                "sec_per_step": time.perf_counter() - t0,
-            }
-        )
-        if callback is not None:
-            callback(step, history[-1])
+                warm_up_normalizers(params, batch)
+            std = params.node_field_normalizer.std
+            inputs = [as_field_matrix(sample.inputs) for sample in batch]
+            noisy = [x + rng.normal(0.0, config.noise_std, size=x.shape) * std for x in inputs]
+            grads = None
+            loss_total = 0.0
+            for loss, gs in pool.map(sample_pass, [step] * len(batch), batch, noisy):
+                grads = gs if grads is None else [a + b for a, b in zip(grads, gs)]
+                loss_total += loss
+            if config.batch_size > 1:
+                grads = [g / config.batch_size for g in grads]
+            optimizer.step(grads, lr=config.lr_at(step))
+            history.append(
+                {
+                    "step": step,
+                    "loss": loss_total / config.batch_size,
+                    "lr": config.lr_at(step),
+                    "sec_per_step": time.perf_counter() - t0,
+                }
+            )
+            if callback is not None:
+                callback(step, history[-1])
     return history
 
 

@@ -3,6 +3,7 @@
 import csv
 import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -286,6 +287,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "operation 'matmul'" in err
 
+    def test_non_finite_forward_in_worker_exits_1(self, generated, tmp_path, capsys,
+                                                   monkeypatch):
+        from meshpass.nn import autodiff as ad
+
+        real_matmul = ad.matmul
+        monkeypatch.setattr(
+            ad, "matmul",
+            lambda a, b, bias=None: real_matmul(
+                ad.Tensor(np.full_like(ad.value(a), np.nan)), b, bias),
+        )
+        threads = threading.active_count()
+        errors = []
+        for batch_size in (1, 2):
+            out = tmp_path / f"run{batch_size}"
+            rc = main(["train", "--dataset", generated, "--out", str(out), "--steps", "2",
+                       "--set", f"batch_size={batch_size}"] + SMALL_MODEL)
+            assert rc == 1
+            assert not (out / "checkpoint.bin").exists()
+            assert threading.active_count() == threads
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: ") and "operation 'matmul'" in errors[0]
+        assert errors[1] == errors[0]
+
     @pytest.mark.parametrize("damage,named", [
         ("no_radius", "has no 'radius' entry"),
         ("garbage", "is not key=value: 'garbage'"),
@@ -357,6 +381,19 @@ class TestTrain:
         T.train(whole, samples, cfg)
         for a, b in zip(whole.parameters(), resumed.parameters()):
             assert np.array_equal(a.data, b.data)
+
+    def test_resume_at_batch_2_reproduces_checkpoint_bytes(self, generated, tmp_path):
+        # A constant learning rate, so the 3-step run's horizon does not
+        # change the steps it takes.
+        args = ["--dataset", generated, "--processor", "p=1H 1L 1H (U=1,D=1)",
+                "--seed", "2", "--set", "batch_size=2", "--set", "lr_decay=1"] + SMALL_MODEL
+        one, first, second = (str(tmp_path / name) for name in ("one", "first", "second"))
+        assert main(["train", "--out", one, "--steps", "6"] + args) == 0
+        assert main(["train", "--out", first, "--steps", "3"] + args) == 0
+        assert main(["train", "--out", second, "--steps", "6", "--resume",
+                     os.path.join(first, "checkpoint.bin")] + args) == 0
+        whole = (tmp_path / "one" / "checkpoint.bin").read_bytes()
+        assert (tmp_path / "second" / "checkpoint.bin").read_bytes() == whole
 
     @pytest.mark.parametrize("key, flags, held, wanted", [
         ("processor", ["--processor", "p=3H (U=0,D=0)"],

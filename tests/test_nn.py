@@ -1,5 +1,7 @@
 """Autodiff, MLP, normalizer, optimizer, and checkpoint tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,26 @@ class TestAutodiffOps:
         (gx,) = ad.backward(out, seed=g, wrt=[x])
         assert gx.tobytes() == (op.mat_t @ g).tobytes()
 
+    def test_layer_norm_matches_two_pass_formula_bytes(self):
+        rng = np.random.default_rng(5)
+        x = ad.Tensor(rng.normal(size=(40, 16)) * 3.0 + 1.0)
+        gain, bias = ad.Tensor(rng.normal(size=16)), ad.Tensor(rng.normal(size=16))
+        g = rng.normal(size=(40, 16))
+        # The formula before the centred rows were computed once: np.var
+        # recomputes the mean, and the VJP builds new arrays at every step.
+        xv, gv, bv = x.data, gain.data, bias.data
+        inv = 1.0 / np.sqrt(xv.var(axis=-1, keepdims=True) + ad._LN_EPS)
+        xhat = (xv - xv.mean(axis=-1, keepdims=True)) * inv
+        gx_hat = g * gv
+        m1 = gx_hat.mean(axis=-1, keepdims=True)
+        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        expected = [xhat * gv + bv, inv * (gx_hat - m1 - xhat * m2),
+                    (g * xhat).sum(axis=0), g.sum(axis=0)]
+        out = ad.layer_norm(x, gain, bias)
+        got = [out.data] + ad.backward(out, seed=g, wrt=[x, gain, bias])
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
     def test_shared_subexpression_accumulates(self):
         x = ad.Tensor([[2.0]])
         y = ad.add(ad.mul(x, 3.0), ad.mul(x, 4.0))  # 7x
@@ -144,6 +166,36 @@ class TestNoTape:
                 ad.mul(w, np.inf)
         (g,) = nn.grad(lambda ps: ad.mean_sq(ad.matmul(np.ones((1, 1)), ps[0])), [w])
         assert g[0, 0] == 4.0
+
+
+class TestBackwardWrt:
+    @staticmethod
+    def three_block_loss():
+        # Three residual MLP blocks on 2000 rows, as one processor step each.
+        rng = np.random.default_rng(6)
+        mlps = [nn.Mlp(32, 32, hidden=32, rng=rng) for _ in range(3)]
+        h = ad.Tensor(rng.normal(size=(2000, 32)))
+        for mlp in mlps:
+            h = ad.add(h, mlp(h))
+        return ad.mean_sq(h), [p for mlp in mlps for p in mlp.parameters()]
+
+    def test_gradients_equal_full_dict_bytes(self):
+        loss, params = self.three_block_loss()
+        full = ad.backward(loss)
+        for p, g in zip(params, ad.backward(loss, wrt=params)):
+            assert g.tobytes() == full[id(p)].tobytes()
+
+    def test_spent_adjoints_freed(self):
+        loss, params = self.three_block_loss()
+        peaks = []
+        for wrt in (None, params):
+            tracemalloc.start()
+            ad.backward(loss, wrt=wrt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # The full dict holds one adjoint per taped node (about 10 MB
+        # here); with ``wrt`` only a few are alive at any time.
+        assert peaks[1] < peaks[0] / 2
 
 
 class TestGrad:

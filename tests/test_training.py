@@ -1,5 +1,7 @@
 """Training loop, rollout, and evaluation pipeline tests."""
 
+import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -144,6 +146,119 @@ class TestTrain:
     def test_warmup_budget_validated(self):
         with pytest.raises(ValueError):
             T.TrainConfig(steps=5, normalizer_steps=10)
+
+
+@pytest.fixture(scope="module")
+def sample_pair(linear_sample):
+    # Two samples on one mesh pair with different inputs, so a batch of two
+    # distinct samples differs from a repeated one.
+    inputs = np.random.default_rng(1).normal(size=linear_sample.inputs.shape)
+    delta = linear_sample.targets - linear_sample.inputs
+    other = D.Sample(linear_sample.fine_mesh, linear_sample.coarse_mesh, inputs,
+                     inputs + delta, "native", None)
+    return [linear_sample, other]
+
+
+def batch2_config(steps, normalizer_steps):
+    return T.TrainConfig(steps=steps, learning_rate=3e-4, batch_size=2, seed=4,
+                         noise_std=0.02, schedule=SCHED, normalizer_steps=normalizer_steps,
+                         latent_size=16, hidden_size=16)
+
+
+class TestBatchedTrain:
+    @staticmethod
+    def usable_cores(monkeypatch, n):
+        """Pretend the process may run on ``n`` cores; returns the list of
+        worker counts the pools of later ``train`` calls are opened with."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        opened, real = [], T.ThreadPoolExecutor
+        monkeypatch.setattr(T, "ThreadPoolExecutor", lambda n: opened.append(n) or real(n))
+        return opened
+
+    @staticmethod
+    def sequential_steps(params, samples, cfg, steps):
+        """The batch step done by hand: per-sample backward passes summed in
+        batch order, halved, then one Adam step."""
+        optimizer = nn.Adam(params.parameters(), lr=cfg.learning_rate)
+        distinct = []
+        for step in range(steps):
+            rng = np.random.default_rng([cfg.seed, step])
+            batch = [samples[int(i)] for i in rng.integers(0, len(samples), size=2)]
+            distinct.append(batch[0] is not batch[1])
+            grads = None
+            for sample in batch:
+                x = as_field_matrix(sample.inputs)
+                noise = rng.normal(0.0, cfg.noise_std, size=x.shape)
+                loss = T.training_loss(params, sample, x + noise * params.node_field_normalizer.std)
+                gs = nn.backward(loss, wrt=params.parameters())
+                grads = gs if grads is None else [a + b for a, b in zip(grads, gs)]
+            optimizer.step([g / 2 for g in grads], lr=cfg.lr_at(step))
+        assert any(distinct)
+
+    def test_step_independent_of_worker_count(self, sample_pair, monkeypatch):
+        cfg = batch2_config(3, normalizer_steps=0)
+        runs = []
+        for cores in (1, 2, None):
+            params = small_params(seed=4)
+            T.warm_up_normalizers(params, sample_pair)
+            if cores is None:
+                self.sequential_steps(params, sample_pair, cfg, 3)
+            else:
+                opened = self.usable_cores(monkeypatch, cores)
+                T.train(params, sample_pair, cfg)
+                assert opened == [cores]
+            runs.append([p.data.tobytes() for p in params.parameters()])
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_oversubscribed_pool_matches_one_worker(self, sample_pair, monkeypatch):
+        # 8 workers on fresh meshes, so they build the meshes' cached Graphs
+        # concurrently, with thread switches forced as often as possible.
+        def run(cores):
+            fine, coarse = M.generate_mesh(UNIT_SQUARE, 0.1), M.generate_mesh(UNIT_SQUARE, 0.3)
+            samples = [D.Sample(fine, coarse, s.inputs, s.targets, "native", None)
+                       for s in sample_pair]
+            cfg = T.TrainConfig(steps=2, learning_rate=3e-4, batch_size=8, seed=5,
+                                schedule=SCHED, normalizer_steps=0, latent_size=16,
+                                hidden_size=16)
+            params = small_params(seed=5)
+            self.usable_cores(monkeypatch, cores)
+            T.train(params, samples, cfg)
+            return [p.data.tobytes() for p in params.parameters()]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == run(1)
+
+    def test_pool_opened_with_min_of_batch_and_cores(self, sample_pair, monkeypatch):
+        for cores, batch_size, workers in ((1, 2, 1), (2, 2, 2), (4, 2, 2), (2, 1, 1)):
+            opened = self.usable_cores(monkeypatch, cores)
+            cfg = T.TrainConfig(steps=1, batch_size=batch_size, schedule=SCHED,
+                                normalizer_steps=1, latent_size=16, hidden_size=16)
+            T.train(small_params(), sample_pair, cfg)
+            assert opened == [workers]
+
+    def test_warm_up_absorbs_whole_batch_before_any_pass(self, sample_pair, monkeypatch):
+        params = small_params()
+        seen = []
+        real = T.training_loss
+
+        def spy(params, sample, noisy_inputs=None):
+            seen.append([params.node_field_normalizer.n_accumulations,
+                         params.edge_normalizers["fine"].n_accumulations])
+            return real(params, sample, noisy_inputs)
+
+        monkeypatch.setattr(T, "training_loss", spy)
+        T.train(params, sample_pair, batch2_config(3, normalizer_steps=2))
+        assert seen == [[2, 2]] * 2 + [[4, 4]] * 4
+
+    def test_failure_in_worker_reaches_caller(self, sample_pair, monkeypatch):
+        monkeypatch.setattr(T, "training_loss", lambda *a, **k: nn.Tensor(np.nan))
+        with pytest.raises(T.TrainingError, match="training diverged at step 0"):
+            T.train(small_params(), sample_pair, batch2_config(2, normalizer_steps=1))
 
 
 class TestLossMasking:

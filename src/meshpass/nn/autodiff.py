@@ -17,6 +17,7 @@ pass drops them. Every op still checks its output for non-finite values.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +37,12 @@ def _check(op_name, data):
     return data
 
 
-_taping = True
+class _TapeMode(threading.local):
+    # Whether ops record a tape, per thread: every new thread starts taping.
+    taping = True
+
+
+_mode = _TapeMode()
 
 
 @contextlib.contextmanager
@@ -45,20 +51,18 @@ def no_tape():
     vjp), so nothing computed in it can be differentiated. The previous
     mode is restored on exit, also when the block raises.
 
-    The mode is process-wide, not per thread: while one thread is inside
-    the block, ops of every other thread record nothing either. So worker
-    threads that run taped passes (``training.train``) must not enter it."""
-    global _taping
-    previous, _taping = _taping, False
+    The mode belongs to the calling thread: ops that other threads run
+    meanwhile (``training.train``'s workers, say) still record their tape."""
+    previous, _mode.taping = _mode.taping, False
     try:
         yield
     finally:
-        _taping = previous
+        _mode.taping = previous
 
 
 def _result(out, op, parents, vjp):
     # The op's output Tensor, with its tape record only when taping.
-    if _taping:
+    if _mode.taping:
         return Tensor(out, op, parents, vjp)
     return Tensor(out, op)
 

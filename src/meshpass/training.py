@@ -95,6 +95,36 @@ def training_loss(params, sample, noisy_inputs=None):
     return nn.mean_sq(nn.sub(delta_n, target_n))
 
 
+# BLAS thread settings: each library's own before OMP_NUM_THREADS, which
+# OpenBLAS and MKL both fall back to.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def worker_count(batch_size):
+    """Threads ``train`` runs a step's per-sample passes on.
+
+    The usable cores are the process's CPU set where the platform reports
+    one (Linux), else the machine's core count. Each pass's matrix products
+    may use as many BLAS threads as the first of ``BLAS_THREAD_VARS`` that
+    is set says, else one per core (the BLAS default). The cores are shared
+    out so that workers times BLAS threads does not exceed them, with at
+    most one worker per sample: with BLAS unpinned the passes run one at a
+    time, as two workers whose products each start a thread per core ran
+    slower than one.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    blas = cores
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(batch_size, cores // blas))
+
+
 def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
           callback=None):
     """Train ``params`` in place on a list of samples; returns history rows.
@@ -103,8 +133,8 @@ def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
     batch, absorbs it into the normalizers (while
     ``step < config.normalizer_steps``) and draws each sample's input noise
     in batch order. Only then do the forward and backward passes run, on
-    ``min(batch_size, usable cores)`` worker threads, so every pass of a
-    warm-up step sees the statistics of the whole batch. The gradients are
+    ``worker_count(batch_size)`` threads, so every pass of a warm-up step
+    sees the statistics of the whole batch. The gradients are
     summed in batch order and averaged. The result is deterministic for
     fixed (config.seed, samples) and does not depend on the worker count;
     resuming from ``start_step`` with the same optimizer state reproduces
@@ -126,8 +156,7 @@ def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
         return float(loss.data), nn.backward(loss, wrt=plist)
 
     history = []
-    workers = min(config.batch_size, len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(worker_count(config.batch_size)) as pool:
         for step in range(start_step, config.steps if stop_step is None else stop_step):
             rng = np.random.default_rng([config.seed, step])
             t0 = time.perf_counter()

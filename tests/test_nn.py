@@ -1,6 +1,8 @@
 """Autodiff, MLP, normalizer, optimizer, and checkpoint tests."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -166,6 +168,35 @@ class TestNoTape:
                 ad.mul(w, np.inf)
         (g,) = nn.grad(lambda ps: ad.mean_sq(ad.matmul(np.ones((1, 1)), ps[0])), [w])
         assert g[0, 0] == 4.0
+
+    def test_mode_is_per_thread(self):
+        # While one thread sits inside no_tape, another thread's ops still
+        # record their tape; a thread started inside the block tapes too.
+        x = ad.Tensor([[1.0, -2.0]])
+        inside, release, held = threading.Event(), threading.Event(), []
+
+        def hold():
+            with nn.no_tape():
+                held.append(ad.relu(x))
+                inside.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert inside.wait(10)
+            taped = ad.relu(x)
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+        assert held[0].parents == () and held[0].vjp is None
+        assert taped.parents and taped.vjp is not None
+        with nn.no_tape():
+            with ThreadPoolExecutor(1) as pool:
+                worker = pool.submit(ad.relu, x).result()
+            assert ad.relu(x).parents == ()
+        assert worker.parents and worker.vjp is not None
 
 
 class TestBackwardWrt:

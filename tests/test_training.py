@@ -168,9 +168,11 @@ def batch2_config(steps, normalizer_steps):
 class TestBatchedTrain:
     @staticmethod
     def usable_cores(monkeypatch, n):
-        """Pretend the process may run on ``n`` cores; returns the list of
-        worker counts the pools of later ``train`` calls are opened with."""
+        """Pretend the process may run on ``n`` cores with BLAS pinned to one
+        thread; returns the list of worker counts the pools of later
+        ``train`` calls are opened with."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         opened, real = [], T.ThreadPoolExecutor
         monkeypatch.setattr(T, "ThreadPoolExecutor", lambda n: opened.append(n) or real(n))
         return opened
@@ -240,6 +242,32 @@ class TestBatchedTrain:
                                 normalizer_steps=1, latent_size=16, hidden_size=16)
             T.train(small_params(), sample_pair, cfg)
             assert opened == [workers]
+
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),  # BLAS unpinned: every product may use a thread per core
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 1),
+    ])
+    def test_cores_shared_with_blas_threads(self, monkeypatch, env, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        for var in T.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert T.worker_count(8) == workers
+        assert T.worker_count(1) == 1
+
+    @pytest.mark.parametrize("cpu_count, workers", [(2, 2), (None, 1)])
+    def test_cores_from_cpu_count_without_affinity(self, sample_pair, monkeypatch,
+                                                    cpu_count, workers):
+        # Platforms without os.sched_getaffinity (macOS, Windows) size the
+        # pool from os.cpu_count(), which may report None.
+        opened = self.usable_cores(monkeypatch, 1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        history = T.train(small_params(), sample_pair, batch2_config(1, normalizer_steps=1))
+        assert opened == [workers] and len(history) == 1
 
     def test_warm_up_absorbs_whole_batch_before_any_pass(self, sample_pair, monkeypatch):
         params = small_params()

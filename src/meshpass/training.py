@@ -100,15 +100,16 @@ def training_loss(params, sample, noisy_inputs=None):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def worker_count(batch_size):
-    """Threads ``train`` runs a step's per-sample passes on.
+def worker_count(tasks):
+    """Threads a pool of ``tasks`` independent tasks runs on: ``train``'s
+    per-sample passes of one step, and ``evaluate``'s test meshes.
 
     The usable cores are the process's CPU set where the platform reports
-    one (Linux), else the machine's core count. Each pass's matrix products
+    one (Linux), else the machine's core count. Each task's matrix products
     may use as many BLAS threads as the first of ``BLAS_THREAD_VARS`` that
     is set says, else one per core (the BLAS default). The cores are shared
     out so that workers times BLAS threads does not exceed them, with at
-    most one worker per sample: with BLAS unpinned the passes run one at a
+    most one worker per task: with BLAS unpinned the tasks run one at a
     time, as two workers whose products each start a thread per core ran
     slower than one.
     """
@@ -122,7 +123,7 @@ def worker_count(batch_size):
         if value.isdigit() and int(value) > 0:
             blas = int(value)
             break
-    return max(1, min(batch_size, cores // blas))
+    return max(1, min(tasks, cores // blas))
 
 
 def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
@@ -336,10 +337,20 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
     every reference transition (the ground-truth-error protocol); MSE-N
     averages the first N rollout errors; ``sec_per_step`` is the mean wall
     time of the stepper's ``step`` calls in the rollout.
+
+    The factory is called for every mesh, in mesh order, on the calling
+    thread, before any ``step``. Then ``worker_count(len(meshes))`` threads
+    compute the rows, one mesh per task, largest mesh first, so the longest
+    task does not start last. A task resamples the reference onto its mesh
+    and makes all of its stepper's calls, next-step errors first, so each
+    stepper is stepped from one thread in the same order as by one worker.
+    The rows come back in mesh order and, apart from ``sec_per_step``, do
+    not depend on the worker count. ``sec_per_step`` is wall time, taken
+    while other meshes may run on other cores.
     """
-    rows = []
-    for mesh in meshes:
-        stepper = stepper_for_mesh(mesh)
+    steppers = [stepper_for_mesh(mesh) for mesh in meshes]
+
+    def row(mesh, stepper):
         ref = ref_traj.interpolate_to(mesh)
         errs_next = one_step_errors(stepper, ref)
         roll, sec_per_step = rollout_errors(stepper, ref, max_rollout)
@@ -348,21 +359,23 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
             n = min(n, len(roll) - 1)
             return float(roll[1 : n + 1].mean())
 
-        rows.append(
-            EvalRow(
-                edge_min=mesh.edge_min,
-                model=model,
-                mps=mps,
-                schedule=schedule,
-                mse1=mse_n(1),
-                mse10=mse_n(10),
-                mse50=mse_n(50),
-                sec_per_step=sec_per_step,
-                next_step_mse=float(errs_next.mean()),
-                rollout=roll,
-            )
+        return EvalRow(
+            edge_min=mesh.edge_min,
+            model=model,
+            mps=mps,
+            schedule=schedule,
+            mse1=mse_n(1),
+            mse10=mse_n(10),
+            mse50=mse_n(50),
+            sec_per_step=sec_per_step,
+            next_step_mse=float(errs_next.mean()),
+            rollout=roll,
         )
-    return EvalReport(rows)
+
+    largest_first = sorted(range(len(meshes)), key=lambda i: -meshes[i].n_nodes)
+    with ThreadPoolExecutor(worker_count(len(meshes))) as pool:
+        rows = {i: pool.submit(row, meshes[i], steppers[i]) for i in largest_first}
+        return EvalReport([rows[i].result() for i in range(len(meshes))])
 
 
 def write_history_csv(history, path):

@@ -332,8 +332,9 @@ def test_criterion_12_determinism(tmp_path):
     for dirpath, _, files in os.walk(outs[0]):
         rel = os.path.relpath(dirpath, outs[0])
         for name in files:
-            a = open(os.path.join(dirpath, name), "rb").read()
-            b = open(os.path.join(outs[1], rel, name), "rb").read()
+            with open(os.path.join(dirpath, name), "rb") as fa, \
+                    open(os.path.join(outs[1], rel, name), "rb") as fb:
+                a, b = fa.read(), fb.read()
             assert a == b, f"dataset byte mismatch in {rel}/{name}"
 
     ckpts = []
@@ -344,7 +345,8 @@ def test_criterion_12_determinism(tmp_path):
                          "--seed", "3", "--set", "latent_size=16",
                          "--set", "hidden_size=16",
                          "--set", "normalizer_steps=4"]) == 0
-        ckpts.append(open(os.path.join(run, "checkpoint.bin"), "rb").read())
+        with open(os.path.join(run, "checkpoint.bin"), "rb") as fh:
+            ckpts.append(fh.read())
     assert ckpts[0] == ckpts[1], "training checkpoints differ between runs"
     elapsed = time.time() - t0
     assert elapsed < 600.0

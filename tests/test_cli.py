@@ -113,7 +113,8 @@ class TestGen:
     def test_meta_records_scenario_parameters(self, tmp_path):
         out = str(tmp_path / "meta")
         main(["gen", "--out", out, "--scenarios", "1", "--seed", "5"] + DESK)
-        meta = open(os.path.join(out, "scenario_0000", "meta")).read()
+        with open(os.path.join(out, "scenario_0000", "meta")) as fh:
+            meta = fh.read()
         for key in ("radius=", "center_x=", "center_y=", "inflow_mean=",
                     "edge_min=", "seed=", "viscosity=", "dt=", "n_steps="):
             assert key in meta
@@ -124,7 +125,8 @@ class TestGen:
                    "--set", "edge_min_lo=1e-2", "--set", "edge_min_hi=1e-2",
                    "--set", "n_steps=2"])
         assert rc == 0
-        meta = open(os.path.join(out, "scenario_0000", "meta")).read().splitlines()
+        with open(os.path.join(out, "scenario_0000", "meta")) as fh:
+            meta = fh.read().splitlines()
         assert "edge_min=0.01" in meta
 
     @pytest.mark.parametrize("lo,hi", [("1.2e-2", "8e-3"), ("0", "1e-2"), ("-1e-3", "1e-2")])
@@ -257,7 +259,8 @@ class TestTrain:
         data = str(tmp_path / "ds")
         shutil.copytree(generated, data)
         traj = os.path.join(data, "scenario_0001", "trajectory.bin")
-        raw = bytearray(open(traj, "rb").read())
+        with open(traj, "rb") as fh:
+            raw = bytearray(fh.read())
         if damage == "short_by_5":
             raw = raw[:-5]
         elif damage == "cut_to_50":
@@ -320,7 +323,8 @@ class TestTrain:
         data = str(tmp_path / "ds")
         shutil.copytree(generated, data)
         meta = os.path.join(data, "scenario_0001", "meta")
-        lines = open(meta).read().splitlines()
+        with open(meta) as fh:
+            lines = fh.read().splitlines()
         if damage == "no_radius":
             lines = [line for line in lines if not line.startswith("radius=")]
         elif damage == "garbage":
@@ -487,6 +491,34 @@ class TestEval:
             float(r["edge_min"]): float(r["next_step_mse"]) for r in rows
         }
 
+    def test_non_finite_forward_in_worker_exits_1(self, generated, tmp_path, capsys,
+                                                   monkeypatch):
+        # A checkpoint whose fine node encoder holds a NaN: binding a stepper
+        # (edge and coarse encoders) succeeds, every step's forward fails in
+        # the worker that evaluates its mesh.
+        run = str(tmp_path / "run")
+        assert main(["train", "--dataset", generated, "--out", run, "--steps", "1",
+                     "--processor", "p=1H 1L 1H (U=1,D=1)"] + SMALL_MODEL) == 0
+        params, optimizer, step = T.load_checkpoint(os.path.join(run, "checkpoint.bin"))
+        params.named_parameters()["enc_fine_node/w0"].data[0, 0] = np.nan
+        ckpt = str(tmp_path / "nan.bin")
+        T.save_checkpoint(ckpt, params, optimizer, step)
+        threads = threading.active_count()
+        errors = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            out = tmp_path / f"ev{cores}"
+            rc = main(["eval", "--out", str(out), "--checkpoint", ckpt, "--seed", "3",
+                       "--set", "eval_resolutions=2e-2,1.4e-2", "--set", "eval_steps=3",
+                       "--set", "max_rollout=3"])
+            assert rc == 1
+            assert not (out / "eval.csv").exists()
+            assert threading.active_count() == threads
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("error: ") and "operation 'matmul'" in errors[0]
+        assert errors[1] == errors[0]
+
     def test_eval_requires_model_or_solver(self, tmp_path, capsys):
         rc = main(["eval", "--out", str(tmp_path / "x")])
         assert rc != 0
@@ -515,7 +547,8 @@ class TestAnalyze:
                    "--traj", os.path.join(s0, "trajectory.bin"),
                    "--ref", os.path.join(s0, "trajectory.bin")])
         assert rc == 0
-        rows = open(os.path.join(out, "spectrum.csv")).read().splitlines()[1:]
+        with open(os.path.join(out, "spectrum.csv")) as fh:
+            rows = fh.read().splitlines()[1:]
         powers = [float(r.split(",")[2]) for r in rows]
         assert all(p == 0.0 for p in powers)
 
@@ -628,6 +661,7 @@ class TestBench:
                    "--resolutions", "1.2e-2,9e-3",
                    "--set", "latent_size=16", "--set", "hidden_size=16"])
         assert rc == 0
-        text = open(os.path.join(out, "timing.csv")).read()
+        with open(os.path.join(out, "timing.csv")) as fh:
+            text = fh.read()
         assert "edge_min" in text.splitlines()[0]
         assert len(text.splitlines()) == 3

@@ -169,9 +169,9 @@ class TestDatasetIO:
         import os
 
         for name in ("mesh.msh", "trajectory.bin", "meta"):
-            b1 = open(os.path.join(d1, name), "rb").read()
-            b2 = open(os.path.join(d2, name), "rb").read()
-            assert b1 == b2
+            with open(os.path.join(d1, name), "rb") as f1, \
+                    open(os.path.join(d2, name), "rb") as f2:
+                assert f1.read() == f2.read()
 
     def test_load_dataset_builds_samples(self, tmp_path):
         scen = small_scenario()

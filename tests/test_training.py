@@ -1,7 +1,9 @@
 """Training loop, rollout, and evaluation pipeline tests."""
 
+import dataclasses
 import os
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -165,18 +167,18 @@ def batch2_config(steps, normalizer_steps):
                          latent_size=16, hidden_size=16)
 
 
-class TestBatchedTrain:
-    @staticmethod
-    def usable_cores(monkeypatch, n):
-        """Pretend the process may run on ``n`` cores with BLAS pinned to one
-        thread; returns the list of worker counts the pools of later
-        ``train`` calls are opened with."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        opened, real = [], T.ThreadPoolExecutor
-        monkeypatch.setattr(T, "ThreadPoolExecutor", lambda n: opened.append(n) or real(n))
-        return opened
+def usable_cores(monkeypatch, n):
+    """Pretend the process may run on ``n`` cores with BLAS pinned to one
+    thread; returns the list of worker counts the pools of later ``train``
+    and ``evaluate`` calls are opened with."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    opened, real = [], T.ThreadPoolExecutor
+    monkeypatch.setattr(T, "ThreadPoolExecutor", lambda n: opened.append(n) or real(n))
+    return opened
 
+
+class TestBatchedTrain:
     @staticmethod
     def sequential_steps(params, samples, cfg, steps):
         """The batch step done by hand: per-sample backward passes summed in
@@ -206,7 +208,7 @@ class TestBatchedTrain:
             if cores is None:
                 self.sequential_steps(params, sample_pair, cfg, 3)
             else:
-                opened = self.usable_cores(monkeypatch, cores)
+                opened = usable_cores(monkeypatch, cores)
                 T.train(params, sample_pair, cfg)
                 assert opened == [cores]
             runs.append([p.data.tobytes() for p in params.parameters()])
@@ -223,7 +225,7 @@ class TestBatchedTrain:
                                 schedule=SCHED, normalizer_steps=0, latent_size=16,
                                 hidden_size=16)
             params = small_params(seed=5)
-            self.usable_cores(monkeypatch, cores)
+            usable_cores(monkeypatch, cores)
             T.train(params, samples, cfg)
             return [p.data.tobytes() for p in params.parameters()]
 
@@ -237,7 +239,7 @@ class TestBatchedTrain:
 
     def test_pool_opened_with_min_of_batch_and_cores(self, sample_pair, monkeypatch):
         for cores, batch_size, workers in ((1, 2, 1), (2, 2, 2), (4, 2, 2), (2, 1, 1)):
-            opened = self.usable_cores(monkeypatch, cores)
+            opened = usable_cores(monkeypatch, cores)
             cfg = T.TrainConfig(steps=1, batch_size=batch_size, schedule=SCHED,
                                 normalizer_steps=1, latent_size=16, hidden_size=16)
             T.train(small_params(), sample_pair, cfg)
@@ -263,7 +265,7 @@ class TestBatchedTrain:
                                                     cpu_count, workers):
         # Platforms without os.sched_getaffinity (macOS, Windows) size the
         # pool from os.cpu_count(), which may report None.
-        opened = self.usable_cores(monkeypatch, 1)
+        opened = usable_cores(monkeypatch, 1)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         history = T.train(small_params(), sample_pair, batch2_config(1, normalizer_steps=1))
@@ -477,7 +479,7 @@ class TestEvaluate:
         monkeypatch.setattr(M, "locate_points", counted)
         rows = T.evaluate(lambda m: S.FrameStepper(m, cfg), meshes, ref, model="solver",
                           max_rollout=5).rows
-        assert calls == [m.n_nodes for m in meshes]
+        assert Counter(calls) == Counter(m.n_nodes for m in meshes)
 
         def interpolated(mesh, n_frames):
             corners, weights = M.build_interpolator(ref.mesh, mesh.positions)
@@ -524,6 +526,136 @@ class TestEvaluate:
         assert [type(getattr(back[0], c)) for c in T.CSV_COLUMNS] == [
             float, str, int, str, float, float, float, float, float]
 
+
+
+class _Recorder:
+    """Wraps the stepper of mesh ``index`` and logs each ``step`` call's
+    thread to a list shared with the factory, and its ``(u, bc)`` bytes."""
+
+    def __init__(self, inner, index, log):
+        self.inner = inner
+        self.index = index
+        self.log = log
+        self.calls = []
+
+    def step(self, u, bc_values=None):
+        self.log.append(("step", threading.get_ident(), self.index))
+        self.calls.append((np.asarray(u).tobytes(), np.asarray(bc_values).tobytes()))
+        return self.inner.step(u, bc_values)
+
+
+def row_bytes(row):
+    """Every EvalRow field but the wall time, the rollout included, as bytes."""
+    return [np.asarray(getattr(row, f.name)).tobytes() for f in dataclasses.fields(row)
+            if f.name != "sec_per_step"]
+
+
+class TestThreadedEvaluate:
+    @pytest.fixture(scope="class")
+    def case(self, reference):
+        # Three meshes in ascending size, so largest-first submission is the
+        # reverse of mesh order.
+        _, ref = reference
+        meshes = [M.generate_mesh(UNIT_SQUARE, em, seed=0) for em in (0.12, 0.09, 0.07)]
+        assert np.all(np.diff([m.n_nodes for m in meshes]) > 0)
+        coarse = M.generate_mesh(UNIT_SQUARE, 0.3)
+        params = small_params(seed=3)
+        T.warm_up_normalizers(params, D.trajectory_to_samples(ref.mesh, coarse, ref, "native"))
+        return meshes, coarse, params
+
+    @staticmethod
+    def run(monkeypatch, reference, case, kind, cores):
+        """evaluate on ``cores`` usable cores; returns the report, the event
+        log, the steppers in factory order and the pool sizes opened."""
+        cfg, ref = reference
+        meshes, coarse, params = case
+        opened = usable_cores(monkeypatch, cores)
+        log, steppers = [], []
+
+        def factory(mesh):
+            index = meshes.index(mesh)
+            log.append(("factory", threading.get_ident(), index))
+            inner = (T.ModelStepper(params, coarse).bind(mesh) if kind == "model"
+                     else S.FrameStepper(mesh, cfg))
+            steppers.append(_Recorder(inner, index, log))
+            return steppers[-1]
+
+        report = T.evaluate(factory, meshes, ref, model=kind, max_rollout=4)
+        return report, log, steppers, opened
+
+    @pytest.mark.parametrize("kind", ["model", "solver"])
+    def test_rows_and_calls_independent_of_worker_count(self, monkeypatch, reference, case,
+                                                        kind):
+        meshes = case[0]
+        main = threading.get_ident()
+        # 3 meshes: the pool has min(meshes, cores) workers.
+        for cores, workers in ((1, 1), (2, 2), (4, 3)):
+            report, log, steppers, opened = self.run(monkeypatch, reference, case, kind, cores)
+            assert opened == [workers] == [T.worker_count(len(meshes))]
+            rows = [row_bytes(r) for r in report.rows]
+            calls = [s.calls for s in steppers]
+            if cores == 1:
+                one_rows, one_calls = rows, calls
+            assert [r.edge_min for r in report.rows] == [m.edge_min for m in meshes]
+            assert rows == one_rows
+            # The factory ran for every mesh, in mesh order, on this thread,
+            # before any step; every step ran off this thread, and each
+            # stepper saw the calls it sees at 1 worker.
+            assert log[:3] == [("factory", main, i) for i in range(3)]
+            assert all(event == "step" and thread != main for event, thread, _ in log[3:])
+            assert calls == one_calls and all(calls)
+
+    def test_one_worker_runs_largest_mesh_first(self, monkeypatch, reference, case):
+        _, log, _, _ = self.run(monkeypatch, reference, case, "solver", 1)
+        order = [index for event, _, index in log if event == "step"]
+        assert list(dict.fromkeys(order)) == [2, 1, 0]
+        # Each mesh's calls are contiguous: one task per mesh.
+        assert order == sorted(order, reverse=True)
+
+    def test_oversubscribed_pool_on_fresh_meshes_matches_one_worker(self, monkeypatch,
+                                                                    reference, case):
+        # 4 workers on fresh meshes, so they build the reference mesh's point
+        # locator concurrently, with thread switches forced as often as
+        # possible. The reference mesh is also a test mesh, as in `eval`.
+        _, ref = reference
+        meshes, coarse, params = case
+
+        def fresh(mesh):
+            return M.TriMesh(mesh.positions, mesh.triangles, mesh.node_kind, mesh.edge_min,
+                             mesh.edge_max)
+
+        def run(cores):
+            fresh_ref = S.Trajectory(fresh(ref.mesh), ref.fields, ref.dt)
+            usable_cores(monkeypatch, cores)
+            report = T.evaluate(lambda m: T.ModelStepper(params, coarse).bind(m),
+                                [fresh(m) for m in meshes] + [fresh_ref.mesh], fresh_ref,
+                                max_rollout=4)
+            return [row_bytes(r) for r in report.rows]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == run(1)
+
+    def test_failure_in_worker_reaches_caller(self, monkeypatch, reference, case):
+        cfg, ref = reference
+        meshes = case[0]
+        usable_cores(monkeypatch, 2)
+        threads = threading.active_count()
+
+        class Diverging:
+            def step(self, u, bc_values=None):
+                raise nn.NonFiniteError("matmul")
+
+        def factory(mesh):
+            return Diverging() if mesh is meshes[1] else S.FrameStepper(mesh, cfg)
+
+        with pytest.raises(nn.NonFiniteError, match="operation 'matmul'"):
+            T.evaluate(factory, meshes, ref, max_rollout=4)
+        assert threading.active_count() == threads
 
 def permute_mesh(mesh, perm):
     inv = np.empty_like(perm)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
+import threading
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -340,15 +341,15 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
 
     The factory is called for every mesh, in mesh order, on the calling
     thread, before any ``step``. Then ``worker_count(len(meshes))`` threads
-    compute the rows, one mesh per task, largest mesh first, so the longest
-    task does not start last. A task resamples the reference onto its mesh
-    and makes all of its stepper's calls, next-step errors first, so each
-    stepper is stepped from one thread in the same order as by one worker.
-    The rows come back in mesh order and, apart from ``sec_per_step``, do
-    not depend on the worker count. ``sec_per_step`` is wall time, taken
-    while other meshes may run on other cores.
+    compute the rows, one mesh per task, in mesh order. A task resamples the
+    reference onto its mesh and makes all of its stepper's calls, next-step
+    errors first, so each stepper is stepped from one thread in the same
+    order as by one worker. The rows, apart from ``sec_per_step``, do not
+    depend on the worker count. ``sec_per_step`` is wall time, taken while
+    other meshes may run on other cores. Once a task raises, the meshes not
+    yet started are skipped and its error reaches the caller.
     """
-    steppers = [stepper_for_mesh(mesh) for mesh in meshes]
+    failed = threading.Event()
 
     def row(mesh, stepper):
         ref = ref_traj.interpolate_to(mesh)
@@ -372,10 +373,24 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
             rollout=roll,
         )
 
-    largest_first = sorted(range(len(meshes)), key=lambda i: -meshes[i].n_nodes)
+    def task(mesh, stepper):
+        # Tasks start in mesh order, so a skipped mesh comes after the one
+        # that failed, and map raises that failure first.
+        if failed.is_set():
+            return None
+        try:
+            return row(mesh, stepper)
+        except BaseException:
+            failed.set()
+            raise
+
+    steppers = [stepper_for_mesh(mesh) for mesh in meshes]
     with ThreadPoolExecutor(worker_count(len(meshes))) as pool:
-        rows = {i: pool.submit(row, meshes[i], steppers[i]) for i in largest_first}
-        return EvalReport([rows[i].result() for i in range(len(meshes))])
+        # Once map has submitted the tasks, only a task holds its stepper,
+        # so each stepper is freed when its mesh is done.
+        rows = pool.map(task, meshes, steppers)
+        del steppers
+        return EvalReport(list(rows))
 
 
 def write_history_csv(history, path):

@@ -4,6 +4,8 @@ import dataclasses
 import os
 import sys
 import threading
+import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -463,7 +465,9 @@ class TestEvaluate:
     def test_one_interpolation_per_mesh_matches_two_interpolation_path(self, monkeypatch):
         # evaluate resamples the reference onto each mesh once; its rows equal,
         # byte for byte, those of the path that located every mesh twice (once
-        # for the next-step errors, once for the rollout).
+        # for the next-step errors, once for the rollout). One worker, so the
+        # meshes are located in mesh order.
+        usable_cores(monkeypatch, 1)
         cfg = S.PdeConfig(UNIT_SQUARE, viscosity=0.008, inflow_mean=0.2,
                           dt=0.01, n_steps=8)
         meshes = [M.generate_mesh(UNIT_SQUARE, r, seed=0) for r in [0.1, 0.07, 0.05]]
@@ -479,7 +483,7 @@ class TestEvaluate:
         monkeypatch.setattr(M, "locate_points", counted)
         rows = T.evaluate(lambda m: S.FrameStepper(m, cfg), meshes, ref, model="solver",
                           max_rollout=5).rows
-        assert Counter(calls) == Counter(m.n_nodes for m in meshes)
+        assert calls == [m.n_nodes for m in meshes]
 
         def interpolated(mesh, n_frames):
             corners, weights = M.build_interpolator(ref.mesh, mesh.positions)
@@ -553,8 +557,7 @@ def row_bytes(row):
 class TestThreadedEvaluate:
     @pytest.fixture(scope="class")
     def case(self, reference):
-        # Three meshes in ascending size, so largest-first submission is the
-        # reverse of mesh order.
+        # Three meshes of different sizes.
         _, ref = reference
         meshes = [M.generate_mesh(UNIT_SQUARE, em, seed=0) for em in (0.12, 0.09, 0.07)]
         assert np.all(np.diff([m.n_nodes for m in meshes]) > 0)
@@ -605,13 +608,6 @@ class TestThreadedEvaluate:
             assert all(event == "step" and thread != main for event, thread, _ in log[3:])
             assert calls == one_calls and all(calls)
 
-    def test_one_worker_runs_largest_mesh_first(self, monkeypatch, reference, case):
-        _, log, _, _ = self.run(monkeypatch, reference, case, "solver", 1)
-        order = [index for event, _, index in log if event == "step"]
-        assert list(dict.fromkeys(order)) == [2, 1, 0]
-        # Each mesh's calls are contiguous: one task per mesh.
-        assert order == sorted(order, reverse=True)
-
     def test_oversubscribed_pool_on_fresh_meshes_matches_one_worker(self, monkeypatch,
                                                                     reference, case):
         # 4 workers on fresh meshes, so they build the reference mesh's point
@@ -640,21 +636,61 @@ class TestThreadedEvaluate:
             sys.setswitchinterval(interval)
         assert many == run(1)
 
+    def test_stepper_freed_when_its_mesh_is_done(self, monkeypatch, reference, case):
+        # With one worker, the steppers of the meshes already done are gone
+        # by the time the last mesh steps: evaluate keeps none of them.
+        cfg, ref = reference
+        meshes = case[0]
+        usable_cores(monkeypatch, 1)
+        refs, alive = [], []
+
+        class Stepper(S.FrameStepper):
+            def step(self, u, bc_values=None):
+                alive.append([r() is not None for r in refs])
+                return super().step(u, bc_values)
+
+        def factory(mesh):
+            stepper = Stepper(mesh, cfg)
+            refs.append(weakref.ref(stepper))
+            return stepper
+
+        T.evaluate(factory, meshes, ref, max_rollout=2)
+        assert alive[0] == [True, True, True]
+        assert alive[-1] == [False, False, True]
+
     def test_failure_in_worker_reaches_caller(self, monkeypatch, reference, case):
+        # 3 meshes on 2 workers: mesh 0 diverges at its first step once mesh 1
+        # has started, and mesh 1 goes on until after the failure, so mesh 2
+        # is still queued when mesh 0 fails and is never stepped.
         cfg, ref = reference
         meshes = case[0]
         usable_cores(monkeypatch, 2)
         threads = threading.active_count()
+        started, diverged = threading.Event(), threading.Event()
+        steps = Counter()
 
         class Diverging:
             def step(self, u, bc_values=None):
+                assert started.wait(10)
+                diverged.set()
                 raise nn.NonFiniteError("matmul")
 
+        class Counted(S.FrameStepper):
+            def step(self, u, bc_values=None):
+                index = meshes.index(self.mesh)
+                if index == 1 and not steps[1]:
+                    started.set()
+                    assert diverged.wait(10)
+                    time.sleep(0.2)
+                steps[index] += 1
+                return super().step(u, bc_values)
+
         def factory(mesh):
-            return Diverging() if mesh is meshes[1] else S.FrameStepper(mesh, cfg)
+            return Diverging() if mesh is meshes[0] else Counted(mesh, cfg)
 
         with pytest.raises(nn.NonFiniteError, match="operation 'matmul'"):
             T.evaluate(factory, meshes, ref, max_rollout=4)
+        assert steps[1] > 0 and steps[2] == 0
         assert threading.active_count() == threads
 
 def permute_mesh(mesh, perm):

@@ -55,7 +55,7 @@ CONFIG_DEFAULTS = {
     "n_resolutions": (5, int, "test resolutions when eval_resolutions is empty"),
     "eval_steps": (50, int, "frames in the evaluation reference trajectory"),
     "max_rollout": (50, int, "rollout length for MSE-N metrics"),
-    "workers": (1, int, "per-scenario parallel workers (1 = deterministic)"),
+    "workers": (1, int, "parallel gen processes; the output does not depend on it"),
 }
 
 

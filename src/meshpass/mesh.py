@@ -496,7 +496,9 @@ def generate_mesh(domain, edge_min, seed=0):
     old = np.full_like(pts, np.inf)
     tris = None
     for _ in range(200):
-        if np.max(np.hypot(*(pts - old).T)) > 0.1 * h0:
+        # Retriangulate once a point has moved a tenth of its own target size
+        # since the last triangulation (DistMesh's test, at the local size).
+        if np.any(np.hypot(*(pts - old).T) > 0.1 * h_fn(pts)):
             old = pts.copy()
             tris = Delaunay(pts).simplices
             tris = _interior_triangles(domain, pts, tris, geps)

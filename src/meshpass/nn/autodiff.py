@@ -358,30 +358,6 @@ def backward(root, seed=None, wrt=None):
     return [grads.get(id(p), np.zeros_like(p.data)) for p in wrt]
 
 
-def kink_margin(root):
-    """Smallest |preactivation| over every relu in the recorded graph.
-
-    Central finite differences are only trustworthy when no relu input sits
-    within the probe step of its kink; tests use this to certify the
-    evaluation point.
-    """
-    margin = np.inf
-    for node in _topo_order(root):
-        if node.op == "relu":
-            margin = min(margin, float(np.min(np.abs(node.parents[0].data))))
-    return margin
-
-
-def layer_norm_margin(root):
-    """Smallest per-row std entering any layer_norm in the recorded graph."""
-    margin = np.inf
-    for node in _topo_order(root):
-        if node.op == "layer_norm":
-            x = node.parents[0].data
-            margin = min(margin, float(np.sqrt(x.var(axis=-1).min())))
-    return margin
-
-
 def grad(loss_fn, params):
     """Gradient of a scalar-valued ``loss_fn(params)`` for each parameter.
 

@@ -27,6 +27,30 @@ def _report(n, summary):
     print(f"\nPASS criterion-{n}: {summary}")
 
 
+def kink_margin(root):
+    """Smallest |preactivation| over every relu in the recorded graph.
+
+    Central finite differences are only trustworthy when no relu input sits
+    within the probe step of its kink; criterion 3 uses this to certify its
+    evaluation point.
+    """
+    margin = np.inf
+    for node in ad._topo_order(root):
+        if node.op == "relu":
+            margin = min(margin, float(np.min(np.abs(node.parents[0].data))))
+    return margin
+
+
+def layer_norm_margin(root):
+    """Smallest per-row std entering any layer_norm in the recorded graph."""
+    margin = np.inf
+    for node in ad._topo_order(root):
+        if node.op == "layer_norm":
+            x = node.parents[0].data
+            margin = min(margin, float(np.sqrt(x.var(axis=-1).min())))
+    return margin
+
+
 # -------------------------------------------------------------------------
 # 1. Schedule accounting (exact)
 # -------------------------------------------------------------------------
@@ -111,7 +135,7 @@ def test_criterion_3_gradient_vs_finite_differences():
             return nn.mean_sq(nn.sub(delta, target))
 
         loss = loss_value()
-        if ad.kink_margin(loss) > 50 * h and ad.layer_norm_margin(loss) > 1e-3:
+        if kink_margin(loss) > 50 * h and layer_norm_margin(loss) > 1e-3:
             chosen = (params, loss_value)
             break
     assert chosen is not None, "no kink-free evaluation point found"

@@ -58,20 +58,6 @@ class ScenarioParams:
     edge_min: float
     seed: int
 
-    def validate(self):
-        lo, hi = RADIUS_RANGE
-        if not lo <= self.radius <= hi:
-            raise ValueError(f"radius {self.radius} outside {RADIUS_RANGE}")
-        if not CENTER_X_RANGE[0] <= self.center[0] <= CENTER_X_RANGE[1]:
-            raise ValueError("obstacle center x out of range")
-        if not CENTER_Y_RANGE[0] <= self.center[1] <= CENTER_Y_RANGE[1]:
-            raise ValueError("obstacle center y out of range")
-        if not U_MEAN_RANGE[0] <= self.inflow_mean <= U_MEAN_RANGE[1]:
-            raise ValueError("inflow magnitude out of range")
-        if not EDGE_MIN_RANGE[0] <= self.edge_min <= EDGE_MIN_RANGE[1]:
-            raise ValueError("edge_min out of range")
-        return True
-
     def domain(self):
         return ChannelDomain(CHANNEL_LENGTH, CHANNEL_HEIGHT, self.center, self.radius)
 

@@ -7,7 +7,6 @@ from .autodiff import (
     add,
     backward,
     concat,
-    grad,
     layer_norm,
     matmul,
     mean_sq,
@@ -17,7 +16,6 @@ from .autodiff import (
     row_block,
     spmm,
     sub,
-    sum_all,
     value,
 )
 from .checkpoint import CheckpointError, load_blocks, save_blocks
@@ -36,7 +34,6 @@ __all__ = [
     "add",
     "backward",
     "concat",
-    "grad",
     "layer_norm",
     "load_blocks",
     "matmul",
@@ -49,6 +46,5 @@ __all__ = [
     "save_blocks",
     "spmm",
     "sub",
-    "sum_all",
     "value",
 ]

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
 The engine records a tape of primitive operations as the forward pass runs;
-``backward``/``grad`` replay it in reverse to accumulate vector-Jacobian
+``backward`` replays it in reverse to accumulate vector-Jacobian
 products. Only the primitives the model needs are implemented: dense affine
 maps (``matmul`` with an optional bias, added in place on its own output),
 row blocks of a weight (``row_block``), ReLU, concatenation, sparse
@@ -11,7 +11,8 @@ used by the loss.
 
 Inside ``with no_tape():`` the same ops record nothing: their outputs have
 no parents and no vjp, so intermediates are freed as soon as the forward
-pass drops them. Every op still checks its output for non-finite values.
+pass drops them. Every op still checks its output for non-finite values,
+in ``_result``.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ class NonFiniteError(ArithmeticError):
     def __init__(self, op_name):
         super().__init__(f"non-finite value produced by operation '{op_name}'")
         self.op_name = op_name
-
-
-def _check(op_name, data):
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteError(op_name)
-    return data
 
 
 class _TapeMode(threading.local):
@@ -61,7 +56,10 @@ def no_tape():
 
 
 def _result(out, op, parents, vjp):
-    # The op's output Tensor, with its tape record only when taping.
+    # The op's output Tensor, with its tape record only when taping;
+    # NonFiniteError naming the op if the output is not finite.
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError(op)
     if _mode.taping:
         return Tensor(out, op, parents, vjp)
     return Tensor(out, op)
@@ -117,7 +115,6 @@ def matmul(a, b, bias=None):
     if bias is not None:
         out += value(bias)
         parents += (bias,)
-    _check("matmul", out)
 
     def vjp(g):
         grads = (g @ bv.T, av.T @ g)
@@ -129,7 +126,7 @@ def matmul(a, b, bias=None):
 def row_block(a, start, stop):
     """Rows ``start:stop`` of a 2-D tensor, as a view of its data."""
     av = value(a)
-    out = _check("row_block", av[start:stop])
+    out = av[start:stop]
 
     def vjp(g):
         full = np.zeros_like(av)
@@ -141,7 +138,7 @@ def row_block(a, start, stop):
 
 def add(a, b):
     av, bv = value(a), value(b)
-    out = _check("add", av + bv)
+    out = av + bv
 
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
@@ -151,7 +148,7 @@ def add(a, b):
 
 def sub(a, b):
     av, bv = value(a), value(b)
-    out = _check("sub", av - bv)
+    out = av - bv
 
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
@@ -161,7 +158,7 @@ def sub(a, b):
 
 def mul(a, b):
     av, bv = value(a), value(b)
-    out = _check("mul", av * bv)
+    out = av * bv
 
     def vjp(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
@@ -171,7 +168,7 @@ def mul(a, b):
 
 def relu(a):
     av = value(a)
-    out = _check("relu", np.maximum(av, 0.0))
+    out = np.maximum(av, 0.0)
 
     def vjp(g):
         return (g * (av > 0.0),)
@@ -182,7 +179,7 @@ def relu(a):
 def concat(parts):
     """Concatenate along the last axis."""
     vals = [value(p) for p in parts]
-    out = _check("concat", np.concatenate(vals, axis=-1))
+    out = np.concatenate(vals, axis=-1)
     widths = [v.shape[-1] for v in vals]
     splits = np.cumsum(widths)[:-1]
 
@@ -232,7 +229,6 @@ def spmm(op, a):
         out = op.mat @ av
     else:
         out = np.take(av, op.indices, axis=0)
-    _check("spmm", out)
 
     def vjp(g):
         return (op.mat_t @ g,)
@@ -254,7 +250,6 @@ def layer_norm(x, gain, bias):
     xhat *= inv
     out = np.multiply(xhat, gv, out=sq)
     out += bv
-    _check("layer_norm", out)
 
     def vjp(g):
         gx = g * gv
@@ -270,22 +265,11 @@ def layer_norm(x, gain, bias):
     return _result(out, "layer_norm", (x, gain, bias), vjp)
 
 
-def sum_all(a):
-    av = value(a)
-    out = _check("sum", np.asarray(av.sum()))
-    shape = av.shape
-
-    def vjp(g):
-        return (np.broadcast_to(g, shape),)
-
-    return _result(out, "sum", (a,), vjp)
-
-
 def mean_sq(a):
     """Mean of squared entries; the training loss reduction."""
     av = value(a)
     n = av.size
-    out = _check("mean_sq", np.asarray((av * av).sum() / n))
+    out = np.asarray((av * av).sum() / n)
 
     def vjp(g):
         return (g * (2.0 / n) * av,)
@@ -357,18 +341,3 @@ def backward(root, seed=None, wrt=None):
         return grads
     return [grads.get(id(p), np.zeros_like(p.data)) for p in wrt]
 
-
-def grad(loss_fn, params):
-    """Gradient of a scalar-valued ``loss_fn(params)`` for each parameter.
-
-    ``loss_fn`` receives the parameter list and must return a scalar Tensor
-    built from the ops in this module.
-    """
-    loss = loss_fn(params)
-    if not isinstance(loss, Tensor):
-        raise TypeError("loss_fn must return a Tensor")
-    if loss.data.size != 1:
-        raise ValueError("loss must be scalar")
-    if not np.isfinite(loss.data):
-        raise NonFiniteError(loss.op)
-    return backward(loss, seed=np.ones_like(loss.data), wrt=params)

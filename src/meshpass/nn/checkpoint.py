@@ -25,6 +25,28 @@ class CheckpointError(IOError):
     pass
 
 
+class Blocks(dict):
+    """The blocks of the checkpoint at ``path``, by name. Looking up a
+    block the file lacks raises CheckpointError naming the file and the
+    block."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name):
+        raise CheckpointError(f"checkpoint {self.path} has no block {name!r}")
+
+    def shaped(self, name, shape):
+        """Block ``name``; CheckpointError naming the file and the block if
+        its shape is not ``shape``."""
+        arr = self[name]
+        if arr.shape != shape:
+            raise CheckpointError(f"checkpoint {self.path}: block {name!r} has shape "
+                                  f"{arr.shape}, expected {shape}")
+        return arr
+
+
 def save_blocks(path, blocks):
     """Write an ordered mapping of name -> float64 ndarray."""
     with open(path, "wb") as fh:
@@ -42,12 +64,13 @@ def save_blocks(path, blocks):
 
 
 def load_blocks(path):
-    """Read a checkpoint back into an ordered dict of float64 arrays.
+    """Read a checkpoint back into :class:`Blocks` of float64 arrays, in
+    file order.
 
     A file that is not a checkpoint, or that ends before its last block,
     raises CheckpointError naming the path.
     """
-    blocks = {}
+    blocks = Blocks(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 

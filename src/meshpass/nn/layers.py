@@ -132,11 +132,8 @@ class Normalizer:
         return (np.asarray(x, dtype=np.float64) - mean) * inv_std
 
     def unapply(self, y):
-        """Inverse of :meth:`apply`."""
-        mean, std = self.mean, self.std
-        if isinstance(y, Tensor):
-            return ad.add(ad.mul(y, std), mean)
-        return np.asarray(y, dtype=np.float64) * std + mean
+        """Inverse of :meth:`apply`, on arrays."""
+        return np.asarray(y, dtype=np.float64) * self.std + self.mean
 
     def state(self):
         return {

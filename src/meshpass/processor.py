@@ -34,22 +34,11 @@ class ScheduleError(ValueError):
 class Schedule:
     """Parsed processor schedule: ordered H/L/D/U steps."""
 
-    def __init__(self, steps, text=None):
+    def __init__(self, steps, text):
         self.steps = tuple(steps)
-        self.text = text if text is not None else self._format()
+        self.text = text
         if not self.steps or self.steps[0] != STEP_FINE or self.steps[-1] != STEP_FINE:
             raise ScheduleError("schedule must begin and end with an H step")
-
-    def _format(self):
-        runs = []
-        for s in self.steps:
-            if s in (STEP_FINE, STEP_COARSE):
-                if runs and runs[-1][0] == s:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([s, 1])
-        body = " ".join(f"{n}{s}" for s, n in runs)
-        return f"p={body} (U={self.u_count},D={self.d_count})"
 
     @property
     def total_mps(self):
@@ -258,20 +247,18 @@ class ModelParams:
 
     @classmethod
     def from_blocks(cls, blocks):
-        fw, d, h, seed = (int(v) for v in blocks["meta/config"])
+        """The params that :meth:`to_blocks` wrote, from the blocks that
+        ``nn.load_blocks`` read back; CheckpointError naming a block that is
+        missing or whose shape does not fit the model of the meta blocks."""
+        fw, d, h, seed = (int(v) for v in blocks.shaped("meta/config", (4,)))
         schedule = parse_schedule("".join(chr(int(c)) for c in blocks["meta/schedule"]))
         coarse_kind = "".join(chr(int(c)) for c in blocks["meta/coarse_kind"])
         params = cls(schedule, fw, d, h, seed, coarse_kind)
         for name, tensor in params.named_parameters().items():
-            tensor.data[...] = blocks[f"param/{name}"]
+            tensor.data[...] = blocks.shaped(f"param/{name}", tensor.shape)
         for group, norm in params._normalizers().items():
-            norm.load_state(
-                {
-                    "count": blocks[f"norm/{group}/count"],
-                    "sum": blocks[f"norm/{group}/sum"],
-                    "sum_sq": blocks[f"norm/{group}/sum_sq"],
-                }
-            )
+            norm.load_state({key: blocks.shaped(f"norm/{group}/{key}", arr.shape)
+                             for key, arr in norm.state().items()})
         return params
 
 

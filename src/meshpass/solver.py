@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,6 +228,27 @@ class FrameStepper:
         return u
 
 
+def unroll(stepper, initial, n_steps):
+    """Advance ``initial`` by ``n_steps`` calls of ``stepper.step(u,
+    bc_values)``, holding the Dirichlet values of ``initial``.
+
+    Returns the frames, ``initial`` first, and the wall time of each
+    ``step`` call. SimulationError names the first step whose state is not
+    finite. Data generation, the solver baseline and model rollouts all
+    unroll through here.
+    """
+    frames = np.empty((n_steps + 1,) + np.shape(initial))
+    frames[0] = initial
+    seconds = np.empty(n_steps)
+    for t in range(n_steps):
+        t0 = time.perf_counter()
+        frames[t + 1] = stepper.step(frames[t], initial)
+        seconds[t] = time.perf_counter() - t0
+        if not np.all(np.isfinite(frames[t + 1])):
+            raise SimulationError(f"non-finite state at step {t + 1}")
+    return frames, seconds
+
+
 def simulate(mesh, config, initial):
     """Generate a trajectory of ``config.n_steps`` frames past the initial one."""
     initial = np.asarray(initial, dtype=np.float64)
@@ -234,14 +256,7 @@ def simulate(mesh, config, initial):
         raise SimulationError("initial state must be one scalar per node")
     if not np.all(np.isfinite(initial)):
         raise SimulationError("initial state contains non-finite values")
-    stepper = FrameStepper(mesh, config)
-    frames = np.empty((config.n_steps + 1, mesh.n_nodes))
-    frames[0] = initial
-    bc = initial
-    for t in range(config.n_steps):
-        frames[t + 1] = stepper.step(frames[t], bc)
-        if not np.all(np.isfinite(frames[t + 1])):
-            raise SimulationError(f"non-finite state at step {t + 1}")
+    frames, _ = unroll(FrameStepper(mesh, config), initial, config.n_steps)
     return Trajectory(mesh, frames, config.dt)
 
 

@@ -1,4 +1,4 @@
-"""Next-step training loop, rollout, and error metrics.
+"""Next-step training loop, evaluation, and error metrics.
 
 Training minimizes the MSE of normalized per-node deltas on the fine graph,
 with Gaussian noise (in normalized units) added to the input fields. The
@@ -6,7 +6,7 @@ per-step RNG stream is derived from (seed, step) so runs are bit-repeatable
 and resumable. Evaluation interpolates a reference trajectory onto each
 simulation mesh once and measures next-step and rollout errors there; the
 classical solver (a :class:`FrameStepper`) and the model go through the
-same code path.
+same code path, and a rollout is ``solver.unroll`` of the stepper.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import nn
 from .processor import ModelParams, StaticLatents, forward_normalized_delta, predict_step
 from .records import write_csv
-from .solver import Trajectory, one_step_errors
+from .solver import one_step_errors, unroll
 from .graphs import as_field_matrix, mesh_graph, transfer_graph
 
 
@@ -199,17 +199,18 @@ def save_checkpoint(path, params, optimizer, step):
 
 
 def load_checkpoint(path):
-    """Returns (params, optimizer, step); optimizer is bound to the params."""
+    """Returns (params, optimizer, step); optimizer is bound to the params.
+
+    A file with any ``opt/`` block must hold the whole optimizer state.
+    CheckpointError names the file and the first block that is missing or
+    whose shape does not fit the model.
+    """
     blocks = nn.load_blocks(path)
     params = ModelParams.from_blocks(blocks)
     optimizer = nn.Adam(params.parameters())
-    opt_state = {
-        name[len("opt/") :]: arr
-        for name, arr in blocks.items()
-        if name.startswith("opt/")
-    }
-    if opt_state:
-        optimizer.load_state(opt_state)
+    if any(name.startswith("opt/") for name in blocks):
+        optimizer.load_state({name: blocks.shaped(f"opt/{name}", arr.shape)
+                              for name, arr in optimizer.state().items()})
     step = int(blocks.get("train/step", np.zeros(1))[0])
     return params, optimizer, step
 
@@ -242,33 +243,13 @@ class ModelStepper:
         )
 
 
-def rollout(params, fine_mesh, coarse_mesh, initial, steps, dt=0.01):
-    """Iterate a :class:`ModelStepper`; prescribed boundary values are
-    reapplied from the initial state every step. Returns a Trajectory of
-    steps+1 frames."""
-    stepper = ModelStepper(params, coarse_mesh).bind(fine_mesh)
-    initial_mat = as_field_matrix(initial)
-    frames = np.empty((steps + 1,) + initial_mat.shape)
-    frames[0] = initial_mat
-    for t in range(steps):
-        frames[t + 1] = as_field_matrix(stepper.step(frames[t], initial_mat))
-    return Trajectory(fine_mesh, frames, dt)
-
-
 def rollout_errors(stepper, ref, n_steps):
     """Per-step MSE of an unrolled prediction against a reference on the
     stepper's mesh, and the mean wall time of the stepper's ``step`` calls.
     Entry t of the errors is the error after t steps (entry 0 is zero)."""
-    frames = [ref.fields[t, :, 0] for t in range(min(n_steps + 1, ref.n_frames))]
-    errs = np.zeros(len(frames))
-    seconds = np.zeros(len(frames) - 1)
-    u = frames[0]
-    bc = frames[0]
-    for t in range(1, len(frames)):
-        t0 = time.perf_counter()
-        u = stepper.step(u, bc)
-        seconds[t - 1] = time.perf_counter() - t0
-        errs[t] = np.mean((u - frames[t]) ** 2)
+    n_steps = min(n_steps, ref.n_frames - 1)
+    frames, seconds = unroll(stepper, ref.fields[0, :, 0], n_steps)
+    errs = np.array([np.mean((u - ref.fields[t, :, 0]) ** 2) for t, u in enumerate(frames)])
     return errs, float(seconds.mean())
 
 

@@ -8,10 +8,11 @@ import threading
 import numpy as np
 import pytest
 
-from meshpass import dataset
+from meshpass import dataset, nn
 from meshpass import solver as S
 from meshpass import training as T
 from meshpass.cli import CONFIG_DEFAULTS, ConfigError, load_config, main
+from meshpass.processor import ModelParams
 
 DESK = ["--set", "edge_min_lo=7e-3", "--set", "edge_min_hi=1e-2",
         "--set", "n_steps=6"]
@@ -522,6 +523,32 @@ class TestEval:
     def test_eval_requires_model_or_solver(self, tmp_path, capsys):
         rc = main(["eval", "--out", str(tmp_path / "x")])
         assert rc != 0
+
+    @pytest.mark.parametrize("block,shape", [
+        ("meta/config", None), ("param/decoder/w2", None), ("param/decoder/b1", (1,)),
+        ("opt/v3", None), ("opt/m0", (2, 2)),
+    ])
+    def test_checkpoint_block_missing_or_misshapen_exits_1(self, generated, tmp_path, capsys,
+                                                           block, shape):
+        # A well-formed checkpoint file that lacks a block (shape None), or
+        # holds one of the wrong shape, names the file and the block for
+        # both commands that read a checkpoint.
+        params = ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 16, 16)
+        good = str(tmp_path / "good.bin")
+        T.save_checkpoint(good, params, nn.Adam(params.parameters()), 1)
+        blocks = nn.load_blocks(good)
+        if shape is None:
+            del blocks[block]
+        else:
+            blocks[block] = np.zeros(shape)
+        ckpt = str(tmp_path / "bad.bin")
+        nn.save_blocks(ckpt, blocks)
+        for argv in (["eval", "--out", str(tmp_path / "ev"), "--checkpoint", ckpt],
+                     ["train", "--dataset", generated, "--out", str(tmp_path / "run"),
+                      "--resume", ckpt, "--steps", "2"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: checkpoint {ckpt}") and repr(block) in err
 
     @pytest.mark.parametrize("content", [b"NOTACKPT" + b"\0" * 16, b"MPCKPT01\x05\0"])
     def test_corrupt_checkpoint_fails_before_test_set(self, tmp_path, capsys, monkeypatch,

@@ -32,7 +32,11 @@ def load_samples(root, scenario, refinement=None, n_steps=3):
 class TestSampleScenarios:
     def test_draws_satisfy_invariants(self):
         for s in D.sample_scenarios(200, seed=0):
-            assert s.validate()
+            assert D.RADIUS_RANGE[0] <= s.radius <= D.RADIUS_RANGE[1]
+            assert D.CENTER_X_RANGE[0] <= s.center[0] <= D.CENTER_X_RANGE[1]
+            assert D.CENTER_Y_RANGE[0] <= s.center[1] <= D.CENTER_Y_RANGE[1]
+            assert D.U_MEAN_RANGE[0] <= s.inflow_mean <= D.U_MEAN_RANGE[1]
+            assert D.EDGE_MIN_RANGE[0] <= s.edge_min <= D.EDGE_MIN_RANGE[1]
 
     def test_fixed_seed_identical(self):
         a = D.sample_scenarios(20, seed=42)

@@ -457,11 +457,3 @@ class TestReceptiveField:
         dist = fine_graph_distances(fine)
         fine_budget = 2  # H steps only
         assert np.any(mask & (dist > fine_budget + 1))
-
-
-class TestScheduleFormat:
-    def test_roundtrip_text(self):
-        for text in ("p=1H 11L 1H (U=1,D=1)", "p=15H (U=0,D=0)"):
-            s = P.parse_schedule(text)
-            s2 = P.parse_schedule(s._format())
-            assert s2.steps == s.steps

@@ -140,6 +140,51 @@ class TestSimulate:
         assert stepper.dt_sub * stepper.n_substeps == pytest.approx(0.1)
 
 
+class _Doubling:
+    """Doubles its state; logs every (u, bc_values) pair it is given."""
+
+    def __init__(self):
+        self.calls = []
+
+    def step(self, u, bc_values):
+        self.calls.append((u.copy(), bc_values))
+        return 2.0 * u
+
+
+class TestUnroll:
+    def test_frames_times_and_held_boundary_values(self):
+        stepper = _Doubling()
+        initial = np.array([1.0, -0.5, 3.0])
+        frames, seconds = S.unroll(stepper, initial, 4)
+        assert frames.shape == (5, 3) and seconds.shape == (4,)
+        assert np.all(seconds >= 0.0)
+        for t, frame in enumerate(frames):
+            assert np.array_equal(frame, 2.0**t * initial)
+        for t, (u, bc) in enumerate(stepper.calls):
+            assert np.array_equal(u, frames[t]) and bc is initial
+
+    def test_solver_frames_match_step_loop_bytes(self):
+        domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.05)
+        mesh = M.generate_mesh(domain, 2e-2)
+        stepper = S.FrameStepper(mesh, S.PdeConfig(domain, n_steps=5))
+        u0 = np.random.default_rng(3).uniform(0.0, 1.0, mesh.n_nodes)
+        frames, _ = S.unroll(stepper, u0, 5)
+        u = u0
+        for frame in frames[1:]:
+            u = stepper.step(u, u0)
+            assert frame.tobytes() == u.tobytes()
+
+    def test_first_non_finite_step_named(self):
+        # 1e308 / 4 doubles to inf at the third step.
+        with np.errstate(over="ignore"), pytest.raises(
+                S.SimulationError, match="non-finite state at step 3"):
+            S.unroll(_Doubling(), np.array([0.0, 1e308 / 4]), 6)
+
+    def test_zero_steps(self):
+        frames, seconds = S.unroll(_Doubling(), np.ones(2), 0)
+        assert frames.shape == (1, 2) and seconds.shape == (0,)
+
+
 class TestAnalyticConvergence:
     def test_gaussian_l2_error_order(self):
         errs = []

@@ -373,29 +373,33 @@ class TestModelStepper:
             assert latent.parents == () and latent.vjp is None
 
 
+def model_rollout(params, fine, coarse, initial, steps):
+    """The frames of ``steps`` model steps unrolled from ``initial``."""
+    return S.unroll(T.ModelStepper(params, coarse).bind(fine), initial, steps)[0]
+
+
 class TestRollout:
     def test_zero_weight_model_freezes_interior(self, toy_pair):
         fine, coarse = toy_pair
         params = small_params().zero_()
         initial = np.random.default_rng(2).normal(size=fine.n_nodes)
-        traj = T.rollout(params, fine, coarse, initial, steps=4)
-        for t in range(traj.n_frames):
-            np.testing.assert_allclose(traj.fields[t, :, 0], initial, atol=1e-15)
+        frames = model_rollout(params, fine, coarse, initial, steps=4)
+        for frame in frames:
+            np.testing.assert_allclose(frame, initial, atol=1e-15)
 
     def test_frame_count(self, toy_pair):
         fine, coarse = toy_pair
-        traj = T.rollout(small_params(), fine, coarse,
-                         np.zeros(fine.n_nodes), steps=6)
-        assert traj.n_frames == 7
+        frames = model_rollout(small_params(), fine, coarse, np.zeros(fine.n_nodes), steps=6)
+        assert len(frames) == 7
 
     def test_boundary_reapplied_every_step(self, toy_pair):
         fine, coarse = toy_pair
         params = small_params(seed=7)
         initial = np.random.default_rng(3).normal(size=fine.n_nodes)
-        traj = T.rollout(params, fine, coarse, initial, steps=3)
+        frames = model_rollout(params, fine, coarse, initial, steps=3)
         mask = fine.node_kind == M.KIND_INFLOW
-        for t in range(traj.n_frames):
-            np.testing.assert_array_equal(traj.fields[t, mask, 0], initial[mask])
+        for frame in frames:
+            np.testing.assert_array_equal(frame[mask], initial[mask])
 
     def test_error_accumulates_for_partially_trained_model(self):
         # A briefly trained model drifts: late rollout error exceeds early.
@@ -505,6 +509,24 @@ class TestEvaluate:
             assert row.rollout.tobytes() == roll.tobytes()
             assert (row.mse1, row.mse10, row.mse50) == (
                 float(roll[1:2].mean()), float(roll[1:].mean()), float(roll[1:].mean()))
+
+    def test_non_finite_rollout_state_fails_fast(self, reference):
+        # A stepper whose state turns NaN on the third rollout step (after
+        # the next-step errors' calls) stops the evaluation, naming the step,
+        # instead of writing NaN rows.
+        cfg, ref = reference
+        mesh = M.generate_mesh(UNIT_SQUARE, 0.1)
+        inner = S.FrameStepper(mesh, cfg)
+        calls = Counter()
+
+        class Diverging:
+            def step(self, u, bc_values):
+                calls.update(["step"])
+                out = inner.step(u, bc_values)
+                return out * np.nan if calls["step"] >= ref.n_frames - 1 + 3 else out
+
+        with pytest.raises(S.SimulationError, match="non-finite state at step 3"):
+            T.evaluate(lambda m: Diverging(), [mesh], ref, max_rollout=5)
 
     def test_csv_schema(self, reference, tmp_path):
         cfg, ref = reference
@@ -726,6 +748,6 @@ class TestInvariances:
         fine, coarse = toy_pair
         params = small_params(seed=4)
         initial = np.random.default_rng(5).normal(size=fine.n_nodes)
-        a = T.rollout(params, fine, coarse, initial, steps=3)
-        b = T.rollout(params, fine, coarse, initial, steps=3)
-        assert np.array_equal(a.fields, b.fields)
+        a = model_rollout(params, fine, coarse, initial, steps=3)
+        b = model_rollout(params, fine, coarse, initial, steps=3)
+        assert np.array_equal(a, b)

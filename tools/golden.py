@@ -26,7 +26,8 @@ down and up transfer Graphs between a mesh and a grid on ``GRID_CHANNEL``,
 where some grid corners lie inside the obstacle, and one ``predict_step``
 of a grid-level model on the test domain.
 The ``sec_per_step`` columns of CSV files are wall time, so they are
-blanked before hashing. A refactor that keeps behaviour prints the same
+blanked before hashing. BLAS runs on one thread, whatever the caller's
+environment sets. A refactor that keeps behaviour prints the same
 lines before and after.
 """
 
@@ -40,6 +41,11 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+# One BLAS thread whatever the caller's environment says, set before numpy
+# loads BLAS: the eigenpairs behind spectrum.csv change in the last digits
+# with the thread count.
+for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np  # noqa: E402
 

@@ -157,6 +157,8 @@ def cmd_gen(args):
                 min(max(edge_min, lo), hi), scenario.seed,
             )
         )
+    # Bad PDE keys fail here, before any mesh is generated.
+    dataset.scenario_pde_config(scenarios[0], cfg["viscosity"], cfg["dt"], cfg["n_steps"])
     generate = functools.partial(
         dataset.simulate_scenario, refinement=refinement,
         viscosity=cfg["viscosity"], dt=cfg["dt"], n_steps=cfg["n_steps"],

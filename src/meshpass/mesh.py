@@ -441,8 +441,8 @@ def generate_mesh(domain, edge_min, seed=0):
     ``SPLIT_COLLAPSE_ROUNDS`` rounds, or if the mesh fails
     :func:`validate_mesh`.
     """
-    if edge_min <= 0:
-        raise MeshGenerationError("edge_min must be positive")
+    if not 0 < edge_min < np.inf:
+        raise MeshGenerationError(f"edge_min must be positive and finite, got {edge_min!r}")
     edge_max = 5.0 * edge_min
     if domain.has_obstacle:
         clearance = domain.obstacle_clearance()

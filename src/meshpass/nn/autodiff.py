@@ -11,8 +11,15 @@ used by the loss.
 
 Inside ``with no_tape():`` the same ops record nothing: their outputs have
 no parents and no vjp, so intermediates are freed as soon as the forward
-pass drops them. Every op still checks its output for non-finite values,
-in ``_result``.
+pass drops them. There ``matmul``, ``add``, ``relu``, a gather ``spmm``
+and ``layer_norm`` also write their result into ``out`` when the caller
+hands one over: a buffer of the result's shape that the caller no longer
+reads, often one of the operands. ``Mlp.tail`` and ``processor.update``
+hand over their spent intermediates, so a message-passing step allocates
+two edge-sized arrays, not one per op. While the thread records a tape,
+``out`` is ignored, since the vjps read the operands. Every op still
+checks its output for non-finite values, in ``_result``, so a
+``NonFiniteError`` names the same op in both modes.
 """
 
 from __future__ import annotations
@@ -53,6 +60,15 @@ def no_tape():
         yield
     finally:
         _mode.taping = previous
+
+
+def _handed(out, shape):
+    # The buffer an op writes its result into: ``out`` (Tensor or array)
+    # under no_tape when it has the result's shape, else None (fresh).
+    if out is None or _mode.taping:
+        return None
+    out = value(out)
+    return out if out.shape == shape else None
 
 
 def _result(out, op, parents, vjp):
@@ -107,10 +123,11 @@ def _unbroadcast(g, shape):
     return g
 
 
-def matmul(a, b, bias=None):
-    """``a @ b``, plus ``bias`` broadcast over the rows when given."""
+def matmul(a, b, bias=None, out=None):
+    """``a @ b``, plus ``bias`` broadcast over the rows when given; into
+    ``out`` under no_tape (see the module docstring)."""
     av, bv = value(a), value(b)
-    out = av @ bv
+    out = np.matmul(av, bv, out=_handed(out, av.shape[:-1] + bv.shape[-1:]))
     parents = (a, b)
     if bias is not None:
         out += value(bias)
@@ -136,9 +153,10 @@ def row_block(a, start, stop):
     return _result(out, "row_block", (a,), vjp)
 
 
-def add(a, b):
+def add(a, b, out=None):
+    """``a + b``; into ``out`` under no_tape (see the module docstring)."""
     av, bv = value(a), value(b)
-    out = av + bv
+    out = np.add(av, bv, out=_handed(out, np.broadcast_shapes(av.shape, bv.shape)))
 
     def vjp(g):
         return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
@@ -166,9 +184,10 @@ def mul(a, b):
     return _result(out, "mul", (a, b), vjp)
 
 
-def relu(a):
+def relu(a, out=None):
+    """``max(a, 0)``; into ``out`` under no_tape (see the module docstring)."""
     av = value(a)
-    out = np.maximum(av, 0.0)
+    out = np.maximum(av, 0.0, out=_handed(out, av.shape))
 
     def vjp(g):
         return (g * (av > 0.0),)
@@ -222,13 +241,20 @@ class SparseOp:
         return SparseOp(SparseOp.gather(indices, n_rows).mat.T)
 
 
-def spmm(op, a):
-    """Multiply a constant :class:`SparseOp` with a dense tensor."""
+def spmm(op, a, out=None):
+    """Multiply a constant :class:`SparseOp` with a dense tensor. A gather
+    writes into ``out`` under no_tape (see the module docstring); a
+    segment sum always allocates its output."""
     av = value(a)
+    buf = _handed(out, op.mat.shape[:1] + av.shape[1:])
     if op.indices is None:
         out = op.mat @ av
-    else:
+    elif buf is None:
         out = np.take(av, op.indices, axis=0)
+    else:
+        # mode="raise" would stage the rows in a temporary before copying
+        # them into buf; a gather's indices are in range by construction.
+        out = np.take(av, op.indices, axis=0, out=buf, mode="clip")
 
     def vjp(g):
         return (op.mat_t @ g,)
@@ -239,12 +265,15 @@ def spmm(op, a):
 _LN_EPS = 1e-8
 
 
-def layer_norm(x, gain, bias):
-    """Per-row layer normalization with learned gain and bias."""
+def layer_norm(x, gain, bias, out=None):
+    """Per-row layer normalization with learned gain and bias. Under
+    no_tape, when handed ``out`` it also takes ``x`` over: it centres
+    ``x`` in place and writes the result into ``out``."""
     xv = value(x)
     gv, bv = value(gain), value(bias)
-    xhat = xv - xv.mean(axis=-1, keepdims=True)
-    sq = xhat * xhat
+    buf = _handed(out, xv.shape)
+    xhat = np.subtract(xv, xv.mean(axis=-1, keepdims=True), out=None if buf is None else xv)
+    sq = np.multiply(xhat, xhat, out=buf)
     # The variance as np.var computes it, from the centred rows above.
     inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / xv.shape[-1] + _LN_EPS)
     xhat *= inv

@@ -33,17 +33,24 @@ class Mlp:
             self.ln_gain = Tensor(np.ones(out_width))
             self.ln_bias = Tensor(np.zeros(out_width))
 
-    def __call__(self, x):
-        return self.tail(ad.matmul(x, self.weights[0], self.biases[0]))
+    def __call__(self, x, spare=None):
+        """The forward pass of ``x``; ``spare`` as in :meth:`tail`."""
+        return self.tail(ad.matmul(x, self.weights[0], self.biases[0]), spare)
 
-    def tail(self, pre):
+    def tail(self, pre, spare=None):
         """The rest of the forward pass from ``pre``, the output of the
-        first affine map (input times ``weights[0]`` plus ``biases[0]``)."""
-        h = ad.relu(pre)
-        h = ad.relu(ad.matmul(h, self.weights[1], self.biases[1]))
-        out = ad.matmul(h, self.weights[2], self.biases[2])
+        first affine map (input times ``weights[0]`` plus ``biases[0]``).
+
+        Under ``nn.no_tape`` it overwrites ``pre`` and ``spare`` (a buffer
+        the caller no longer reads, or None): each op writes into whichever
+        of the two holds a value no later op reads, so the result lands in
+        one of them."""
+        h = ad.relu(pre, out=pre)
+        a = ad.matmul(h, self.weights[1], self.biases[1], out=spare)
+        a = ad.relu(a, out=a)
+        out = ad.matmul(a, self.weights[2], self.biases[2], out=h)
         if self.layer_norm:
-            out = ad.layer_norm(out, self.ln_gain, self.ln_bias)
+            out = ad.layer_norm(out, self.ln_gain, self.ln_bias, out=a)
         return out
 
     def parameters(self):

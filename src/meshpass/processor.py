@@ -279,16 +279,26 @@ def update(graph, src, dst, edges, block):
     edges, instead of on the gathered E x 3d concatenation. A gather only
     copies rows, so this is the same map in exact arithmetic; in floating
     point only the order of the sums differs.
+
+    Under ``nn.no_tape`` the sum accumulates into the first product, both
+    gathers share one buffer, the MLPs reuse those dead buffers, and each
+    residual is added into the MLP's output; ``src``, ``dst`` and
+    ``edges`` are never written.
     """
     mlp, d = block.edge_mlp, edges.shape[-1]
     w0 = mlp.weights[0]
     pre = nn.matmul(edges, nn.row_block(w0, 0, d), mlp.biases[0])
     vs = nn.matmul(src, nn.row_block(w0, d, 2 * d))
     vr = nn.matmul(dst, nn.row_block(w0, 2 * d, 3 * d))
-    pre = nn.add(nn.add(pre, nn.spmm(graph.gather_send, vs)), nn.spmm(graph.gather_recv, vr))
-    edges = nn.add(edges, mlp.tail(pre))
+    gathered = nn.spmm(graph.gather_send, vs)
+    pre = nn.add(pre, gathered, out=pre)
+    gathered = nn.spmm(graph.gather_recv, vr, out=gathered)
+    pre = nn.add(pre, gathered, out=pre)
+    out = mlp.tail(pre, gathered)
+    edges = nn.add(edges, out, out=out)
     agg = nn.spmm(graph.aggregate, edges)
-    return nn.add(dst, block.node_mlp(nn.concat([dst, agg]))), edges
+    out = block.node_mlp(nn.concat([dst, agg]), agg)
+    return nn.add(dst, out, out=out), edges
 
 
 def high_res_update(graph, nodes, edges, block):

@@ -43,6 +43,9 @@ class PdeConfig:
     cfl: float = 0.5
 
     def __post_init__(self):
+        for name in ("viscosity", "inflow_mean", "dt", "cfl"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.viscosity < 0:
             raise ValueError("viscosity must be non-negative")
         if self.dt <= 0 or self.n_steps < 0:

@@ -205,6 +205,16 @@ class TestMeshGeneratedOnce:
         assert [e for e, _ in mesh_calls].count(coarse_edge_min) == coarse_calls
         assert len(mesh_calls) > coarse_calls  # the test meshes
 
+    @pytest.mark.parametrize("command", [["gen", "--scenarios", "1"], ["eval", "--solver"]])
+    @pytest.mark.parametrize("key,raw", [("dt", "inf"), ("dt", "nan"), ("viscosity", "nan"),
+                                         ("viscosity", "-inf")])
+    def test_non_finite_pde_key_rejected_before_any_mesh(self, tmp_path, capsys, mesh_calls,
+                                                        command, key, raw):
+        rc = main(command + ["--out", str(tmp_path / "x"), "--set", f"{key}={raw}"] + self.GEN)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {float(raw)!r}\n"
+        assert mesh_calls == []
+
     def test_refine_below_two_rejected_before_any_mesh(self, tmp_path, capsys, mesh_calls):
         rc = main(["gen", "--out", str(tmp_path / "r1"), "--scenarios", "1",
                    "--labels", "high-accuracy", "--refine", "1"] + self.GEN)
@@ -249,6 +259,14 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_coarse_edge_min_exits_1(self, generated, tmp_path, capsys, raw):
+        rc = main(["train", "--dataset", generated, "--out", str(tmp_path / "run"),
+                   "--steps", "1", "--set", f"coarse_edge_min={raw}"] + SMALL_MODEL)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: edge_min must be positive and finite, got {float(raw)!r}\n"
 
     def test_malformed_processor_nonzero_exit(self, generated, tmp_path, capsys):
         rc = main(["train", "--dataset", generated, "--out", str(tmp_path / "r"),

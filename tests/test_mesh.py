@@ -91,6 +91,16 @@ class TestGenerate:
         with pytest.raises(M.MeshGenerationError):
             M.generate_mesh(domain, 0.03)
 
+    @pytest.mark.parametrize("domain", [PAPER_DOMAIN, M.ChannelDomain(1.0, 1.0)],
+                             ids=["obstacle", "free"])
+    @pytest.mark.parametrize("edge_min", [0.0, -1e-2, np.nan, np.inf, -np.inf])
+    def test_edge_min_not_positive_and_finite_rejected(self, domain, edge_min):
+        # NaN fails every comparison and inf once returned the 4-node
+        # corner mesh of an obstacle-free domain.
+        with pytest.raises(M.MeshGenerationError,
+                           match=f"edge_min must be positive and finite, got {edge_min!r}"):
+            M.generate_mesh(domain, edge_min)
+
     def test_determinism(self):
         a = M.generate_mesh(PAPER_DOMAIN, 1.5e-2, seed=5)
         b = M.generate_mesh(PAPER_DOMAIN, 1.5e-2, seed=5)

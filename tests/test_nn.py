@@ -161,6 +161,85 @@ class TestNoTape:
         assert free.parents == () and free.vjp is None and free.op == "layer_norm"
         assert free.data.tobytes() == taped.data.tobytes()
 
+    def _out_cases(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(6, 4))
+        w = rng.normal(size=(4, 4))
+        b = rng.normal(size=4)
+        gather = ad.SparseOp.gather(np.array([2, 0, 5, 5, 1, 3]), 6)
+        # op -> a call of it that hands over ``out`` (None hands over nothing)
+        return {
+            "matmul": lambda out: ad.matmul(x, w, b, out=out),
+            "add": lambda out: ad.add(x, w[0], out=out),
+            "relu": lambda out: ad.relu(x, out=out),
+            "gather": lambda out: ad.spmm(gather, x, out=out),
+            "layer_norm": lambda out: ad.layer_norm(x.copy(), w[0], b, out=out),
+        }
+
+    @pytest.mark.parametrize("name", ["matmul", "add", "relu", "gather", "layer_norm"])
+    def test_out_buffer_used_only_without_tape(self, name):
+        call = self._out_cases()[name]
+        fresh = call(None)
+        buf = np.full(fresh.shape, np.pi)
+        taped = call(buf)
+        assert not np.shares_memory(taped.data, buf) and np.all(buf == np.pi)
+        with nn.no_tape():
+            free = call(buf)
+            wrong_shape = np.zeros((fresh.shape[0] + 1, fresh.shape[1]))
+            assert not np.shares_memory(call(wrong_shape).data, wrong_shape)
+        assert free.data is buf
+        assert free.data.tobytes() == taped.data.tobytes() == fresh.data.tobytes()
+
+    def test_segment_sum_never_writes_out(self):
+        op = ad.SparseOp.segment_sum(np.array([0, 0, 1]), 2)
+        buf = np.zeros((2, 3))
+        with nn.no_tape():
+            out = ad.spmm(op, np.ones((3, 3)), out=buf)
+        assert not np.shares_memory(out.data, buf) and np.all(buf == 0.0)
+
+    def test_taped_tail_keeps_relu_and_layer_norm_inputs(self):
+        # The vjps read these values off the tape, so a taped pass must not
+        # overwrite them even when handed buffers.
+        rng = np.random.default_rng(8)
+        mlp = nn.Mlp(3, 6, hidden=6, rng=rng)
+        for b in mlp.biases:
+            b.data[...] = rng.normal(size=b.shape)
+        pre = ad.matmul(rng.normal(size=(9, 3)), mlp.weights[0], mlp.biases[0])
+        spare = rng.normal(size=(9, 6))
+        kept = pre.data.copy(), spare.copy()
+        out = mlp.tail(pre, spare)
+        assert (pre.data < 0).any()
+        assert pre.data.tobytes() == kept[0].tobytes() and spare.tobytes() == kept[1].tobytes()
+        assert out.op == "layer_norm"
+        ln_in = out.parents[0]
+        assert ln_in.op == "matmul" and np.abs(ln_in.data.mean(axis=1)).min() > 1e-6
+        hidden = ln_in.parents[0]
+        first = hidden.parents[0].parents[0]
+        for relu, arg in ((first, pre), (hidden, hidden.parents[0])):
+            assert relu.op == "relu" and relu.parents[0] is arg and (arg.data < 0).any()
+            assert relu.data.tobytes() == np.maximum(arg.data, 0.0).tobytes()
+        recomputed = np.matmul(hidden.data, mlp.weights[2].data) + mlp.biases[2].data
+        assert ln_in.data.tobytes() == recomputed.tobytes()
+        seed = rng.normal(size=out.shape)
+        leaves = [pre] + mlp.parameters()
+        plain = ad.backward(mlp.tail(pre), seed=seed, wrt=leaves)
+        for a, c in zip(ad.backward(out, seed=seed, wrt=leaves), plain):
+            assert a.tobytes() == c.tobytes()
+
+    def test_reusing_op_names_its_non_finite_output(self):
+        # Each op's output is scanned where it is made: relu would map this
+        # -inf to 0, so a later scan would miss it.
+        mlp = nn.Mlp(2, 4, hidden=4, rng=np.random.default_rng(9))
+        mlp.weights[1].data[...] = -1e308
+        with nn.no_tape(), np.errstate(over="ignore"):
+            with pytest.raises(nn.NonFiniteError) as err:
+                mlp.tail(ad.Tensor(np.full((5, 4), 10.0)), np.zeros((5, 4)))
+            assert err.value.op_name == "matmul"
+            big = ad.Tensor(np.full((2, 3), 1e308))
+            with pytest.raises(nn.NonFiniteError) as err:
+                ad.add(np.full((2, 3), 1e308), big, out=big)
+            assert err.value.op_name == "add"
+
     def test_mode_restored_after_exception(self):
         w = ad.Tensor(np.array([[2.0]]))
         with pytest.raises(nn.NonFiniteError):

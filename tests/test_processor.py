@@ -1,5 +1,9 @@
 """Schedule grammar, update operators, and predict_step tests."""
 
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from meshpass import mesh as M
 from meshpass import nn
 from meshpass import processor as P
 from meshpass import training as T
+from meshpass.solver import unroll
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +430,96 @@ class TestPredictStep:
         params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0, coarse_kind="grid")
         out = P.predict_step(fine, G.GridLevel(domain, 0.1), np.zeros(fine.n_nodes), params)
         assert out.shape == (fine.n_nodes,) and np.all(np.isfinite(out))
+
+
+def _model_arrays(params, static):
+    """Copies of every param and every static latent."""
+    tensors = params.parameters() + [v for v in vars(static).values()
+                                     if isinstance(v, nn.Tensor)]
+    return [t.data.copy() for t in tensors]
+
+
+class TestTapeFreeBuffers:
+    """Under no_tape the forward pass writes into buffers it owns; it must
+    never write into the params, the static latents or the input field,
+    and must give the taped pass's bytes."""
+
+    @pytest.mark.parametrize("schedule,coarse_kind,hidden", [
+        ("p=1H 11L 1H (U=1,D=1)", "mesh", 8),
+        ("p=3H (U=0,D=0)", "mesh", 8),
+        ("p=1H 2L 1H (U=1,D=1)", "grid", 8),
+        ("p=1H 2L 1H (U=1,D=1)", "mesh", 12),  # hidden buffers unlike the latents
+    ])
+    def test_steps_keep_inputs_and_match_taped_bytes(self, channel, schedule, coarse_kind,
+                                                      hidden):
+        domain, fine, coarse = channel
+        if coarse_kind == "grid":
+            coarse = G.GridLevel(domain, 0.1)
+        params = P.ModelParams(schedule, 1, 8, hidden, seed=5, coarse_kind=coarse_kind)
+        stepper = T.ModelStepper(params, coarse).bind(fine)
+        before = _model_arrays(params, stepper.static)
+        held = np.isin(fine.node_kind, P.PRESCRIBED_KINDS)
+        u = np.random.default_rng(6).normal(size=fine.n_nodes)
+        for _ in range(3):
+            given = u.copy()
+            nxt = stepper.step(u)
+            assert u.tobytes() == given.tobytes()
+            delta, _ = P.forward_normalized_delta(params, fine, coarse, u)
+            taped = u + params.output_normalizer.unapply(delta.data)[:, 0]
+            taped[held] = u[held]
+            assert nxt.tobytes() == taped.tobytes()
+            u = nxt
+        after = _model_arrays(params, stepper.static)
+        assert len(after) == len(before)
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_threads_give_sequential_bytes(self, channel):
+        # Three steppers on three threads share the params and the coarse
+        # mesh, and two of them the fine mesh; each thread must write only
+        # into the buffers of its own pass.
+        domain, fine, coarse = channel
+        meshes = (fine, M.generate_mesh(domain, 1.2e-2, seed=3), fine)
+        params = P.ModelParams("p=1H 2L 1H (U=1,D=1)", 1, 8, 8, seed=7)
+
+        def run(i, start=None):
+            stepper = T.ModelStepper(params, coarse).bind(meshes[i])
+            initial = np.random.default_rng(i).normal(size=meshes[i].n_nodes)
+            if start is not None:
+                start.wait(10)
+            return unroll(stepper, initial, 4)[0]
+
+        sequential = [run(i) for i in range(3)]
+        start, threaded = threading.Barrier(3), [None] * 3
+        threads = [threading.Thread(target=lambda i=i: threaded.__setitem__(i, run(i, start)))
+                   for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(threaded, sequential):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_overflowing_residual_names_add(self, taped):
+        # The residual is added into the MLP's output buffer under no_tape;
+        # its overflow must still be reported as the add's.
+        rng = np.random.default_rng(3)
+        block = P.ProcessorBlock("H", 4, 4, rng)
+        block.edge_mlp.weights[0].data[:4] = 0.0  # no edge latent reaches the MLP
+        block.edge_mlp.ln_bias.data[:] = 1e308
+        v = nn.Tensor(rng.normal(size=(3, 4)))
+        e = nn.Tensor(np.full((2, 4), 1.5e308))
+        mode = contextlib.nullcontext() if taped else nn.no_tape()
+        with mode, np.errstate(over="ignore"), pytest.raises(nn.NonFiniteError) as err:
+            P.update(tiny_graph([0, 1], [1, 2], 3), v, v, e, block)
+        assert err.value.op_name == "add"
 
 
 @pytest.fixture(scope="module")

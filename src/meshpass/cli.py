@@ -100,7 +100,7 @@ def load_config(path=None, overrides=()):
 def resolve_config(args):
     """The settings of a command: the defaults, then the ``--config`` file,
     then ``--set``, then the command's key flags. ConfigError for a count
-    below 1."""
+    below 1 or a coarse_edge_min that is not positive and finite."""
     cfg = load_config(args.config, args.set or ())
     for key, _ in KEY_FLAGS.values():
         if getattr(args, key, None) is not None:
@@ -108,6 +108,10 @@ def resolve_config(args):
     for key in COUNT_KEYS:
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    if not 0 < cfg["coarse_edge_min"] < np.inf:
+        raise ConfigError(
+            f"coarse_edge_min must be positive and finite, got {cfg['coarse_edge_min']!r}"
+        )
     return cfg
 
 
@@ -144,7 +148,6 @@ def cmd_gen(args):
     if refinement is not None:
         dataset.check_refinement(refinement)
     lo, hi = _edge_min_range(cfg)
-    os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(cfg["seed"])
     scenarios = []
     for scenario in dataset.sample_scenarios(cfg["scenarios"], cfg["seed"]):
@@ -159,6 +162,7 @@ def cmd_gen(args):
         )
     # Bad PDE keys fail here, before any mesh is generated.
     dataset.scenario_pde_config(scenarios[0], cfg["viscosity"], cfg["dt"], cfg["n_steps"])
+    os.makedirs(args.out, exist_ok=True)
     generate = functools.partial(
         dataset.simulate_scenario, refinement=refinement,
         viscosity=cfg["viscosity"], dt=cfg["dt"], n_steps=cfg["n_steps"],
@@ -246,7 +250,6 @@ def cmd_eval(args):
         return 1
     resolutions = _eval_resolutions(cfg)
     params = None if args.solver else load_checkpoint(args.checkpoint)[0]
-    os.makedirs(args.out, exist_ok=True)
     meshes, ref_traj, pde_cfg = dataset.fixed_obstacle_testset(
         resolutions=resolutions,
         n_resolutions=cfg["n_resolutions"],
@@ -256,6 +259,7 @@ def cmd_eval(args):
         n_steps=cfg["eval_steps"],
         edge_min_range=_edge_min_range(cfg),
     )
+    os.makedirs(args.out, exist_ok=True)
     if params is None:
         factory = lambda mesh: FrameStepper(mesh, pde_cfg)
         report = evaluate(factory, meshes, ref_traj, model="solver", mps=0,

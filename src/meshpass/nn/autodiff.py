@@ -249,8 +249,6 @@ def spmm(op, a, out=None):
     buf = _handed(out, op.mat.shape[:1] + av.shape[1:])
     if op.indices is None:
         out = op.mat @ av
-    elif buf is None:
-        out = np.take(av, op.indices, axis=0)
     else:
         # mode="raise" would stage the rows in a temporary before copying
         # them into buf; a gather's indices are in range by construction.

@@ -210,10 +210,12 @@ class TestMeshGeneratedOnce:
                                          ("viscosity", "-inf")])
     def test_non_finite_pde_key_rejected_before_any_mesh(self, tmp_path, capsys, mesh_calls,
                                                         command, key, raw):
-        rc = main(command + ["--out", str(tmp_path / "x"), "--set", f"{key}={raw}"] + self.GEN)
+        out = tmp_path / "x"
+        rc = main(command + ["--out", str(out), "--set", f"{key}={raw}"] + self.GEN)
         assert rc == 1
         assert capsys.readouterr().err == f"error: {key} must be finite, got {float(raw)!r}\n"
         assert mesh_calls == []
+        assert not out.exists()
 
     def test_refine_below_two_rejected_before_any_mesh(self, tmp_path, capsys, mesh_calls):
         rc = main(["gen", "--out", str(tmp_path / "r1"), "--scenarios", "1",
@@ -260,13 +262,15 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
 
-    @pytest.mark.parametrize("raw", ["nan", "inf"])
-    def test_non_finite_coarse_edge_min_exits_1(self, generated, tmp_path, capsys, raw):
-        rc = main(["train", "--dataset", generated, "--out", str(tmp_path / "run"),
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1e-2"])
+    def test_bad_coarse_edge_min_names_key(self, generated, tmp_path, capsys, raw):
+        out = tmp_path / "run"
+        rc = main(["train", "--dataset", generated, "--out", str(out),
                    "--steps", "1", "--set", f"coarse_edge_min={raw}"] + SMALL_MODEL)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == f"error: edge_min must be positive and finite, got {float(raw)!r}\n"
+        assert err == f"error: coarse_edge_min must be positive and finite, got {float(raw)!r}\n"
+        assert not out.exists()
 
     def test_malformed_processor_nonzero_exit(self, generated, tmp_path, capsys):
         rc = main(["train", "--dataset", generated, "--out", str(tmp_path / "r"),

@@ -207,7 +207,6 @@ def cmd_train(args):
     if not samples:
         print(f"error: no scenarios under {args.dataset}", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
     if args.resume:
         params, optimizer, start_step = load_checkpoint(args.resume)
         for key, held, same in (
@@ -228,6 +227,7 @@ def cmd_train(args):
         )
         optimizer = nn.Adam(params.parameters(), lr=train_cfg.learning_rate)
         start_step = 0
+    os.makedirs(args.out, exist_ok=True)
     history = training.train(params, samples, train_cfg, optimizer, start_step)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     save_checkpoint(ckpt, params, optimizer, train_cfg.steps)
@@ -295,7 +295,6 @@ def cmd_analyze(args):
     if args.frame < 0:
         print("error: --frame must be >= 0", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
     if args.mode == "spectrum":
         mesh = load_mesh(args.mesh)
         traj_a, _ = load_trajectory(args.traj, mesh)
@@ -307,6 +306,7 @@ def cmd_analyze(args):
         frame = min(args.frame, traj_a.n_frames - 1)
         err = traj_a.fields[frame] - traj_b.fields[frame]
         spectrum = analysis.gft_spectrum(basis, err)
+        os.makedirs(args.out, exist_ok=True)
         analysis.write_spectrum_csv(os.path.join(args.out, "spectrum.csv"), basis, spectrum)
         print(f"wrote spectrum.csv (frame {frame}) to {args.out}")
         return 0
@@ -315,6 +315,7 @@ def cmd_analyze(args):
             training.EvalReport.read_csv(args.eval).rows,
             training.EvalReport.read_csv(args.baseline).rows,
         )
+        os.makedirs(args.out, exist_ok=True)
         analysis.write_curve_csv(os.path.join(args.out, "curve.csv"), merged)
         print(f"wrote curve.csv to {args.out}")
         return 0
@@ -329,11 +330,11 @@ def cmd_bench(args):
         if args.resolutions
         else [8e-3, 5e-3, 3.5e-3]
     )
-    os.makedirs(args.out, exist_ok=True)
     params = ModelParams(
         cfg["processor"], 1, cfg["latent_size"], cfg["hidden_size"], cfg["seed"]
     )
     coarse = dataset.coarse_mesh(dataset.TEST_DOMAIN, cfg["seed"], cfg["coarse_edge_min"])
+    os.makedirs(args.out, exist_ok=True)
     rows = []
     for res in resolutions:
         fine = dataset.generate_mesh(dataset.TEST_DOMAIN, res, seed=cfg["seed"])

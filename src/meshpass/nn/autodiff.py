@@ -9,6 +9,16 @@ gather/scatter for graph message passing (a gather runs forward as
 ``np.take`` of its stored indices), layer normalization and the reductions
 used by the loss.
 
+The tape is kept apart from the data. Each output Tensor carries a node
+with the op name, the parents' nodes (not their Tensors) and the vjp, and
+each vjp holds only the arrays it reads: ``matmul`` and ``mul`` their
+operands, ``relu`` its output, ``layer_norm`` the normalized rows, their
+inverse scale and the gain, ``mean_sq`` its operand; ``add``, ``sub``,
+``row_block``, ``spmm`` and ``concat`` hold only shapes, operators and
+splits. So a taped intermediate that no vjp reads (a gather, a sum, a
+layer norm's input) is freed as soon as the forward pass drops its
+Tensor, while its node stays on the tape.
+
 Inside ``with no_tape():`` the same ops record nothing: their outputs have
 no parents and no vjp, so intermediates are freed as soon as the forward
 pass drops them. There ``matmul``, ``add``, ``relu``, a gather ``spmm``
@@ -17,9 +27,9 @@ hands one over: a buffer of the result's shape that the caller no longer
 reads, often one of the operands. ``Mlp.tail`` and ``processor.update``
 hand over their spent intermediates, so a message-passing step allocates
 two edge-sized arrays, not one per op. While the thread records a tape,
-``out`` is ignored, since the vjps read the operands. Every op still
-checks its output for non-finite values, in ``_result``, so a
-``NonFiniteError`` names the same op in both modes.
+``out`` is ignored, since a vjp may read the array it would overwrite.
+Every op still checks its output for non-finite values, in ``_result``,
+so a ``NonFiniteError`` names the same op in both modes.
 """
 
 from __future__ import annotations
@@ -77,25 +87,41 @@ def _result(out, op, parents, vjp):
     if not np.all(np.isfinite(out)):
         raise NonFiniteError(op)
     if _mode.taping:
-        return Tensor(out, op, parents, vjp)
+        nodes = tuple(p.node if isinstance(p, Tensor) else None for p in parents)
+        return Tensor(out, op, nodes, vjp)
     return Tensor(out, op)
 
 
-class Tensor:
-    """A float64 array plus the tape record that produced it.
+class _Node:
+    # One tape record: the op name, the parents' nodes (None for a constant
+    # operand) and the vjp. It holds no array of its own.
+    __slots__ = ("op", "parents", "vjp")
 
-    Leaf tensors (parameters, inputs) have no parents. Plain numpy arrays
-    passed to the ops below are treated as constants and receive no
-    gradient.
-    """
-
-    __slots__ = ("data", "op", "parents", "vjp")
-
-    def __init__(self, data, op="leaf", parents=(), vjp=None):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, op, parents, vjp):
         self.op = op
         self.parents = parents
         self.vjp = vjp
+
+
+class Tensor:
+    """A float64 array plus the tape node of the op that produced it.
+
+    ``op``, ``parents`` (the parents' nodes, not their Tensors) and
+    ``vjp`` read the node. Leaf tensors (parameters, inputs) and every
+    output made under ``no_tape`` have no parents and no vjp. Plain numpy
+    arrays passed to the ops below are treated as constants and receive no
+    gradient.
+    """
+
+    __slots__ = ("data", "node")
+
+    def __init__(self, data, op="leaf", parents=(), vjp=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.node = _Node(op, parents, vjp)
+
+    op = property(lambda self: self.node.op)
+    parents = property(lambda self: self.node.parents)
+    vjp = property(lambda self: self.node.vjp)
 
     @property
     def shape(self):
@@ -144,9 +170,10 @@ def row_block(a, start, stop):
     """Rows ``start:stop`` of a 2-D tensor, as a view of its data."""
     av = value(a)
     out = av[start:stop]
+    shape = av.shape
 
     def vjp(g):
-        full = np.zeros_like(av)
+        full = np.zeros(shape)
         full[start:stop] = g
         return (full,)
 
@@ -157,9 +184,10 @@ def add(a, b, out=None):
     """``a + b``; into ``out`` under no_tape (see the module docstring)."""
     av, bv = value(a), value(b)
     out = np.add(av, bv, out=_handed(out, np.broadcast_shapes(av.shape, bv.shape)))
+    ashape, bshape = av.shape, bv.shape
 
     def vjp(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
+        return _unbroadcast(g, ashape), _unbroadcast(g, bshape)
 
     return _result(out, "add", (a, b), vjp)
 
@@ -167,9 +195,10 @@ def add(a, b, out=None):
 def sub(a, b):
     av, bv = value(a), value(b)
     out = av - bv
+    ashape, bshape = av.shape, bv.shape
 
     def vjp(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
+        return _unbroadcast(g, ashape), _unbroadcast(-g, bshape)
 
     return _result(out, "sub", (a, b), vjp)
 
@@ -190,7 +219,9 @@ def relu(a, out=None):
     out = np.maximum(av, 0.0, out=_handed(out, av.shape))
 
     def vjp(g):
-        return (g * (av > 0.0),)
+        # out > 0 exactly where av > 0: max(av, 0) is av there and a zero
+        # (of either sign) elsewhere.
+        return (g * (out > 0.0),)
 
     return _result(out, "relu", (a,), vjp)
 
@@ -277,6 +308,7 @@ def layer_norm(x, gain, bias, out=None):
     xhat *= inv
     out = np.multiply(xhat, gv, out=sq)
     out += bv
+    bshape = bv.shape
 
     def vjp(g):
         gx = g * gv
@@ -286,7 +318,7 @@ def layer_norm(x, gain, bias, out=None):
         gx -= xhat * m2
         gx *= inv
         gg = _unbroadcast(g * xhat, gv.shape)
-        gb = _unbroadcast(g, bv.shape)
+        gb = _unbroadcast(g, bshape)
         return gx, gg, gb
 
     return _result(out, "layer_norm", (x, gain, bias), vjp)
@@ -305,13 +337,14 @@ def mean_sq(a):
 
 
 def _topo_order(root):
-    """Tensors reachable from ``root`` in reverse-replay order (iterative)."""
+    """Nodes reachable from the node ``root`` in reverse-replay order
+    (iterative)."""
     order = []
     seen = set()
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if not isinstance(node, Tensor) or node.vjp is None:
+        if node is None or node.vjp is None:
             continue
         nid = id(node)
         if expanded:
@@ -327,44 +360,40 @@ def _topo_order(root):
     return order
 
 
-def backward(root, seed=None, wrt=None):
-    """Accumulate d(root)/d(tensor) for every tensor the root depends on.
+def backward(root, wrt, seed=None):
+    """Gradients of ``root`` with respect to each tensor in ``wrt``.
 
     Parameters
     ----------
     root : Tensor
         Output of the taped computation; any shape (seed must match).
+    wrt : sequence of Tensor
+        The tensors to differentiate with respect to; returns a list of
+        gradients aligned with it (zeros for unused ones). The adjoint of
+        each node not in ``wrt`` is dropped as soon as its vjp has run, so
+        a spent adjoint is freed during the pass.
     seed : ndarray, optional
         Initial adjoint; defaults to ones of root's shape (i.e. gradient of
         root.sum()).
-    wrt : sequence of Tensor, optional
-        If given, return a list of gradients aligned with ``wrt`` (zeros for
-        unused leaves); otherwise return the full id->gradient dict. With
-        ``wrt``, the adjoint of each node not in ``wrt`` is dropped as soon
-        as its vjp has run, so a spent adjoint is freed during the pass.
     """
-    grads = {}
     if seed is None:
         seed = np.ones_like(root.data)
-    grads[id(root)] = np.asarray(seed, dtype=np.float64)
-    keep = None if wrt is None else {id(p) for p in wrt}
-    for node in _topo_order(root):
+    grads = {id(root.node): np.asarray(seed, dtype=np.float64)}
+    keep = {id(p.node) for p in wrt}
+    for node in _topo_order(root.node):
         nid = id(node)
-        g = grads.get(nid) if keep is None or nid in keep else grads.pop(nid, None)
+        g = grads.get(nid) if nid in keep else grads.pop(nid, None)
         if g is None:
             continue
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(node.op)
         parent_grads = node.vjp(g)
         for parent, pg in zip(node.parents, parent_grads):
-            if not isinstance(parent, Tensor):
+            if parent is None:
                 continue
             pid = id(parent)
             if pid in grads:
                 grads[pid] = grads[pid] + pg
             else:
                 grads[pid] = pg
-    if wrt is None:
-        return grads
-    return [grads.get(id(p), np.zeros_like(p.data)) for p in wrt]
-
+    return [grads.get(id(p.node), np.zeros_like(p.data)) for p in wrt]

@@ -442,12 +442,14 @@ class TestTrain:
             raise AssertionError("training started on a mismatched checkpoint")
 
         monkeypatch.setattr(T, "train", no_training)
-        rc = main(["train", "--out", str(tmp_path / "second"), "--resume", ckpt,
+        second = tmp_path / "second"
+        rc = main(["train", "--out", str(second), "--resume", ckpt,
                    "--processor", "p=1H 1L 1H (U=1,D=1)"] + args + flags)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ckpt in err
         assert f"{key}={held}" in err and f"{key}={wanted}" in err
+        assert not second.exists()
 
 
 class TestEval:
@@ -638,6 +640,7 @@ class TestAnalyze:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(ev) in err and "'next_step_mse'" in err
+        assert not (tmp_path / "curve").exists()
 
     def test_curve_baseline_without_next_step_column(self, tmp_path, capsys):
         ev = tmp_path / "eval.csv"
@@ -654,6 +657,7 @@ class TestAnalyze:
                    "--eval", str(ev), "--baseline", str(base)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {base} has no 'next_step_mse' column\n"
+        assert not (tmp_path / "curve").exists()
 
     @pytest.mark.parametrize("row,named", [
         ('0.05,model,9,"p=9H (U=0,D=0)",0.5', "line 2: no 'mse10' value"),
@@ -669,6 +673,21 @@ class TestAnalyze:
                    "--eval", str(ev), "--baseline", str(ev)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {ev} {named}\n"
+        assert not (tmp_path / "curve").exists()
+
+    @pytest.mark.parametrize("mode,flags", [
+        ("spectrum", ("mesh", "traj", "ref")),
+        ("curve", ("eval", "baseline")),
+    ])
+    def test_unreadable_input_creates_no_out(self, tmp_path, capsys, mode, flags):
+        out = tmp_path / "an"
+        argv = ["analyze", "--mode", mode, "--out", str(out)]
+        for flag in flags:
+            argv += [f"--{flag}", str(tmp_path / f"nope.{flag}")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope." in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("frame", ["-1", "-100"])
     def test_negative_frame_rejected(self, generated, tmp_path, capsys, frame):
@@ -714,3 +733,9 @@ class TestBench:
             text = fh.read()
         assert "edge_min" in text.splitlines()[0]
         assert len(text.splitlines()) == 3
+
+    def test_bad_processor_creates_no_out(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), "--processor", "p=bad"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

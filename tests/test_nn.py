@@ -131,6 +131,16 @@ class TestAutodiffOps:
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
 
+    def test_relu_mask_read_off_output_matches_input(self):
+        # The vjp masks by relu's output: max(x, 0) > 0 exactly where
+        # x > 0, also at signed zeros and subnormals.
+        sub = np.finfo(np.float64).smallest_subnormal
+        x = ad.Tensor([[0.0, -0.0, sub, -sub, 3 * sub, np.finfo(np.float64).tiny, -1.0, 2.0]])
+        g = np.arange(1.0, 9.0)[None]
+        (gx,) = ad.backward(ad.relu(x), seed=g, wrt=[x])
+        assert gx.tobytes() == (g * (x.data > 0.0)).tobytes()
+        assert gx.tolist() == [[0.0, 0.0, 3.0, 0.0, 5.0, 6.0, 0.0, 8.0]]
+
     def test_shared_subexpression_accumulates(self):
         x = ad.Tensor([[2.0]])
         y = ad.add(ad.mul(x, 3.0), ad.mul(x, 4.0))  # 7x
@@ -197,9 +207,10 @@ class TestNoTape:
             out = ad.spmm(op, np.ones((3, 3)), out=buf)
         assert not np.shares_memory(out.data, buf) and np.all(buf == 0.0)
 
-    def test_taped_tail_keeps_relu_and_layer_norm_inputs(self):
-        # The vjps read these values off the tape, so a taped pass must not
-        # overwrite them even when handed buffers.
+    def test_taped_tail_ignores_handed_buffers(self):
+        # While taping, ``out`` is ignored: the caller's arrays keep their
+        # values, and output and gradients equal those of a pass handed
+        # no buffer.
         rng = np.random.default_rng(8)
         mlp = nn.Mlp(3, 6, hidden=6, rng=rng)
         for b in mlp.biases:
@@ -208,22 +219,15 @@ class TestNoTape:
         spare = rng.normal(size=(9, 6))
         kept = pre.data.copy(), spare.copy()
         out = mlp.tail(pre, spare)
+        plain = mlp.tail(pre)
         assert (pre.data < 0).any()
         assert pre.data.tobytes() == kept[0].tobytes() and spare.tobytes() == kept[1].tobytes()
-        assert out.op == "layer_norm"
-        ln_in = out.parents[0]
-        assert ln_in.op == "matmul" and np.abs(ln_in.data.mean(axis=1)).min() > 1e-6
-        hidden = ln_in.parents[0]
-        first = hidden.parents[0].parents[0]
-        for relu, arg in ((first, pre), (hidden, hidden.parents[0])):
-            assert relu.op == "relu" and relu.parents[0] is arg and (arg.data < 0).any()
-            assert relu.data.tobytes() == np.maximum(arg.data, 0.0).tobytes()
-        recomputed = np.matmul(hidden.data, mlp.weights[2].data) + mlp.biases[2].data
-        assert ln_in.data.tobytes() == recomputed.tobytes()
+        assert not np.shares_memory(out.data, pre.data) and not np.shares_memory(out.data, spare)
+        assert out.op == "layer_norm" and out.data.tobytes() == plain.data.tobytes()
         seed = rng.normal(size=out.shape)
         leaves = [pre] + mlp.parameters()
-        plain = ad.backward(mlp.tail(pre), seed=seed, wrt=leaves)
-        for a, c in zip(ad.backward(out, seed=seed, wrt=leaves), plain):
+        for a, c in zip(ad.backward(out, seed=seed, wrt=leaves),
+                        ad.backward(plain, seed=seed, wrt=leaves)):
             assert a.tobytes() == c.tobytes()
 
     def test_reusing_op_names_its_non_finite_output(self):
@@ -289,23 +293,16 @@ class TestBackwardWrt:
             h = ad.add(h, mlp(h))
         return ad.mean_sq(h), [p for mlp in mlps for p in mlp.parameters()]
 
-    def test_gradients_equal_full_dict_bytes(self):
-        loss, params = self.three_block_loss()
-        full = ad.backward(loss)
-        for p, g in zip(params, ad.backward(loss, wrt=params)):
-            assert g.tobytes() == full[id(p)].tobytes()
-
     def test_spent_adjoints_freed(self):
         loss, params = self.three_block_loss()
-        peaks = []
-        for wrt in (None, params):
-            tracemalloc.start()
-            ad.backward(loss, wrt=wrt)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        # The full dict holds one adjoint per taped node (about 10 MB
-        # here); with ``wrt`` only a few are alive at any time.
-        assert peaks[1] < peaks[0] / 2
+        tracemalloc.start()
+        ad.backward(loss, wrt=params)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # One (2000, 32) adjoint per taped node would take about 10 MB;
+        # only a few are alive at any time.
+        held_by_all = len(ad._topo_order(loss.node)) * 2000 * 32 * 8
+        assert peak < held_by_all / 2
 
 
 class TestGrad:

@@ -3,6 +3,7 @@
 import contextlib
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -294,6 +295,40 @@ class TestBlockFactoredEdgeUpdate:
                           wrt=leaves)
         for got, want in zip(new, ref):
             assert max_rel_diff(got, want) < 1e-12
+
+    def test_taped_update_keeps_only_arrays_vjps_read(self, level_graphs, monkeypatch):
+        # With the loss alive, the gathers, the first-layer sums, the
+        # segment sum and the layer-norm inputs are freed: no vjp reads
+        # them. The relu outputs stay, read by their own vjp and the next
+        # matmul's, as do the new latents, read by mean_sq's.
+        graph, n_src, n_dst = level_graphs["D"]
+        block, src, dst, edges = self._inputs(graph, n_src, n_dst, "D")
+        made = {"spmm": [], "add": [], "relu": [], "layer_norm": []}
+
+        def recording(module, name):
+            op = getattr(module, name)
+
+            def call(*args, **kwargs):
+                out = op(*args, **kwargs)
+                # layer_norm's input, every other op's output
+                made[name].append(weakref.ref(nn.value(args[0] if name == "layer_norm" else out)))
+                return out
+            return call
+
+        with monkeypatch.context() as patch:
+            for module, name in ((nn, "spmm"), (nn, "add"), (nn.autodiff, "relu"),
+                                 (nn.autodiff, "layer_norm")):
+                patch.setattr(module, name, recording(module, name))
+            new_dst, new_edges = P.update(graph, src, dst, edges, block)
+        loss = nn.add(nn.mean_sq(new_dst), nn.mean_sq(new_edges))
+        del new_dst, new_edges
+        alive = {name: [ref() is not None for ref in refs] for name, refs in made.items()}
+        assert alive == {"spmm": [False] * 3, "add": [False, False, True, True],
+                         "relu": [True] * 4, "layer_norm": [False] * 2}
+        leaves = [src, dst, edges] + block.edge_mlp.parameters() + block.node_mlp.parameters()
+        again = nn.add(*(nn.mean_sq(t) for t in P.update(graph, src, dst, edges, block)))
+        for got, want in zip(nn.backward(loss, wrt=leaves), nn.backward(again, wrt=leaves)):
+            assert got.tobytes() == want.tobytes()
 
     def test_parameter_names_and_shapes_unchanged(self):
         d, h = self.D, self.H

@@ -222,7 +222,8 @@ def write_scenario_dir(root, index, scenario, mesh, traj, ha_traj=None, extra_me
 
 def read_scenario_dir(path):
     """Returns (scenario, mesh, trajectory, ha_trajectory_or_None, meta);
-    ValueError naming the meta file for a missing or malformed entry."""
+    ValueError naming the meta file for a missing or malformed entry, or for
+    entries that make no valid domain (a non-finite radius, say)."""
     meta_path = os.path.join(path, "meta")
     meta = read_key_values(meta_path)
 
@@ -241,6 +242,10 @@ def read_scenario_dir(path):
         edge_min=entry("edge_min"),
         seed=entry("seed", int),
     )
+    try:
+        scenario.domain()
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     mesh = load_mesh(os.path.join(path, "mesh.msh"))
     traj, _ = load_trajectory(os.path.join(path, "trajectory.bin"), mesh)
     ha = None

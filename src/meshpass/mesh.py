@@ -48,6 +48,12 @@ class ChannelDomain:
     obstacle_radius: float = 0.0
 
     def __post_init__(self):
+        center = () if self.obstacle_center is None else self.obstacle_center
+        for name, value in (("length", self.length), ("height", self.height),
+                            ("obstacle_center", center),
+                            ("obstacle_radius", self.obstacle_radius)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.length <= 0 or self.height <= 0:
             raise ValueError("channel dimensions must be positive")
         if self.has_obstacle:
@@ -65,8 +71,11 @@ class ChannelDomain:
     def signed_distance(self, pts):
         """Negative inside the domain, positive outside (rect minus disk)."""
         pts = np.atleast_2d(pts)
-        x, y = pts[:, 0], pts[:, 1]
-        d_rect = -np.minimum.reduce([x, self.length - x, y, self.height - y])
+        return self.signed_distance_xy(pts[:, 0], pts[:, 1])
+
+    def signed_distance_xy(self, x, y):
+        """:meth:`signed_distance` of the points with coordinates x and y."""
+        d_rect = -np.minimum(np.minimum(np.minimum(x, self.length - x), y), self.height - y)
         if not self.has_obstacle:
             return d_rect
         cx, cy = self.obstacle_center
@@ -331,15 +340,15 @@ def interpolate_field(src_mesh, field, query_points):
 
 
 def _sizing_field(domain, edge_min, edge_max):
+    """Target edge length h(x, y) at the points with coordinates x and y."""
     if not domain.has_obstacle:
-        return lambda pts: np.full(np.atleast_2d(pts).shape[0], edge_min)
+        return lambda x, y: np.full(np.shape(x), edge_min)
 
     cx, cy = domain.obstacle_center
     r = domain.obstacle_radius
 
-    def h(pts):
-        pts = np.atleast_2d(pts)
-        dist = np.abs(np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) - r)
+    def h(x, y):
+        dist = np.abs(np.hypot(x - cx, y - cy) - r)
         return np.minimum(edge_min + SIZING_GRADE * dist, edge_max)
 
     return h
@@ -354,25 +363,39 @@ def _corner_mesh(domain):
     return positions, triangles, kinds
 
 
-def _interior_triangles(domain, points, tris, geps):
-    centroids = points[tris].mean(axis=1)
-    keep = domain.signed_distance(centroids) < -geps
-    return tris[keep]
+def _interior_triangles(domain, x, y, tris, geps):
+    """The triangles whose centroid lies deeper than ``geps`` inside."""
+    a, b, c = tris.T
+    d = domain.signed_distance_xy((x[a] + x[b] + x[c]) / 3, (y[a] + y[b] + y[c]) / 3)
+    return tris[d < -geps]
 
 
-def _project_to_boundary(domain, pts, deps):
-    d = domain.signed_distance(pts)
-    out = d > 0
-    if not np.any(out):
-        return pts
-    p = pts[out]
-    dx = (domain.signed_distance(p + [deps, 0.0]) - domain.signed_distance(p - [deps, 0.0])) / (2 * deps)
-    dy = (domain.signed_distance(p + [0.0, deps]) - domain.signed_distance(p - [0.0, deps])) / (2 * deps)
+def _project_to_boundary(domain, x, y, deps):
+    """Move the points outside the domain onto its boundary along the
+    central-difference gradient of the signed distance, writing into x and
+    y. Returns the signed distance of every point after the move."""
+    d = domain.signed_distance_xy(x, y)
+    out = np.flatnonzero(d > 0)
+    if not out.size:
+        return d
+    px, py = x[out], y[out]
+    # The four shifts in one call. A zero shift is not added: ``v + 0.0``
+    # is ``v`` for every v but -0.0, and coordinates here are sums that
+    # start from +0.0, so never -0.0.
+    m = out.size
+    shifted = domain.signed_distance_xy(
+        np.concatenate([px + deps, px - deps, px, px]),
+        np.concatenate([py, py, py + deps, py - deps]),
+    )
+    dx = (shifted[:m] - shifted[m:2 * m]) / (2 * deps)
+    dy = (shifted[2 * m:3 * m] - shifted[3 * m:]) / (2 * deps)
     norm = np.maximum(np.hypot(dx, dy), 1e-12)
-    p = p - (d[out] / norm**2)[:, None] * np.column_stack([dx, dy])
-    pts = pts.copy()
-    pts[out] = p
-    return pts
+    t = d[out] / norm**2
+    px = px - t * dx
+    py = py - t * dy
+    x[out], y[out] = px, py
+    d[out] = domain.signed_distance_xy(px, py)
+    return d
 
 
 def _classify_and_snap(domain, points, edge_min):
@@ -472,7 +495,7 @@ def generate_mesh(domain, edge_min, seed=0):
     gx[1::2] += h0 / 2
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     pts = pts[domain.signed_distance(pts) < 0.5 * h0]
-    density = (h0 / h_fn(pts)) ** 2
+    density = (h0 / h_fn(pts[:, 0], pts[:, 1])) ** 2
     pts = pts[rng.random(pts.shape[0]) < density / density.max()]
 
     fixed = [np.array([[0.0, 0.0], [L, 0.0], [L, H], [0.0, H]])]
@@ -493,43 +516,49 @@ def generate_mesh(domain, edge_min, seed=0):
     geps = 1e-3 * h0
     deps = np.sqrt(np.finfo(float).eps) * h0
     fscale, deltat = 1.2, 0.2
-    old = np.full_like(pts, np.inf)
-    tris = None
+    # The force loop keeps x and y as separate contiguous columns.
+    n = pts.shape[0]
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    old_x = old_y = np.full(n, np.inf)
     for _ in range(200):
         # Retriangulate once a point has moved a tenth of its own target size
         # since the last triangulation (DistMesh's test, at the local size).
-        if np.any(np.hypot(*(pts - old).T) > 0.1 * h_fn(pts)):
-            old = pts.copy()
-            tris = Delaunay(pts).simplices
-            tris = _interior_triangles(domain, pts, tris, geps)
-            bars = triangle_edges(tris, pts.shape[0])
-            ends = np.concatenate([bars[:, 0], bars[:, 1]])
-        vec = pts[bars[:, 0]] - pts[bars[:, 1]]
-        lengths = np.hypot(vec[:, 0], vec[:, 1])
-        hbars = h_fn(0.5 * (pts[bars[:, 0]] + pts[bars[:, 1]]))
+        if np.any(np.hypot(x - old_x, y - old_y) > 0.1 * h_fn(x, y)):
+            # No copy: each iteration binds x and y to new arrays before the
+            # projection writes into them.
+            old_x, old_y = x, y
+            tris = Delaunay(np.column_stack([x, y])).simplices
+            tris = _interior_triangles(domain, x, y, tris, geps)
+            first, second = triangle_edges(tris, n).T.copy()
+            ends = np.concatenate([first, second])
+        x1, y1, x2, y2 = x[first], y[first], x[second], y[second]
+        vx, vy = x1 - x2, y1 - y2
+        lengths = np.hypot(vx, vy)
+        hbars = h_fn(0.5 * (x1 + x2), 0.5 * (y1 + y2))
         l0 = hbars * fscale * np.sqrt((lengths**2).sum() / (hbars**2).sum())
         force = np.maximum(l0 - lengths, 0.0)
-        fvec = (force / np.maximum(lengths, 1e-300))[:, None] * vec
+        ratio = force / np.maximum(lengths, 1e-300)
+        fx, fy = ratio * vx, ratio * vy
         # bincount sums each node's terms in order, from 0.0: the bars it
-        # starts (+fvec), then the bars it ends (-fvec).
-        push = np.concatenate([fvec, -fvec])
-        move = np.column_stack(
-            [np.bincount(ends, push[:, k], minlength=pts.shape[0]) for k in (0, 1)]
-        )
-        move[:n_fix] = 0.0
-        pts = pts + deltat * move
-        pts = _project_to_boundary(domain, pts, deps)
-        interior = domain.signed_distance(pts) < -geps
-        disp = deltat * np.hypot(move[:, 0], move[:, 1])
+        # starts (+f), then the bars it ends (-f).
+        move_x = np.bincount(ends, np.concatenate([fx, -fx]), minlength=n)
+        move_y = np.bincount(ends, np.concatenate([fy, -fy]), minlength=n)
+        move_x[:n_fix] = 0.0
+        move_y[:n_fix] = 0.0
+        x = x + deltat * move_x
+        y = y + deltat * move_y
+        interior = _project_to_boundary(domain, x, y, deps) < -geps
+        disp = deltat * np.hypot(move_x, move_y)
         if np.max(disp[interior], initial=0.0) < 1e-3 * h0:
             break
+    pts = np.column_stack([x, y])
 
     protected = np.zeros(pts.shape[0], dtype=bool)
     protected[:n_fix] = True
     fresh = np.zeros(pts.shape[0], dtype=bool)
     for rounds in range(SPLIT_COLLAPSE_ROUNDS + 1):
         tris = Delaunay(pts).simplices
-        tris = _interior_triangles(domain, pts, tris, geps)
+        tris = _interior_triangles(domain, pts[:, 0], pts[:, 1], tris, geps)
         bars = triangle_edges(tris, pts.shape[0])
         vec = pts[bars[:, 0]] - pts[bars[:, 1]]
         lengths = np.hypot(vec[:, 0], vec[:, 1])
@@ -566,7 +595,7 @@ def generate_mesh(domain, edge_min, seed=0):
         )
         fresh = np.zeros(pts.shape[0], dtype=bool)
         fresh[pts.shape[0] - midpoints.shape[0]:] = True
-        pts = _project_to_boundary(domain, pts, deps)
+        _project_to_boundary(domain, pts[:, 0], pts[:, 1], deps)  # writes into pts
 
     # The pass only leaves the loop through its break, so ``tris`` is the
     # triangulation of the final ``pts``.

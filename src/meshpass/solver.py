@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .mesh import KIND_INFLOW, build_interpolator, apply_interpolator, mesh_text
 
@@ -225,8 +226,21 @@ class FrameStepper:
         u = np.asarray(u, dtype=np.float64).copy()
         bc = u[self.dirichlet] if bc_values is None else np.asarray(bc_values)[self.dirichlet]
         scale = self.dt_sub * (1.0 / self.lumped_mass)
+        a = self.operator
+        n = a.shape[0]
+        if u.shape != (n,):  # the kernel below does not check lengths
+            raise SimulationError(f"state has shape {u.shape}; the mesh has {n} nodes")
+        # The buffer is this call's own: ``eval --solver`` steps on threads.
+        au = np.empty(n)
         for _ in range(self.n_substeps):
-            u -= scale * (self.operator @ u)
+            # ``operator @ u`` without its dispatch: the CSR kernel it runs,
+            # accumulating into zeros. _sparsetools is private scipy API;
+            # test_step_matches_reference_substep_loop pins the bytes
+            # against the public ``@``.
+            au.fill(0.0)
+            csr_matvec(n, n, a.indptr, a.indices, a.data, u, au)
+            au *= scale
+            u -= au
             u[self.dirichlet] = bc
         return u
 

@@ -341,6 +341,10 @@ class TestTrain:
         ("no_radius", "has no 'radius' entry"),
         ("garbage", "is not key=value: 'garbage'"),
         ("bad_seed", "bad value for 'seed'"),
+        # A NaN radius used to drop the obstacle silently.
+        ("radius=nan", "obstacle_radius must be finite, got nan"),
+        ("radius=inf", "obstacle_radius must be finite, got inf"),
+        ("center_x=nan", "obstacle_center must be finite, got (nan, "),
     ])
     def test_bad_scenario_meta_exits_1(self, generated, tmp_path, capsys, damage, named):
         data = str(tmp_path / "ds")
@@ -353,7 +357,9 @@ class TestTrain:
         elif damage == "garbage":
             lines.append("garbage")
         else:
-            lines = ["seed=abc" if line.startswith("seed=") else line for line in lines]
+            entry = "seed=abc" if damage == "bad_seed" else damage
+            key = entry.split("=")[0] + "="
+            lines = [entry if line.startswith(key) else line for line in lines]
         with open(meta, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         out = tmp_path / "run"

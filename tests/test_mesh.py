@@ -1,11 +1,13 @@
 """Mesh generation, point location, and interpolation tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
 from meshpass import mesh as M
-from meshpass.dataset import sample_scenarios
+from meshpass.dataset import TEST_DOMAIN, sample_scenarios
 
 PAPER_DOMAIN = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.05)
 
@@ -24,6 +26,24 @@ class TestDomain:
     def test_obstacle_must_be_inside(self):
         with pytest.raises(ValueError):
             M.ChannelDomain(1.0, 0.4, (0.02, 0.2), 0.05)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(length=np.nan), "length"),
+        (dict(height=np.inf), "height"),
+        (dict(obstacle_center=(np.nan, 0.25)), "obstacle_center"),
+        (dict(obstacle_center=(0.275, -np.inf)), "obstacle_center"),
+        (dict(obstacle_radius=np.nan), "obstacle_radius"),
+        (dict(obstacle_radius=np.inf), "obstacle_radius"),
+        (dict(obstacle_center=None, obstacle_radius=np.nan), "obstacle_radius"),
+    ])
+    def test_non_finite_field_named(self, kwargs, field):
+        # A NaN radius would make has_obstacle False and drop the obstacle
+        # silently; the message names the field, not a placement rule.
+        fields = dict(length=1.0, height=0.4, obstacle_center=(0.275, 0.25),
+                      obstacle_radius=0.05)
+        fields.update(kwargs)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            M.ChannelDomain(**fields)
 
     def test_signed_distance_signs(self):
         d = PAPER_DOMAIN.signed_distance(
@@ -144,6 +164,31 @@ class TestSplitCollapse:
                            match=r"did not converge after 1 rounds: edge \(") as err:
             M.generate_mesh(PAPER_DOMAIN, 2.8e-2, seed=7)
         assert "edge length out of bounds" not in str(err.value)
+
+
+class TestMeshBytes:
+    """sha256 of ``mesh_text`` of four meshes at seed 0. A change that only
+    makes the generator faster keeps these bytes; only a change that means
+    to change meshes re-baselines the digests, as it does ``meshes/sweep``
+    of tools/golden.py."""
+
+    @pytest.mark.parametrize("domain,edge_min,digest", [
+        pytest.param(TEST_DOMAIN, 1e-2,
+                     "651be2b09b7df65c1d20000010273948a190ee47fd535a3f1f7d344cf976685f",
+                     id="test-domain-1e-2"),
+        pytest.param(TEST_DOMAIN, 8e-3,
+                     "ce3904d262f1ebc8a9dac062ce77f8a01e339c280c3bbcef669a701c973c20d2",
+                     id="test-domain-8e-3"),
+        pytest.param(M.ChannelDomain(1.0, 0.4), 2e-2,
+                     "56d1fdb0df769bc070598560bac984d030540d07f193790de56cd75f52e2fb0b",
+                     id="no-obstacle-2e-2"),
+        pytest.param(sample_scenarios(1, 7)[0].domain(), 1e-2,
+                     "d485b5f8acd895b45f2a00cb7a52aa9a711c4f2ae1aa40fdc6b1355dc43ccc60",
+                     id="scenario-1e-2"),
+    ])
+    def test_mesh_text_digest(self, domain, edge_min, digest):
+        text = M.mesh_text(M.generate_mesh(domain, edge_min, seed=0))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def triangle_quality(mesh):

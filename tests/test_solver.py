@@ -97,28 +97,45 @@ class TestSimulate:
 
     def test_step_matches_reference_substep_loop(self):
         # The substep loop as first written: a boolean Dirichlet mask and
-        # dt_sub / lumped mass formed inside the loop, lumped mass by np.add.at.
-        domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.05)
-        mesh = M.generate_mesh(domain, 1e-2)
-        cfg = S.PdeConfig(domain, viscosity=1e-3, inflow_mean=0.85, dt=0.01, n_steps=3)
-        stepper = S.FrameStepper(mesh, cfg)
-        lumped = np.zeros(mesh.n_nodes)
-        area = mesh.triangle_areas()
-        np.add.at(lumped, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
-        assert stepper.lumped_mass.tobytes() == lumped.tobytes()
-        inflow = mesh.node_kind == M.KIND_INFLOW
-        inv_m = 1.0 / lumped
-        u0 = np.random.default_rng(2).uniform(0.0, 1.0, mesh.n_nodes)
-        u_ref = u_new = u0
-        for _ in range(3):
-            u = u_ref.copy()
-            for _ in range(stepper.n_substeps):
-                u -= stepper.dt_sub * inv_m * (stepper.operator @ u)
-                u[inflow] = u0[inflow]
-            u_ref = u
-            u_new = stepper.step(u_new, u0)
-            assert u_new.tobytes() == u_ref.tobytes()
-        assert stepper.n_substeps > 1
+        # dt_sub / lumped mass formed inside the loop, lumped mass by np.add.at,
+        # and the public ``operator @ u`` that step's CSR kernel call replaces.
+        # Inputs: the obstacle domain holding the initial inflow values, and
+        # an obstacle-free channel whose Dirichlet data differ from u.
+        rng = np.random.default_rng(2)
+        obstacle = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.05)
+        open_channel = M.ChannelDomain(1.0, 0.4)
+        for domain, edge_min, inflow_mean, own_bc in ((obstacle, 1e-2, 0.85, True),
+                                                      (open_channel, 2e-2, 3.0, False)):
+            mesh = M.generate_mesh(domain, edge_min)
+            cfg = S.PdeConfig(domain, viscosity=1e-3, inflow_mean=inflow_mean, dt=0.01,
+                              n_steps=3)
+            stepper = S.FrameStepper(mesh, cfg)
+            lumped = np.zeros(mesh.n_nodes)
+            area = mesh.triangle_areas()
+            np.add.at(lumped, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
+            assert stepper.lumped_mass.tobytes() == lumped.tobytes()
+            inflow = mesh.node_kind == M.KIND_INFLOW
+            inv_m = 1.0 / lumped
+            u0 = rng.uniform(0.0, 1.0, mesh.n_nodes)
+            bc = u0 if own_bc else rng.uniform(2.0, 3.0, mesh.n_nodes)
+            u_ref = u_new = u0
+            for _ in range(3):
+                u = u_ref.copy()
+                for _ in range(stepper.n_substeps):
+                    u -= stepper.dt_sub * inv_m * (stepper.operator @ u)
+                    u[inflow] = bc[inflow]
+                u_ref = u
+                u_new = stepper.step(u_new, bc)
+                assert u_new.tobytes() == u_ref.tobytes()
+            assert stepper.n_substeps > 1 and inflow.any()
+
+    def test_step_rejects_state_of_other_length(self):
+        # step's CSR kernel reads u unchecked, so the length is checked first.
+        mesh = M.generate_mesh(UNIT_SQUARE, 0.2)
+        stepper = S.FrameStepper(mesh, gauss_config(1))
+        for u in (np.zeros(mesh.n_nodes - 1), np.zeros((mesh.n_nodes, 1))):
+            with pytest.raises(S.SimulationError, match=f"the mesh has {mesh.n_nodes} nodes"):
+                stepper.step(u)
 
     def test_dirichlet_inflow_held(self):
         domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.05)

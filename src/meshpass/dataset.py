@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (
+    KIND_OBSTACLE,
     ChannelDomain,
     TriMesh,
     generate_mesh,
@@ -44,6 +45,10 @@ CENTER_Y_RANGE = (0.1, 0.3)
 U_MEAN_RANGE = (0.2, 12.0)
 EDGE_MIN_RANGE = (1e-3, 1e-2)
 COARSE_EDGE_MIN = 1e-2
+# Largest distance, in units of edge_min, of a stored obstacle node from the
+# meta's circle. The generator snaps obstacle nodes onto the circle and the
+# mesh file keeps them to the last bit, so any real disagreement is larger.
+OBSTACLE_TOL = 1e-6
 
 # Fixed-obstacle test scenario.
 TEST_U_MEAN = 0.85
@@ -220,10 +225,40 @@ def write_scenario_dir(root, index, scenario, mesh, traj, ha_traj=None, extra_me
     return d
 
 
+def _check_mesh_matches_meta(scenario, mesh, meta_path, mesh_path):
+    """ValueError naming both files and the first value that disagrees if
+    ``mesh`` was not generated for ``scenario``: its stored sizing edge_min
+    is not the scenario's, only one of the two has an obstacle, or an
+    obstacle node does not lie on the scenario's disk."""
+    def disagree(what):
+        return ValueError(f"{meta_path} disagrees with {mesh_path}: {what}")
+
+    if mesh.edge_min != scenario.edge_min:
+        raise disagree(f"edge_min is {scenario.edge_min!r} in the meta, "
+                       f"{mesh.edge_min!r} in the mesh sizing")
+    domain = scenario.domain()
+    obstacle = np.flatnonzero(mesh.node_kind == KIND_OBSTACLE)
+    if domain.has_obstacle != (obstacle.size > 0):
+        raise disagree(f"the meta's radius {scenario.radius!r} makes "
+                       f"{'an' if domain.has_obstacle else 'no'} obstacle, and the mesh "
+                       f"has {obstacle.size} obstacle nodes")
+    if obstacle.size:
+        cx, cy = domain.obstacle_center
+        dist = np.hypot(mesh.positions[obstacle, 0] - cx, mesh.positions[obstacle, 1] - cy)
+        off = np.flatnonzero(np.abs(dist - scenario.radius) > OBSTACLE_TOL * scenario.edge_min)
+        if off.size:
+            i = off[0]
+            raise disagree(f"obstacle node {obstacle[i]} lies {float(dist[i])!r} from the "
+                           f"meta's center ({cx!r}, {cy!r}), off its radius "
+                           f"{scenario.radius!r}")
+
+
 def read_scenario_dir(path):
     """Returns (scenario, mesh, trajectory, ha_trajectory_or_None, meta);
     ValueError naming the meta file for a missing or malformed entry, or for
-    entries that make no valid domain (a non-finite radius, say)."""
+    entries that make no valid domain (a non-finite radius, say), and naming
+    the meta and the mesh file when they disagree
+    (:func:`_check_mesh_matches_meta`)."""
     meta_path = os.path.join(path, "meta")
     meta = read_key_values(meta_path)
 
@@ -246,7 +281,9 @@ def read_scenario_dir(path):
         scenario.domain()
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    mesh = load_mesh(os.path.join(path, "mesh.msh"))
+    mesh_path = os.path.join(path, "mesh.msh")
+    mesh = load_mesh(mesh_path)
+    _check_mesh_matches_meta(scenario, mesh, meta_path, mesh_path)
     traj, _ = load_trajectory(os.path.join(path, "trajectory.bin"), mesh)
     ha = None
     ha_path = os.path.join(path, "labels_ha.bin")

@@ -7,14 +7,12 @@ once per mesh or mesh pair and cached in the ``_cache`` of its mesh, or of
 the fine mesh for transfer edges; latents are plain values that the
 encoders return and the processor threads through its steps.
 
-The coarse level is a coarse mesh or a uniform :class:`GridLevel`, built
-as ``GridLevel(domain, spacing)``. One rule links the levels for both
-kinds (``transfer_graph``, and ``build_transfer``, which adds the edge
-latents): down links each fine node to the corners of its containing
-coarse triangle, or of its grid cell outside the obstacle, and up is the
-same pairs reversed. So a U step reads, at each fine node, exactly the
-coarse nodes that P1 interpolation of a coarse field reads there, and
-every fine node receives a U message.
+The coarse level is a coarse mesh. One rule links the levels
+(``transfer_graph``, and ``build_transfer``, which adds the edge latents):
+down links each fine node to the corners of its containing coarse
+triangle, and up is the same pairs reversed. So a U step reads, at each
+fine node, exactly the coarse nodes that P1 interpolation of a coarse
+field reads there, and every fine node receives a U message.
 
 Raw edge features follow the canonical layout [dx, dy, norm] with
 dx = x_sender - x_receiver. The Graph constructor is the one place that
@@ -25,12 +23,10 @@ edges were produced.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import nn
-from .mesh import KIND_OBSTACLE, NODE_KINDS, build_interpolator, unique_edges
+from .mesh import NODE_KINDS, build_interpolator
 
 ONE_HOT_WIDTH = len(NODE_KINDS)
 
@@ -93,15 +89,12 @@ def mesh_graph(mesh):
 
 def transfer_graph(fine, coarse, direction):
     """The ``direction`` ('down' or 'up') transfer Graph between a fine mesh
-    and a coarse level (both cached on ``fine``). Down links each fine node
-    to the corners of its containing ``coarse`` triangle, or of its
-    ``coarse`` grid cell; up is the same pairs reversed."""
+    and a coarse mesh (both cached on ``fine``). Down links each fine node
+    to the corners of its containing ``coarse`` triangle; up is the same
+    pairs reversed."""
     key = ("transfer", id(coarse))
     if key not in fine._cache:
-        if isinstance(coarse, GridLevel):
-            fine_idx, coarse_idx = _grid_cell_pairs(fine, coarse)
-        else:
-            fine_idx, coarse_idx = containment_edges(fine, coarse)
+        fine_idx, coarse_idx = containment_edges(fine, coarse)
         # Hold coarse so the id key cannot be recycled while cached.
         fine._cache[key] = (coarse, {
             "down": Graph(fine_idx, coarse_idx, fine.positions, coarse.positions),
@@ -154,74 +147,3 @@ def build_transfer(fine, coarse, direction, params):
     latents)."""
     graph = transfer_graph(fine, coarse, direction)
     return graph, encode_edges(graph, direction, params)
-
-
-class GridLevel:
-    """Uniform-grid coarse level; duck-types the mesh surface that the coarse
-    encoder and :func:`transfer_graph` need (positions, node_kind,
-    undirected_edges, _cache)."""
-
-    def __init__(self, domain, spacing):
-        nx = int(np.ceil(domain.length / spacing))
-        ny = int(np.ceil(domain.height / spacing))
-        if nx < 2 or ny < 2:
-            raise ValueError(
-                f"grid spacing {spacing:g} must cover the domain with >= 2x2 cells"
-            )
-        xs = np.linspace(0.0, domain.length, nx + 1)
-        ys = np.linspace(0.0, domain.height, ny + 1)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        self.positions = np.column_stack([gx.ravel(), gy.ravel()])
-        self.nx, self.ny = nx, ny
-        self.spacing = (domain.length / nx, domain.height / ny)
-        kinds = np.zeros(self.positions.shape[0], dtype=np.int64)
-        boundary = (
-            (self.positions[:, 0] == 0.0)
-            | (self.positions[:, 0] == domain.length)
-            | (self.positions[:, 1] == 0.0)
-            | (self.positions[:, 1] == domain.height)
-        )
-        kinds[boundary] = 1  # wall
-        self.inside_obstacle = np.zeros(self.positions.shape[0], dtype=bool)
-        if domain.has_obstacle:
-            cx, cy = domain.obstacle_center
-            r = np.hypot(self.positions[:, 0] - cx, self.positions[:, 1] - cy)
-            self.inside_obstacle = r < domain.obstacle_radius
-            kinds[self.inside_obstacle] = KIND_OBSTACLE
-        self.node_kind = kinds
-        self.n_nodes = self.positions.shape[0]
-        self._cache = {}
-
-    def node_index(self, ix, iy):
-        return ix * (self.ny + 1) + iy
-
-    def undirected_edges(self):
-        """Lattice links, omitting endpoints inside the obstacle."""
-        if "lattice" not in self._cache:
-            node = np.arange(self.n_nodes).reshape(self.nx + 1, self.ny + 1)
-            pairs = np.concatenate([
-                np.column_stack([node[:-1].ravel(), node[1:].ravel()]),
-                np.column_stack([node[:, :-1].ravel(), node[:, 1:].ravel()]),
-            ])
-            ok = ~self.inside_obstacle[pairs].any(axis=1)
-            self._cache["lattice"] = unique_edges(pairs[ok], self.n_nodes)
-        return self._cache["lattice"]
-
-
-def _grid_cell_pairs(mesh, grid):
-    """(mesh node, grid corner) index pairs: each mesh node with the corners
-    of its grid cell that lie outside the obstacle. Nodes whose 4 corners
-    all lie inside it are dropped with a warning."""
-    cell = np.floor_divide(mesh.positions, grid.spacing).astype(np.int64)
-    ix = np.clip(cell[:, 0], 0, grid.nx - 1)
-    iy = np.clip(cell[:, 1], 0, grid.ny - 1)
-    corners = np.column_stack([
-        grid.node_index(ix, iy),
-        grid.node_index(ix + 1, iy),
-        grid.node_index(ix, iy + 1),
-        grid.node_index(ix + 1, iy + 1),
-    ])
-    kept = ~grid.inside_obstacle[corners]
-    for i in np.flatnonzero(~kept.any(axis=1)):
-        warnings.warn(f"source node {i} dropped: all grid-cell corners inside obstacle")
-    return np.repeat(np.arange(len(corners), dtype=np.int64), kept.sum(axis=1)), corners[kept]

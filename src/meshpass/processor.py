@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from . import graphs, nn
-from .graphs import ONE_HOT_WIDTH, GridLevel, as_field_matrix
+from .graphs import ONE_HOT_WIDTH, as_field_matrix
 from .mesh import KIND_INFLOW
 
 STEP_FINE = "H"
@@ -125,6 +125,29 @@ class ProcessorBlock:
         return self
 
 
+# The kind of coarse level a checkpoint's ``meta/coarse_kind`` names: the
+# one kind there is, a coarse TriMesh.
+COARSE_KIND = "mesh"
+
+
+def _text_codes(text):
+    """A text as the float64 character codes of a checkpoint block."""
+    return np.array([ord(c) for c in text], dtype=np.float64)
+
+
+def _bad_block(blocks, name, what):
+    return nn.CheckpointError(f"checkpoint {blocks.path}: block {name!r} {what}")
+
+
+def _code_text(blocks, name):
+    """The text whose ASCII codes block ``name`` holds; CheckpointError
+    naming the file and the block if it holds anything else."""
+    codes = blocks[name]
+    if codes.ndim != 1 or not np.all((codes >= 0) & (codes < 128) & (codes == np.floor(codes))):
+        raise _bad_block(blocks, name, "holds no ASCII character codes")
+    return "".join(chr(int(c)) for c in codes)
+
+
 class ModelParams:
     """All learnable state: encoders, per-step processor blocks, decoder,
     and the running normalizers."""
@@ -136,18 +159,14 @@ class ModelParams:
         latent_size=128,
         hidden_size=128,
         seed=0,
-        coarse_kind="mesh",
     ):
         if isinstance(schedule, str):
             schedule = parse_schedule(schedule)
-        if coarse_kind not in ("mesh", "grid"):
-            raise ValueError("coarse_kind must be 'mesh' or 'grid'")
         self.schedule = schedule
         self.field_width = field_width
         self.latent_size = latent_size
         self.hidden_size = hidden_size
         self.seed = seed
-        self.coarse_kind = coarse_kind
         rng = np.random.default_rng(seed)
         d, h = latent_size, hidden_size
         self.fine_node_encoder = nn.Mlp(ONE_HOT_WIDTH + field_width, d, h, True, rng)
@@ -167,14 +186,7 @@ class ModelParams:
     def reads_coarse_level(self, coarse_level):
         """Whether a forward pass reads ``coarse_level``: True iff the
         schedule has an L, D or U step. ValueError if ``coarse_level`` is
-        not of ``coarse_kind``, or is None and would be read."""
-        if coarse_level is not None:
-            level_kind = "grid" if isinstance(coarse_level, GridLevel) else "mesh"
-            if level_kind != self.coarse_kind:
-                raise ValueError(
-                    f"model coarse_kind is {self.coarse_kind!r} but the coarse level "
-                    f"given is a {level_kind!r} level"
-                )
+        None and would be read."""
         if not self.schedule.has_coarse_steps:
             return False
         if coarse_level is None:
@@ -225,12 +237,8 @@ class ModelParams:
                 [self.field_width, self.latent_size, self.hidden_size, self.seed],
                 dtype=np.float64,
             ),
-            "meta/schedule": np.array(
-                [ord(c) for c in self.schedule.text], dtype=np.float64
-            ),
-            "meta/coarse_kind": np.array(
-                [ord(c) for c in self.coarse_kind], dtype=np.float64
-            ),
+            "meta/schedule": _text_codes(self.schedule.text),
+            "meta/coarse_kind": _text_codes(COARSE_KIND),
         }
         for name, tensor in self.named_parameters().items():
             blocks[f"param/{name}"] = tensor.data
@@ -248,12 +256,25 @@ class ModelParams:
     @classmethod
     def from_blocks(cls, blocks):
         """The params that :meth:`to_blocks` wrote, from the blocks that
-        ``nn.load_blocks`` read back; CheckpointError naming a block that is
-        missing or whose shape does not fit the model of the meta blocks."""
-        fw, d, h, seed = (int(v) for v in blocks.shaped("meta/config", (4,)))
-        schedule = parse_schedule("".join(chr(int(c)) for c in blocks["meta/schedule"]))
-        coarse_kind = "".join(chr(int(c)) for c in blocks["meta/coarse_kind"])
-        params = cls(schedule, fw, d, h, seed, coarse_kind)
+        ``nn.load_blocks`` read back; CheckpointError naming the file and a
+        block that is missing, whose shape does not fit the model of the
+        meta blocks, or whose meta value is invalid."""
+        config = blocks.shaped("meta/config", (4,))
+        if not (np.all(np.isfinite(config)) and np.all(config == np.floor(config))
+                and np.all(config[:3] >= 1) and config[3] >= 0):
+            raise _bad_block(blocks, "meta/config",
+                             f"holds {config.tolist()}, not three positive integer "
+                             "widths and a non-negative integer seed")
+        fw, d, h, seed = (int(v) for v in config)
+        try:
+            schedule = parse_schedule(_code_text(blocks, "meta/schedule"))
+        except ScheduleError as exc:
+            raise _bad_block(blocks, "meta/schedule", f"holds a bad schedule: {exc}") from None
+        kind = _code_text(blocks, "meta/coarse_kind")
+        if kind != COARSE_KIND:
+            raise _bad_block(blocks, "meta/coarse_kind",
+                             f"is {kind!r}; the only coarse level is a {COARSE_KIND!r}")
+        params = cls(schedule, fw, d, h, seed)
         for name, tensor in params.named_parameters().items():
             tensor.data[...] = blocks.shaped(f"param/{name}", tensor.shape)
         for group, norm in params._normalizers().items():
@@ -333,8 +354,7 @@ class StaticLatents:
     when the schedule has L, D or U steps, the coarse Graph, node and edge
     latents and the down/up transfer Graphs and edge latents (otherwise
     those are None). They are valid while ``params`` (weights and
-    normalizer statistics) stay unchanged. ``coarse_level`` must be of
-    ``params.coarse_kind``.
+    normalizer statistics) stay unchanged.
     """
 
     def __init__(self, params, fine_mesh, coarse_level):

@@ -369,6 +369,26 @@ class TestTrain:
         assert err.startswith("error: ") and meta in err and named in err
         assert not out.exists()
 
+    def test_meta_that_disagrees_with_mesh_exits_1(self, tmp_path, capsys):
+        # A meta radius edited from 0.0251 to 0.0151 once trained on a fine
+        # mesh around a 0.0251 disk and a coarse mesh around a 0.0151 disk.
+        data = str(tmp_path / "ds")
+        assert main(["gen", "--out", data, "--scenarios", "1", "--seed", "3"] + DESK) == 0
+        scenario = os.path.join(data, "scenario_0000")
+        meta = os.path.join(scenario, "meta")
+        with open(meta) as fh:
+            text = fh.read()
+        assert text.startswith("radius=0.0251")
+        with open(meta, "w") as fh:
+            fh.write(text.replace("radius=0.0251", "radius=0.0151", 1))
+        out = tmp_path / "run"
+        rc = main(["train", "--dataset", data, "--out", str(out), "--steps", "2"] + SMALL_MODEL)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta} disagrees with {scenario}/mesh.msh: ")
+        assert "off its radius 0.0151" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,steps", [
         (["--steps", "2", "--set", "train_steps=3"], 2),
         (["--set", "train_steps=3"], 3),
@@ -554,31 +574,37 @@ class TestEval:
         rc = main(["eval", "--out", str(tmp_path / "x")])
         assert rc != 0
 
-    @pytest.mark.parametrize("block,shape", [
-        ("meta/config", None), ("param/decoder/w2", None), ("param/decoder/b1", (1,)),
-        ("opt/v3", None), ("opt/m0", (2, 2)),
+    @pytest.mark.parametrize("block,value", [
+        ("meta/config", None), ("param/decoder/w2", None), ("param/decoder/b1", np.zeros(1)),
+        ("opt/v3", None), ("opt/m0", np.zeros((2, 2))),
+        ("meta/config", [1, 8, 8, np.inf]), ("meta/schedule", [1e30]),
+        ("meta/config", [1, -8, 8, 0]), ("meta/coarse_kind", "grid"),
     ])
     def test_checkpoint_block_missing_or_misshapen_exits_1(self, generated, tmp_path, capsys,
-                                                           block, shape):
-        # A well-formed checkpoint file that lacks a block (shape None), or
-        # holds one of the wrong shape, names the file and the block for
-        # both commands that read a checkpoint.
+                                                           block, value):
+        # A well-formed checkpoint file that lacks a block (value None), or
+        # holds one of the wrong shape or an invalid meta value (a text as
+        # its character codes), names the file and the block for both
+        # commands that read a checkpoint, before either creates --out.
         params = ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 16, 16)
         good = str(tmp_path / "good.bin")
         T.save_checkpoint(good, params, nn.Adam(params.parameters()), 1)
         blocks = nn.load_blocks(good)
-        if shape is None:
+        if value is None:
             del blocks[block]
+        elif isinstance(value, str):
+            blocks[block] = np.array([ord(c) for c in value], dtype=np.float64)
         else:
-            blocks[block] = np.zeros(shape)
+            blocks[block] = np.asarray(value, dtype=np.float64)
         ckpt = str(tmp_path / "bad.bin")
         nn.save_blocks(ckpt, blocks)
-        for argv in (["eval", "--out", str(tmp_path / "ev"), "--checkpoint", ckpt],
-                     ["train", "--dataset", generated, "--out", str(tmp_path / "run"),
-                      "--resume", ckpt, "--steps", "2"]):
-            assert main(argv) == 1
+        for out, argv in ((tmp_path / "ev", ["eval", "--checkpoint", ckpt]),
+                          (tmp_path / "run", ["train", "--dataset", generated,
+                                              "--resume", ckpt, "--steps", "2"])):
+            assert main(argv + ["--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: checkpoint {ckpt}") and repr(block) in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"NOTACKPT" + b"\0" * 16, b"MPCKPT01\x05\0"])
     def test_corrupt_checkpoint_fails_before_test_set(self, tmp_path, capsys, monkeypatch,

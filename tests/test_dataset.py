@@ -1,5 +1,7 @@
 """Scenario sampling, label construction, and dataset I/O tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -164,6 +166,29 @@ class TestDatasetIO:
         assert np.array_equal(loaded_traj.fields, traj.fields)
         assert ha is None
         assert meta["provenance"] == "native"
+
+    @pytest.mark.parametrize("meta,named", [
+        ({"edge_min": 9e-3}, "edge_min is 0.009 in the meta, 0.008 in the mesh sizing"),
+        ({"radius": 0.04}, "from the meta's center (0.275, 0.25), off its radius 0.04"),
+        ({"radius": 0.0}, "radius 0.0 makes no obstacle, and the mesh has "),
+        (None, "radius 0.05 makes an obstacle, and the mesh has 0 "),
+    ], ids=["edge_min", "radius", "meta_without_obstacle", "mesh_without_obstacle"])
+    def test_meta_that_disagrees_with_mesh_rejected(self, tmp_path, meta, named):
+        # meta None: the meta's scenario as generated, with an obstacle-free mesh.
+        scen = small_scenario()
+        fine, traj, _ = D.simulate_scenario(scen, n_steps=1)
+        if meta is None:
+            channel = M.ChannelDomain(D.CHANNEL_LENGTH, D.CHANNEL_HEIGHT)
+            fine = M.generate_mesh(channel, scen.edge_min, seed=scen.seed)
+            traj = S.simulate(fine, S.PdeConfig(channel, n_steps=1), np.zeros(fine.n_nodes))
+        else:
+            scen = dataclasses.replace(scen, **meta)
+        d = D.write_scenario_dir(tmp_path, 0, scen, fine, traj)
+        with pytest.raises(ValueError) as info:
+            D.read_scenario_dir(d)
+        message = str(info.value)
+        assert message.startswith(f"{d}/meta disagrees with {d}/mesh.msh: ")
+        assert named in message
 
     def test_write_is_byte_deterministic(self, tmp_path):
         scen = small_scenario()

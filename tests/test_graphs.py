@@ -5,7 +5,6 @@ import pytest
 
 from meshpass import graphs as G
 from meshpass import mesh as M
-from meshpass import nn
 from meshpass.processor import ModelParams
 
 
@@ -141,98 +140,6 @@ class TestBuildTransfer:
         assert np.array_equal(a.senders, b.senders)
         assert np.array_equal(a.receivers, b.receivers)
         assert np.array_equal(a_edges.data, b_edges.data)
-
-
-class TestGridTransfer:
-    def test_node_at_cell_center_four_edges(self, params):
-        mesh = square_mesh(shift=(0.05, 0.05), scale=0.4)
-        t, _ = G.build_transfer(mesh, G.GridLevel(M.ChannelDomain(1.0, 1.0), 0.5), "down",
-                                params)
-        counts = np.bincount(t.senders, minlength=mesh.n_nodes)
-        assert np.all(counts == 4)
-
-    def test_corner_inside_obstacle_omitted(self, params):
-        domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.06)
-        grid = G.GridLevel(domain, 0.1)
-        assert grid.inside_obstacle.sum() >= 1
-        mesh = M.generate_mesh(domain, 1.2e-2)
-        t, _ = G.build_transfer(mesh, grid, "down", params)
-        counts = np.bincount(t.senders, minlength=mesh.n_nodes)
-        assert counts.max() == 4
-        assert counts.min() >= 1
-        assert (counts < 4).any()  # some nodes lost an obstacle corner
-        assert len(t.senders) <= 4 * mesh.n_nodes
-
-    def test_up_direction_mirrors_pairs(self, params):
-        mesh = square_mesh(shift=(0.1, 0.1), scale=0.5)
-        domain = M.ChannelDomain(1.0, 1.0)
-        grid = G.GridLevel(domain, 0.5)
-        down, _ = G.build_transfer(mesh, grid, "down", params)
-        up, _ = G.build_transfer(mesh, grid, "up", params)
-        pairs_down = set(zip(down.senders.tolist(), down.receivers.tolist()))
-        pairs_up = set(zip(up.receivers.tolist(), up.senders.tolist()))
-        assert pairs_down == pairs_up
-
-    def test_transfer_matches_cell_loop_bytes(self):
-        # Each mesh node with the corners of its (clamped) grid cell that lie
-        # outside the obstacle, one node at a time; up reverses the pairs.
-        domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.06)
-        grid = G.GridLevel(domain, 0.1)
-        mesh = M.generate_mesh(domain, 1.2e-2)
-        mesh_idx, grid_idx = [], []
-        for i, p in enumerate(mesh.positions):
-            ix = min(max(int(p[0] // grid.spacing[0]), 0), grid.nx - 1)
-            iy = min(max(int(p[1] // grid.spacing[1]), 0), grid.ny - 1)
-            corners = [grid.node_index(ix, iy), grid.node_index(ix + 1, iy),
-                       grid.node_index(ix, iy + 1), grid.node_index(ix + 1, iy + 1)]
-            kept = [c for c in corners if not grid.inside_obstacle[c]]
-            mesh_idx.extend([i] * len(kept))
-            grid_idx.extend(kept)
-        assert len(mesh_idx) < 4 * mesh.n_nodes  # some nodes lost a corner
-        expected = {
-            "down": G.Graph(mesh_idx, grid_idx, mesh.positions, grid.positions),
-            "up": G.Graph(grid_idx, mesh_idx, grid.positions, mesh.positions),
-        }
-        got = {d: G.transfer_graph(mesh, grid, d) for d in ("down", "up")}
-        for direction, ref in expected.items():
-            for name in ("senders", "receivers", "features"):
-                a, b = getattr(got[direction], name), getattr(ref, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (direction, name)
-
-    def test_node_with_every_corner_inside_obstacle_dropped(self):
-        # A 0.1 grid around a 0.2 disk: cell [0.4, 0.5]^2 has all 4 corners
-        # inside, so node 2, at (0.45, 0.45), is dropped with a warning.
-        grid = G.GridLevel(M.ChannelDomain(1.0, 1.0, (0.5, 0.5), 0.2), 0.1)
-        mesh = square_mesh(shift=(0.05, 0.05), scale=0.4)
-        with pytest.warns(UserWarning, match="source node 2 dropped"):
-            down = G.transfer_graph(mesh, grid, "down")
-        assert 2 not in down.senders and set(down.senders.tolist()) == {0, 1, 3}
-        assert 2 not in G.transfer_graph(mesh, grid, "up").receivers
-
-    def test_lattice_edges_match_link_loop(self):
-        # Every x and y link between grid nodes, both ends outside the
-        # obstacle, as unique sorted (i < j) rows.
-        domain = M.ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.06)
-        grid = G.GridLevel(domain, 0.05)
-        pairs = []
-        for ix in range(grid.nx + 1):
-            for iy in range(grid.ny + 1):
-                a = grid.node_index(ix, iy)
-                if ix < grid.nx:
-                    pairs.append((a, grid.node_index(ix + 1, iy)))
-                if iy < grid.ny:
-                    pairs.append((a, grid.node_index(ix, iy + 1)))
-        pairs = np.array(pairs, dtype=np.int64)
-        pairs = pairs[~grid.inside_obstacle[pairs].any(axis=1)]
-        expected = np.unique(np.sort(pairs, axis=1), axis=0)
-        assert grid.inside_obstacle.sum() >= 1
-        edges = grid.undirected_edges()
-        assert edges.dtype == expected.dtype and edges.tobytes() == expected.tobytes()
-
-    def test_grid_must_cover_2x2_cells(self, params):
-        mesh = square_mesh()
-        with pytest.raises(ValueError):
-            G.build_transfer(mesh, G.GridLevel(M.ChannelDomain(1.0, 1.0), 2.0), "down", params)
 
 
 class TestGraph:

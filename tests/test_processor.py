@@ -447,25 +447,6 @@ class TestPredictStep:
         P.StaticLatents(P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0), fine, coarse)
         assert located and all(mesh is coarse for mesh in located)
 
-    def test_grid_model_rejects_mesh_coarse_level(self, channel):
-        _, fine, coarse = channel
-        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0, coarse_kind="grid")
-        with pytest.raises(ValueError, match="'grid'.*'mesh'"):
-            P.predict_step(fine, coarse, np.zeros(fine.n_nodes), params)
-
-    def test_mesh_model_rejects_grid_coarse_level(self, channel):
-        domain, fine, _ = channel
-        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0)
-        grid = G.GridLevel(domain, 0.1)
-        with pytest.raises(ValueError, match="'mesh'.*'grid'"):
-            P.predict_step(fine, grid, np.zeros(fine.n_nodes), params)
-
-    def test_grid_model_runs_on_grid_level(self, channel):
-        domain, fine, _ = channel
-        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0, coarse_kind="grid")
-        out = P.predict_step(fine, G.GridLevel(domain, 0.1), np.zeros(fine.n_nodes), params)
-        assert out.shape == (fine.n_nodes,) and np.all(np.isfinite(out))
-
 
 def _model_arrays(params, static):
     """Copies of every param and every static latent."""
@@ -479,18 +460,14 @@ class TestTapeFreeBuffers:
     never write into the params, the static latents or the input field,
     and must give the taped pass's bytes."""
 
-    @pytest.mark.parametrize("schedule,coarse_kind,hidden", [
-        ("p=1H 11L 1H (U=1,D=1)", "mesh", 8),
-        ("p=3H (U=0,D=0)", "mesh", 8),
-        ("p=1H 2L 1H (U=1,D=1)", "grid", 8),
-        ("p=1H 2L 1H (U=1,D=1)", "mesh", 12),  # hidden buffers unlike the latents
+    @pytest.mark.parametrize("schedule,hidden", [
+        ("p=1H 11L 1H (U=1,D=1)", 8),
+        ("p=3H (U=0,D=0)", 8),
+        ("p=1H 2L 1H (U=1,D=1)", 12),  # hidden buffers unlike the latents
     ])
-    def test_steps_keep_inputs_and_match_taped_bytes(self, channel, schedule, coarse_kind,
-                                                      hidden):
-        domain, fine, coarse = channel
-        if coarse_kind == "grid":
-            coarse = G.GridLevel(domain, 0.1)
-        params = P.ModelParams(schedule, 1, 8, hidden, seed=5, coarse_kind=coarse_kind)
+    def test_steps_keep_inputs_and_match_taped_bytes(self, channel, schedule, hidden):
+        _, fine, coarse = channel
+        params = P.ModelParams(schedule, 1, 8, hidden, seed=5)
         stepper = T.ModelStepper(params, coarse).bind(fine)
         before = _model_arrays(params, stepper.static)
         held = np.isin(fine.node_kind, P.PRESCRIBED_KINDS)

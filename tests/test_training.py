@@ -17,7 +17,7 @@ from meshpass import mesh as M
 from meshpass import nn
 from meshpass import solver as S
 from meshpass import training as T
-from meshpass.graphs import GridLevel, as_field_matrix
+from meshpass.graphs import as_field_matrix
 from meshpass.processor import (
     PRESCRIBED_KINDS, ModelParams, forward_normalized_delta, predict_step,
 )
@@ -94,6 +94,9 @@ class TestTrain:
         T.save_checkpoint(path, half, opt_half, 10)
         resumed, opt_resumed, step = T.load_checkpoint(path)
         assert step == 10
+        fine, coarse, u = linear_sample.fine_mesh, linear_sample.coarse_mesh, linear_sample.inputs
+        assert (predict_step(fine, coarse, u, resumed).tobytes()
+                == predict_step(fine, coarse, u, half).tobytes())
         T.train(resumed, [linear_sample], cfg, opt_resumed, start_step=step)
         for a, b in zip(full.parameters(), resumed.parameters()):
             assert np.array_equal(a.data, b.data)
@@ -107,30 +110,15 @@ class TestTrain:
         cfg = T.TrainConfig(steps=4, schedule=SCHED, normalizer_steps=2,
                             latent_size=16, hidden_size=16)
         T.train(params, [linear_sample], cfg)
-        n_nodes = linear_sample.fine_mesh.n_nodes
+        fine, coarse = linear_sample.fine_mesh, linear_sample.coarse_mesh
         for norm in (params.node_field_normalizer, params.output_normalizer):
-            assert (norm.n_accumulations, norm.count) == (2, 2.0 * n_nodes)
-        assert [norm.n_accumulations for norm in params.edge_normalizers.values()] == [2] * 4
-
-    def test_grid_level_model_trains_and_round_trips(self, linear_sample, tmp_path):
-        grid = GridLevel(UNIT_SQUARE, 0.25)
-        fine = linear_sample.fine_mesh
-        sample = D.Sample(fine, grid, linear_sample.inputs, linear_sample.targets,
-                          "native", None)
-        params = ModelParams(SCHED, 1, 16, 16, seed=0, coarse_kind="grid")
-        cfg = small_config(2)
-        optimizer = nn.Adam(params.parameters(), lr=cfg.learning_rate)
-        T.train(params, [sample], cfg, optimizer)
-        for kind in ("down", "up"):
-            graph, norm = G.transfer_graph(fine, grid, kind), params.edge_normalizers[kind]
-            assert (norm.n_accumulations, norm.count) == (2, 2.0 * len(graph.senders))
-        path = tmp_path / "grid.bin"
-        T.save_checkpoint(path, params, optimizer, 2)
-        loaded = T.load_checkpoint(path)[0]
-        assert loaded.coarse_kind == "grid"
-        u = as_field_matrix(linear_sample.inputs)
-        assert (predict_step(fine, grid, u, loaded).tobytes()
-                == predict_step(fine, grid, u, params).tobytes())
+            assert (norm.n_accumulations, norm.count) == (2, 2.0 * fine.n_nodes)
+        graphs = {"fine": G.mesh_graph(fine), "coarse": G.mesh_graph(coarse),
+                  "down": G.transfer_graph(fine, coarse, "down"),
+                  "up": G.transfer_graph(fine, coarse, "up")}
+        for kind, graph in graphs.items():
+            norm = params.edge_normalizers[kind]
+            assert (norm.n_accumulations, norm.count) == (2, 2.0 * len(graph.senders)), kind
 
     def test_single_level_schedule_skips_coarse_level(self, linear_sample, monkeypatch):
         # Fresh meshes, so no containment_edges call is hidden by a cached Graph.
@@ -326,22 +314,15 @@ def stepper_meshes():
 
 
 class TestModelStepper:
-    @pytest.mark.parametrize("schedule,coarse_kind", [
-        ("p=1H 11L 1H (U=1,D=1)", "mesh"),
-        ("p=3H (U=0,D=0)", "mesh"),
-        ("p=1H 2L 1H (U=1,D=1)", "grid"),
-    ])
-    def test_matches_taped_path_bytes(self, stepper_meshes, schedule, coarse_kind):
-        params = ModelParams(schedule, 1, 16, 16, seed=3, coarse_kind=coarse_kind)
+    @pytest.mark.parametrize("schedule", ["p=1H 11L 1H (U=1,D=1)", "p=3H (U=0,D=0)"])
+    def test_matches_taped_path_bytes(self, stepper_meshes, schedule):
+        params = ModelParams(schedule, 1, 16, 16, seed=3)
         rng = np.random.default_rng(5)
         params.node_field_normalizer.accumulate(rng.normal(0.3, 2.0, size=(50, 1)))
         params.output_normalizer.accumulate(rng.normal(0.0, 0.1, size=(50, 1)))
         for norm in params.edge_normalizers.values():
             norm.accumulate(rng.normal(0.0, 0.05, size=(50, 3)))
-        if coarse_kind == "grid":
-            coarse = GridLevel(UNIT_SQUARE, 0.25)
-        else:
-            coarse = M.generate_mesh(UNIT_SQUARE, 0.3)
+        coarse = M.generate_mesh(UNIT_SQUARE, 0.3)
         for fine in stepper_meshes:
             stepper = T.ModelStepper(params, coarse).bind(fine)
             u = rng.normal(size=fine.n_nodes)

@@ -16,19 +16,16 @@ next to this file on the import path:
 - ``analyze --mode spectrum`` of the first high-accuracy scenario, its
   native ``trajectory.bin`` against its ``labels_ha.bin`` (OUT/spectrum).
 
-Then prints one ``sha256  relative/path`` line per file under OUT, sorted
-by path (the commands' own output goes to stderr), and among them one
-``sha256  meshes/sweep`` line: the hash of ``mesh_text`` over the meshes of
-``MESH_SWEEP``, the mesh generator's byte guard (about 7 s of the run on a
-2-core Xeon VM), and one ``sha256  graphs/grid`` line, the uniform-grid
-coarse level's byte guard: the senders, receivers and features of the
-down and up transfer Graphs between a mesh and a grid on ``GRID_CHANNEL``,
-where some grid corners lie inside the obstacle, and one ``predict_step``
-of a grid-level model on the test domain.
+Then prints 29 lines, sorted by path (the commands' own output goes to
+stderr): one ``sha256  relative/path`` line for each of the 28 files under
+OUT, and one ``sha256  meshes/sweep`` line, the hash of ``mesh_text`` over
+the meshes of ``MESH_SWEEP``, the mesh generator's byte guard. The whole
+run takes about 6 s on a 2-core Xeon VM.
 The ``sec_per_step`` columns of CSV files are wall time, so they are
 blanked before hashing. BLAS runs on one thread, whatever the caller's
 environment sets. A refactor that keeps behaviour prints the same
-lines before and after.
+lines before and after. ``tools/golden.txt`` holds the lines of the
+current tree, and ``tests/test_golden.py`` runs this tool and compares.
 """
 
 from __future__ import annotations
@@ -47,13 +44,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ[var] = "1"
 
-import numpy as np  # noqa: E402
-
 from meshpass.cli import main  # noqa: E402
 from meshpass.dataset import TEST_DOMAIN  # noqa: E402
-from meshpass.graphs import GridLevel, transfer_graph  # noqa: E402
 from meshpass.mesh import ChannelDomain, generate_mesh, mesh_text  # noqa: E402
-from meshpass.processor import ModelParams, predict_step  # noqa: E402
 
 GEN = ["--scenarios", "2", "--seed", "3", "--set", "edge_min_lo=8e-3",
        "--set", "edge_min_hi=1.2e-2", "--set", "n_steps=4"]
@@ -70,7 +63,6 @@ MESH_SWEEP = [
     (ChannelDomain(1.0, 1.0), 0.05, range(1)),
     (ChannelDomain(1.0, 0.12), 0.024, range(1)),
 ]
-GRID_CHANNEL = ChannelDomain(1.0, 0.4, (0.275, 0.25), 0.06)
 
 
 def run(out):
@@ -111,19 +103,6 @@ def mesh_sweep_line():
     return f"{h.hexdigest()}  meshes/sweep"
 
 
-def grid_line():
-    h = hashlib.sha256()
-    mesh, grid = generate_mesh(GRID_CHANNEL, 1.2e-2), GridLevel(GRID_CHANNEL, 0.1)
-    for graph in (transfer_graph(mesh, grid, "down"), transfer_graph(mesh, grid, "up")):
-        for arr in (graph.senders, graph.receivers, graph.features):
-            h.update(arr.tobytes())
-    fine = generate_mesh(TEST_DOMAIN, 1.2e-2)
-    params = ModelParams("p=1H 2L 1H (U=1,D=1)", 1, 16, 16, seed=0, coarse_kind="grid")
-    fields = np.random.default_rng(0).normal(size=fine.n_nodes)
-    h.update(predict_step(fine, GridLevel(TEST_DOMAIN, 0.1), fields, params).tobytes())
-    return f"{h.hexdigest()}  graphs/grid"
-
-
 def deterministic_bytes(path):
     """File bytes, with the wall-time column of a CSV file blanked."""
     with open(path, "rb") as fh:
@@ -160,7 +139,7 @@ def main_golden(argv):
         raise SystemExit(f"{out} is not empty")
     with contextlib.redirect_stdout(sys.stderr):
         run(out)
-    lines = digests(out) + [mesh_sweep_line(), grid_line()]
+    lines = digests(out) + [mesh_sweep_line()]
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
 
 

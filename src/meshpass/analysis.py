@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
 
 from . import graphs, nn
 from .graphs import as_field_matrix
@@ -92,6 +91,10 @@ def write_spectrum_csv(path, basis, spectrum):
 
 def fine_graph_distances(mesh):
     """Hop distances between all node pairs of the mesh graph."""
+    # Imported here: only the receptive-field code needs csgraph, so no
+    # command pays for importing it.
+    from scipy.sparse.csgraph import shortest_path
+
     edges = mesh.undirected_edges()
     n = mesh.n_nodes
     adj = sp.csr_matrix(

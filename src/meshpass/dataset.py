@@ -26,7 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (
+    KIND_INFLOW,
     KIND_OBSTACLE,
+    KIND_OUTFLOW,
+    KIND_WALL,
     ChannelDomain,
     TriMesh,
     generate_mesh,
@@ -228,8 +231,10 @@ def write_scenario_dir(root, index, scenario, mesh, traj, ha_traj=None, extra_me
 def _check_mesh_matches_meta(scenario, mesh, meta_path, mesh_path):
     """ValueError naming both files and the first value that disagrees if
     ``mesh`` was not generated for ``scenario``: its stored sizing edge_min
-    is not the scenario's, only one of the two has an obstacle, or an
-    obstacle node does not lie on the scenario's disk."""
+    is not the scenario's, a wall, inflow or outflow node is not exactly on
+    its side of the scenario's rectangle (the generator snaps them there),
+    only one of the two has an obstacle, or an obstacle node does not lie
+    on the scenario's disk."""
     def disagree(what):
         return ValueError(f"{meta_path} disagrees with {mesh_path}: {what}")
 
@@ -237,6 +242,16 @@ def _check_mesh_matches_meta(scenario, mesh, meta_path, mesh_path):
         raise disagree(f"edge_min is {scenario.edge_min!r} in the meta, "
                        f"{mesh.edge_min!r} in the mesh sizing")
     domain = scenario.domain()
+    x, y = mesh.positions.T
+    for kind, name, axis, coord, sides in (
+            (KIND_WALL, "wall", "y", y, (0.0, domain.height)),
+            (KIND_INFLOW, "inflow", "x", x, (0.0,)),
+            (KIND_OUTFLOW, "outflow", "x", x, (domain.length,))):
+        off = np.flatnonzero((mesh.node_kind == kind) & ~np.isin(coord, sides))
+        if off.size:
+            i = off[0]
+            raise disagree(f"{name} node {i} lies at {axis} = {float(coord[i])!r}, off the "
+                           f"meta's {' and '.join(f'{axis} = {v!r}' for v in sides)}")
     obstacle = np.flatnonzero(mesh.node_kind == KIND_OBSTACLE)
     if domain.has_obstacle != (obstacle.size > 0):
         raise disagree(f"the meta's radius {scenario.radius!r} makes "
@@ -256,9 +271,10 @@ def _check_mesh_matches_meta(scenario, mesh, meta_path, mesh_path):
 def read_scenario_dir(path):
     """Returns (scenario, mesh, trajectory, ha_trajectory_or_None, meta);
     ValueError naming the meta file for a missing or malformed entry, or for
-    entries that make no valid domain (a non-finite radius, say), and naming
-    the meta and the mesh file when they disagree
-    (:func:`_check_mesh_matches_meta`)."""
+    entries that make no valid domain (a non-finite radius, say); naming
+    the meta and ``labels_ha.bin`` when that file is not present exactly
+    when the meta's provenance is ``high_accuracy``; and naming the meta
+    and the mesh file when they disagree (:func:`_check_mesh_matches_meta`)."""
     meta_path = os.path.join(path, "meta")
     meta = read_key_values(meta_path)
 
@@ -281,13 +297,19 @@ def read_scenario_dir(path):
         scenario.domain()
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
+    provenance = entry("provenance", str)
+    ha_path = os.path.join(path, "labels_ha.bin")
+    has_labels = os.path.exists(ha_path)
+    if has_labels != (provenance == "high_accuracy"):
+        raise ValueError(f"{meta_path} disagrees with {ha_path}: the meta's provenance is "
+                         f"{provenance!r}, and the labels file is "
+                         f"{'present' if has_labels else 'missing'}")
     mesh_path = os.path.join(path, "mesh.msh")
     mesh = load_mesh(mesh_path)
     _check_mesh_matches_meta(scenario, mesh, meta_path, mesh_path)
     traj, _ = load_trajectory(os.path.join(path, "trajectory.bin"), mesh)
     ha = None
-    ha_path = os.path.join(path, "labels_ha.bin")
-    if os.path.exists(ha_path):
+    if has_labels:
         ha, _ = load_trajectory(ha_path, mesh)
     return scenario, mesh, traj, ha, meta
 

@@ -521,9 +521,11 @@ def generate_mesh(domain, edge_min, seed=0):
     x, y = pts[:, 0].copy(), pts[:, 1].copy()
     old_x = old_y = np.full(n, np.inf)
     for _ in range(200):
-        # Retriangulate once a point has moved a tenth of its own target size
-        # since the last triangulation (DistMesh's test, at the local size).
-        if np.any(np.hypot(x - old_x, y - old_y) > 0.1 * h_fn(x, y)):
+        # Retriangulate once a point has moved a quarter of its own target
+        # size since the last triangulation (DistMesh's test at the local
+        # size; a tenth made twice the Delaunay calls for meshes of equal
+        # quality).
+        if np.any(np.hypot(x - old_x, y - old_y) > 0.25 * h_fn(x, y)):
             # No copy: each iteration binds x and y to new arrays before the
             # projection writes into them.
             old_x, old_y = x, y

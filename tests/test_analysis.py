@@ -1,5 +1,9 @@
 """Graph-spectral analysis, timing, and curve-assembly tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,25 @@ def path3_mesh():
     tris = np.array([[0, 1, 3], [1, 2, 3]])
     kinds = np.zeros(4, dtype=np.int64)
     return M.TriMesh(pos, tris, kinds, 1.0, 5.0)
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def test_importing_the_cli_leaves_csgraph_out():
+    # Only fine_graph_distances needs scipy.sparse.csgraph; every command
+    # used to import it.
+    code = "import sys, meshpass.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["False"]
+
+
+def test_fine_graph_distances_are_hops():
+    dist = A.fine_graph_distances(path3_mesh())
+    assert dist[0].tolist() == [0.0, 1.0, 2.0, 1.0]
 
 
 @pytest.fixture(scope="module")

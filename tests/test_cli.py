@@ -389,6 +389,30 @@ class TestTrain:
         assert "off its radius 0.0151" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["stray", "missing"])
+    def test_labels_file_that_disagrees_with_provenance_exits_1(self, generated, tmp_path,
+                                                                capsys, damage):
+        # A stray labels_ha.bin once made train use it as labels of a native
+        # dataset; a high_accuracy meta without one fell back to native labels.
+        data = str(tmp_path / "ds")
+        shutil.copytree(generated, data)
+        scenario = os.path.join(data, "scenario_0001")
+        meta = os.path.join(scenario, "meta")
+        if damage == "stray":
+            shutil.copy(os.path.join(scenario, "trajectory.bin"),
+                        os.path.join(scenario, "labels_ha.bin"))
+        else:
+            with open(meta) as fh:
+                text = fh.read()
+            with open(meta, "w") as fh:
+                fh.write(text.replace("provenance=native", "provenance=high_accuracy"))
+        out = tmp_path / "run"
+        rc = main(["train", "--dataset", data, "--out", str(out), "--steps", "2"] + SMALL_MODEL)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta} disagrees with {scenario}/labels_ha.bin: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,steps", [
         (["--steps", "2", "--set", "train_steps=3"], 2),
         (["--set", "train_steps=3"], 3),

@@ -190,6 +190,43 @@ class TestDatasetIO:
         assert message.startswith(f"{d}/meta disagrees with {d}/mesh.msh: ")
         assert named in message
 
+    @pytest.mark.parametrize("kind,name,axis", [
+        (M.KIND_WALL, "wall", 1),
+        (M.KIND_INFLOW, "inflow", 0),
+        (M.KIND_OUTFLOW, "outflow", 0),
+    ], ids=["wall", "inflow", "outflow"])
+    def test_boundary_node_off_the_meta_rectangle_rejected(self, tmp_path, kind, name, axis):
+        # The generator snaps these nodes exactly onto their side; one moved
+        # by 1e-3 makes a mesh of another rectangle than the meta's.
+        scen = small_scenario()
+        fine, traj, _ = D.simulate_scenario(scen, n_steps=1)
+        pos = fine.positions.copy()
+        node = np.flatnonzero(fine.node_kind == kind)[0]
+        pos[node, axis] += 1e-3 if pos[node, axis] == 0.0 else -1e-3
+        moved = M.TriMesh(pos, fine.triangles, fine.node_kind, fine.edge_min, fine.edge_max)
+        d = D.write_scenario_dir(tmp_path, 0, scen, moved, traj)
+        with pytest.raises(ValueError) as info:
+            D.read_scenario_dir(d)
+        message = str(info.value)
+        assert message.startswith(f"{d}/meta disagrees with {d}/mesh.msh: ")
+        assert f"{name} node {node} lies at {'xy'[axis]} = {float(pos[node, axis])!r}, off" in message
+
+    @pytest.mark.parametrize("labels,provenance,state", [
+        (False, "high_accuracy", "missing"),
+        (True, "native", "present"),
+    ], ids=["missing", "stray"])
+    def test_labels_file_that_disagrees_with_provenance_rejected(self, tmp_path, labels,
+                                                                 provenance, state):
+        # A stray or missing labels_ha.bin used to switch the labels silently.
+        scen = small_scenario()
+        fine, traj, _ = D.simulate_scenario(scen, n_steps=1)
+        d = D.write_scenario_dir(tmp_path, 0, scen, fine, traj, traj if labels else None,
+                                 extra_meta={"provenance": provenance})
+        with pytest.raises(ValueError) as info:
+            D.read_scenario_dir(d)
+        assert str(info.value) == (f"{d}/meta disagrees with {d}/labels_ha.bin: the meta's "
+                                   f"provenance is {provenance!r}, and the labels file is {state}")
+
     def test_write_is_byte_deterministic(self, tmp_path):
         scen = small_scenario()
         fine, traj, _ = D.simulate_scenario(scen, n_steps=2)

@@ -1,5 +1,6 @@
-"""Byte identity of the golden run: ``tools/golden.py`` against the lines
-recorded in ``tools/golden.txt``."""
+"""The tools: byte identity of the golden run (``tools/golden.py`` against
+the lines recorded in ``tools/golden.txt``) and a smoke run of
+``tools/mesh_sweep.py``."""
 
 import os
 import subprocess
@@ -28,3 +29,16 @@ def test_golden_run_matches_recorded_lines(tmp_path):
     changed = sorted(p for p in recorded.keys() | printed.keys()
                      if recorded.get(p) != printed.get(p))
     assert not changed, f"golden lines changed for: {', '.join(changed)}"
+
+
+def test_mesh_sweep_prints_one_line_per_resolution():
+    # Two domains at coarse resolutions keep this smoke run well under 2 s.
+    run = subprocess.run([sys.executable, os.path.join(TOOLS, "mesh_sweep.py"), "7", "2", "2e-2",
+                          "1.5e-2"], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = [dict(field.split("=") for field in line.split()) for line in run.stdout.splitlines()]
+    assert [line["edge_min"] for line in lines] == ["0.02", "0.015"]
+    for line in lines:
+        assert line["meshes"] == "2" and line["failed"] == "0"
+        assert 0.2 <= float(line["worst"]) <= float(line["lowest_mean"]) <= 1.0
+        assert int(line["nodes"]) > 0 and float(line["delaunay"]) >= 2

@@ -8,9 +8,11 @@ directory and is reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
+import time
 from multiprocessing import Pool
 
 import numpy as np
@@ -140,6 +142,13 @@ def _edge_min_range(cfg):
     return lo, hi
 
 
+def _timed_scenario(scenario, **kwargs):
+    """``dataset.simulate_scenario`` and its wall time in seconds."""
+    t0 = time.perf_counter()
+    result = dataset.simulate_scenario(scenario, **kwargs)
+    return result, time.perf_counter() - t0
+
+
 def cmd_gen(args):
     cfg = resolve_config(args)
     if cfg["labels"] not in LABEL_MODES:
@@ -164,14 +173,18 @@ def cmd_gen(args):
     dataset.scenario_pde_config(scenarios[0], cfg["viscosity"], cfg["dt"], cfg["n_steps"])
     os.makedirs(args.out, exist_ok=True)
     generate = functools.partial(
-        dataset.simulate_scenario, refinement=refinement,
+        _timed_scenario, refinement=refinement,
         viscosity=cfg["viscosity"], dt=cfg["dt"], n_steps=cfg["n_steps"],
     )
-    if cfg["workers"] > 1:
-        with Pool(cfg["workers"]) as pool:
-            results = pool.map(generate, scenarios)
-    else:
-        results = [generate(s) for s in scenarios]
+    with contextlib.ExitStack() as stack:
+        if cfg["workers"] > 1:
+            done = stack.enter_context(Pool(cfg["workers"])).imap(generate, scenarios)
+        else:
+            done = map(generate, scenarios)
+        results = []
+        for index, (result, seconds) in enumerate(done):
+            print(f"scenario {index}: {result[0].n_nodes} nodes, {seconds:.2f} s", flush=True)
+            results.append(result)
     extra = {key: cfg[key] for key in ("viscosity", "dt", "n_steps", "coarse_edge_min")}
     extra.update(refinement=refinement or 1, domain_length=dataset.CHANNEL_LENGTH,
                  domain_height=dataset.CHANNEL_HEIGHT)

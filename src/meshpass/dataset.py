@@ -6,16 +6,16 @@ log-uniform.
 
 One path turns a scenario into data: :func:`simulate_scenario` generates
 the scenario mesh, the native trajectory on it and, optionally, the
-high-accuracy labels. Those come from a simulation at
-``edge_min / refinement`` (refinement >= 2) interpolated onto the
-scenario's own mesh, so a model trained on them learns fine-scale dynamics
-on a coarse mesh.
+high-accuracy labels. Those come from a simulation on the scenario mesh
+subdivided uniformly by the integer ``refinement`` (>= 2), read off at the
+scenario's own nodes, so a model trained on them learns fine-scale
+dynamics on a coarse mesh.
 
-A scenario's meshes follow from its seed: the scenario mesh from ``seed``,
-the fixed-resolution coarse mesh from ``seed + 1`` and the refined label
-mesh from ``seed + 2``. Each is generated once. The coarse mesh is never
-stored: :func:`load_dataset` builds it, once per scenario, with
-:func:`coarse_mesh`.
+A scenario's meshes follow from its seed: the scenario mesh from ``seed``
+and the fixed-resolution coarse mesh from ``seed + 1``. Each is generated
+once. The label mesh is not generated but subdivided from the scenario
+mesh, and is never stored. The coarse mesh is never stored either:
+:func:`load_dataset` builds it, once per scenario, with :func:`coarse_mesh`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .mesh import (
     generate_mesh,
     load_mesh,
     save_mesh,
+    subdivide_mesh,
 )
 from .records import read_key_values, write_key_values
 from .solver import PdeConfig, load_trajectory, save_trajectory, simulate
@@ -127,9 +128,12 @@ def coarse_mesh(domain, seed, coarse_edge_min=COARSE_EDGE_MIN):
 
 
 def check_refinement(refinement):
-    """High-accuracy labels need a label mesh at least twice as fine."""
-    if refinement < 2:
-        raise ValueError(f"high-accuracy labels need refine >= 2, got refine={refinement}")
+    """The subdivision factor of the label mesh: ``refinement`` as an int.
+    ValueError naming the value unless it is a whole number >= 2."""
+    if not (refinement >= 2 and float(refinement).is_integer()):
+        raise ValueError("high-accuracy labels need a whole number refine >= 2, "
+                         f"got refine={refinement!r}")
+    return int(refinement)
 
 
 def simulate_scenario(scenario, refinement=None, viscosity=1e-3, dt=0.01, n_steps=200):
@@ -138,7 +142,10 @@ def simulate_scenario(scenario, refinement=None, viscosity=1e-3, dt=0.01, n_step
     label trajectory on the same mesh.
 
     Returns (mesh, trajectory, labels), with labels None without refinement.
+    A bad ``refinement`` raises before any work (:func:`check_refinement`).
     """
+    if refinement is not None:
+        check_refinement(refinement)
     domain = scenario.domain()
     mesh = generate_mesh(domain, scenario.edge_min, seed=scenario.seed)
     config = scenario_pde_config(scenario, viscosity, dt, n_steps)
@@ -146,17 +153,18 @@ def simulate_scenario(scenario, refinement=None, viscosity=1e-3, dt=0.01, n_step
     traj = simulate(mesh, config, initial_fn(mesh.positions))
     labels = None
     if refinement is not None:
-        labels = high_accuracy_trajectory(mesh, config, refinement, scenario.seed, initial_fn)
+        labels = high_accuracy_trajectory(mesh, config, refinement, initial_fn)
     return mesh, traj, labels
 
 
-def high_accuracy_trajectory(mesh, config, refinement, seed, initial_fn):
-    """Simulate on a mesh at ``mesh.edge_min / refinement``, generated from
-    ``seed + 2``, and interpolate every frame onto ``mesh``, which was
-    generated from ``seed``. Returns the interpolated Trajectory."""
-    check_refinement(refinement)
-    ref_mesh = generate_mesh(config.domain, mesh.edge_min / refinement, seed=seed + 2)
-    return simulate(ref_mesh, config, initial_fn(ref_mesh.positions)).interpolate_to(mesh)
+def high_accuracy_trajectory(mesh, config, refinement, initial_fn):
+    """Simulate on ``mesh`` subdivided by ``refinement``
+    (:func:`~meshpass.mesh.subdivide_mesh`) and interpolate every frame onto
+    ``mesh``. Its nodes are the first nodes of the subdivided mesh, so the
+    labels are the refined solution at them, bit for bit. Returns the
+    interpolated Trajectory."""
+    fine = subdivide_mesh(mesh, config.domain, check_refinement(refinement))
+    return simulate(fine, config, initial_fn(fine.positions)).interpolate_to(mesh)
 
 
 def trajectory_to_samples(fine, coarse, traj, provenance, scenario=None):

@@ -28,6 +28,8 @@ EDGE_SLACK_LOW = 0.5
 EDGE_SLACK_HIGH = 1.5
 # Rounds of edge splitting/collapsing allowed after the force iteration.
 SPLIT_COLLAPSE_ROUNDS = 10
+# The split/collapse pass collapses edges shorter than this times edge_min.
+COLLAPSE_BELOW = 0.55
 
 
 class MeshGenerationError(RuntimeError):
@@ -502,7 +504,12 @@ def generate_mesh(domain, edge_min, seed=0):
     if domain.has_obstacle:
         cx, cy = domain.obstacle_center
         r = domain.obstacle_radius
-        n_ring = max(int(np.ceil(2 * np.pi * r / edge_min)), 8)
+        # At least 8 ring nodes, unless 8 would put two neighbours closer
+        # than the collapse bound: both are pinned, so that edge could never
+        # be collapsed. The ceiling alone always meets the bound, and the
+        # circumference check above keeps it at 4 or more.
+        n_apart = int(np.pi / np.arcsin(COLLAPSE_BELOW * edge_min / (2 * r)))
+        n_ring = max(int(np.ceil(2 * np.pi * r / edge_min)), min(8, n_apart))
         th = 2 * np.pi * np.arange(n_ring) / n_ring
         fixed.append(np.column_stack([cx + r * np.cos(th), cy + r * np.sin(th)]))
     pfix = np.concatenate(fixed, axis=0)
@@ -564,7 +571,7 @@ def generate_mesh(domain, edge_min, seed=0):
         bars = triangle_edges(tris, pts.shape[0])
         vec = pts[bars[:, 0]] - pts[bars[:, 1]]
         lengths = np.hypot(vec[:, 0], vec[:, 1])
-        short = lengths < 0.55 * edge_min
+        short = lengths < COLLAPSE_BELOW * edge_min
         long = lengths > 1.35 * edge_max
         if not np.any(short) and not np.any(long):
             break
@@ -574,7 +581,7 @@ def generate_mesh(domain, edge_min, seed=0):
             raise MeshGenerationError(
                 f"split/collapse pass did not converge after {rounds} rounds: edge "
                 f"({a[0]:.4g}, {a[1]:.4g})-({b[0]:.4g}, {b[1]:.4g}) has length "
-                f"{lengths[bad]:.3g}, outside [{0.55 * edge_min:.3g}, "
+                f"{lengths[bad]:.3g}, outside [{COLLAPSE_BELOW * edge_min:.3g}, "
                 f"{1.35 * edge_max:.3g}]"
             )
         # Collapse over-short edges by deleting one endpoint; split over-long
@@ -623,6 +630,85 @@ def _remove_slivers(points, tris):
     # Height of the triangle over its longest edge, relative to that edge.
     flatness = area2 / np.maximum(longest**2, 1e-300)
     return tris[flatness > 0.02]
+
+
+def subdivide_mesh(mesh, domain, k):
+    """Uniform refinement of ``mesh`` by the integer factor ``k``: every
+    edge split into k equal parts, every triangle into k^2 similar ones.
+
+    The first ``mesh.n_nodes`` nodes are those of ``mesh``, bit for bit,
+    with their kinds. Then come the k - 1 nodes of each edge of
+    :meth:`TriMesh.undirected_edges`, from its lower-numbered end, then the
+    (k - 1)(k - 2) / 2 inner nodes of each triangle. A new node on a
+    boundary edge takes the kind of its side of ``domain`` (y = 0 or the
+    height: wall; x = 0: inflow; x = the length: outflow; otherwise
+    obstacle), and new obstacle nodes are moved radially onto the circle.
+    Triangle ``t`` of ``mesh`` becomes triangles ``t * k^2`` to
+    ``(t + 1) * k^2 - 1``, counter-clockwise. The sizing is that of
+    ``mesh`` divided by k. Raises :class:`MeshGenerationError` if the
+    result fails :func:`validate_mesh`.
+    """
+    n, pts, tris = mesh.n_nodes, mesh.positions, mesh.triangles
+    edges = mesh.undirected_edges()
+    keys = edges[:, 0] * n + edges[:, 1]
+    frac = np.arange(1, k) / k
+
+    # The lattice points (i, j), i + j <= k, of a triangle (a, b, c) sit at
+    # a + i/k (b - a) + j/k (c - a). ``slot`` numbers them; ``nodes`` holds
+    # the mesh node of each slot, one row per triangle.
+    lattice_points = [(i, j) for i in range(k + 1) for j in range(k + 1 - i)]
+    slot = {ij: s for s, ij in enumerate(lattice_points)}
+    nodes = np.empty((len(tris), len(slot)), dtype=np.int64)
+    side_edge = []
+    for (u, v), lattice in (((0, 1), lambda m: (m, 0)), ((0, 2), lambda m: (0, m)),
+                            ((1, 2), lambda m: (k - m, m))):
+        nodes[:, slot[lattice(0)]] = tris[:, u]
+        nodes[:, slot[lattice(k)]] = tris[:, v]
+        lo, hi = np.minimum(tris[:, u], tris[:, v]), np.maximum(tris[:, u], tris[:, v])
+        e = np.searchsorted(keys, lo * n + hi)
+        side_edge.append(e)
+        forward = tris[:, u] < tris[:, v]
+        for m in range(1, k):
+            step = np.where(forward, m, k - m)
+            nodes[:, slot[lattice(m)]] = n + e * (k - 1) + step - 1
+    inner = [(i, j) for i in range(1, k) for j in range(1, k - i)]
+    first_inner = n + len(edges) * (k - 1)
+    for r, ij in enumerate(inner):
+        nodes[:, slot[ij]] = first_inner + np.arange(len(tris)) * len(inner) + r
+
+    a, b, c = (pts[tris[:, corner], None] for corner in range(3))
+    fi, fj = np.array(inner, dtype=np.int64).reshape(-1, 2).T / k
+    inner_pos = a + fi[:, None] * (b - a) + fj[:, None] * (c - a)
+    p0, p1 = pts[edges[:, 0]], pts[edges[:, 1]]
+    edge_pos = p0[:, None] + frac[None, :, None] * (p1 - p0)[:, None]
+
+    # A boundary edge is the side of exactly one triangle.
+    boundary = np.bincount(np.concatenate(side_edge), minlength=len(edges)) == 1
+    (x0, y0), (x1, y1) = p0.T, p1.T
+    L, H = domain.length, domain.height
+    edge_kind = np.select(
+        [~boundary, ((y0 == 0) & (y1 == 0)) | ((y0 == H) & (y1 == H)),
+         (x0 == 0) & (x1 == 0), (x0 == L) & (x1 == L)],
+        [KIND_INTERIOR, KIND_WALL, KIND_INFLOW, KIND_OUTFLOW], KIND_OBSTACLE)
+    on_obstacle = edge_kind == KIND_OBSTACLE
+    if on_obstacle.any():
+        cx, cy = domain.obstacle_center
+        d = edge_pos[on_obstacle] - (cx, cy)
+        scale = domain.obstacle_radius / np.hypot(d[..., 0], d[..., 1])
+        edge_pos[on_obstacle] = (cx, cy) + d * scale[..., None]
+
+    children = [(slot[i, j], slot[i + 1, j], slot[i, j + 1])
+                for i in range(k) for j in range(k - i)]
+    children += [(slot[i + 1, j], slot[i + 1, j + 1], slot[i, j + 1])
+                 for i in range(k - 1) for j in range(k - 1 - i)]
+    fine = TriMesh(
+        np.concatenate([pts, edge_pos.reshape(-1, 2), inner_pos.reshape(-1, 2)]),
+        nodes[:, np.array(children)].reshape(-1, 3),
+        np.concatenate([mesh.node_kind, np.repeat(edge_kind, k - 1),
+                        np.full(len(tris) * len(inner), KIND_INTERIOR)]),
+        mesh.edge_min / k, mesh.edge_max / k)
+    validate_mesh(fine, domain)
+    return fine
 
 
 def out_of_range_triangles(triangles, n_nodes):

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import shutil
 import threading
 
@@ -138,6 +139,18 @@ class TestGen:
         err = capsys.readouterr().err
         assert "edge_min_lo" in err and "edge_min_hi" in err
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_progress_line_per_scenario(self, tmp_path, capsys, workers):
+        out = str(tmp_path / "gen")
+        assert main(["gen", "--out", out, "--scenarios", "3", "--seed", "7",
+                     "--set", f"workers={workers}"] + DESK) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and lines[-1] == f"wrote 3 scenarios to {out}"
+        for index, line in enumerate(lines[:3]):
+            nodes = dataset.read_scenario_dir(
+                os.path.join(out, f"scenario_{index:04d}"))[1].n_nodes
+            assert re.fullmatch(rf"scenario {index}: {nodes} nodes, \d+\.\d\d s", line), line
+
     def test_workers_match_single_process_bytes(self, tmp_path):
         a, b = str(tmp_path / "one"), str(tmp_path / "two")
         args = ["gen", "--scenarios", "2", "--seed", "7", "--labels", "high-accuracy",
@@ -171,12 +184,13 @@ class TestMeshGeneratedOnce:
     GEN = ["--seed", "4", "--set", "edge_min_lo=1e-2", "--set", "edge_min_hi=1e-2",
            "--set", "n_steps=2"]
 
-    def test_high_accuracy_gen_two_calls(self, tmp_path, mesh_calls):
+    def test_high_accuracy_gen_one_call(self, tmp_path, mesh_calls):
+        # The label mesh is subdivided from the scenario mesh, not generated.
         out = str(tmp_path / "ha")
         assert main(["gen", "--out", out, "--scenarios", "1", "--labels", "high-accuracy",
                      "--refine", "2"] + self.GEN) == 0
         seed = dataset.read_scenario_dir(os.path.join(out, "scenario_0000"))[0].seed
-        assert mesh_calls == [(1e-2, seed), (5e-3, seed + 2)]
+        assert mesh_calls == [(1e-2, seed)]
 
     def test_native_gen_and_load_one_call_per_scenario(self, tmp_path, mesh_calls):
         out = str(tmp_path / "native")

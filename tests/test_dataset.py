@@ -85,6 +85,13 @@ class TestHighAccuracyDataset:
         with pytest.raises(ValueError):
             D.simulate_scenario(small_scenario(), refinement=1, n_steps=2)
 
+    @pytest.mark.parametrize("refinement", [float("nan"), 2.5, float("inf")])
+    def test_refinement_not_a_whole_number_rejected(self, refinement):
+        # NaN used to pass the check and fail later in mesh generation; 2.5
+        # used to make a label mesh no subdivision can.
+        with pytest.raises(ValueError, match=rf"refine={refinement!r}$"):
+            D.simulate_scenario(small_scenario(), refinement=refinement, n_steps=2)
+
     def test_linear_solution_interpolates_exactly(self):
         # P1 interpolation of a linear-in-space field is exact, so labels on
         # a linear solution match direct evaluation.
@@ -106,8 +113,7 @@ class TestHighAccuracyDataset:
                           n_steps=n_steps)
         edge_min = 0.05
         mesh = M.generate_mesh(domain, edge_min, seed=0)
-        ha_traj = D.high_accuracy_trajectory(mesh, cfg, 4, seed=0,
-                                             initial_fn=toy_initial_fn())
+        ha_traj = D.high_accuracy_trajectory(mesh, cfg, 4, initial_fn=toy_initial_fn())
         own_traj = S.simulate(mesh, cfg, toy_initial_fn()(mesh.positions))
         for t in range(1, n_steps + 1):
             exact = S.gaussian_solution(mesh.positions, t * cfg.dt, TOY["center"],

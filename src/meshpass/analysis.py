@@ -17,14 +17,7 @@ import scipy.sparse as sp
 from . import graphs, nn
 from .graphs import as_field_matrix
 from .records import write_csv
-from .processor import (
-    StaticLatents,
-    forward_normalized_delta,
-    high_res_update,
-    low_res_update,
-    downsample_update,
-    upsample_update,
-)
+from .processor import StaticLatents, forward_normalized_delta, predict_step, run_schedule
 
 DEFAULT_EIG_CAP = 4000
 
@@ -129,39 +122,29 @@ def receptive_field(params, fine_mesh, coarse_mesh, fields=None):
 
 
 def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5):
-    """Median wall time of one update of each step kind with processor
-    block 0, run without a tape as in evaluation. Returns a dict kind ->
-    seconds (L, D and U only when the schedule has coarse steps), plus the
-    mesh and edge counts."""
-    block = params.blocks[0]
-
-    def median_time(update, *args):
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            update(*args, block)
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
+    """Median wall time of each step kind over ``repeats`` real tape-free
+    forward passes from zero fields (every block with its own weights, on
+    the latents the schedule produces), and of as many whole
+    ``predict_step`` calls as ``step``. L, D, U and the coarse counts are
+    in the row only when the schedule has coarse steps."""
+    fields = np.zeros((fine_mesh.n_nodes, params.field_width))
+    times = {}
     with nn.no_tape():
         static = StaticLatents(params, fine_mesh, coarse_mesh)
-        fields = np.zeros((fine_mesh.n_nodes, params.field_width))
-        fine = graphs.encode_fine(fine_mesh, params.node_field_normalizer.apply(fields), params)
-        row = {
-            "H": median_time(high_res_update, static.fine_graph, fine, static.fine_edges),
-            "fine_nodes": fine_mesh.n_nodes,
-            "coarse_nodes": coarse_mesh.n_nodes,
-            "fine_edges": len(static.fine_graph.senders),
-        }
-        coarse = static.coarse
-        if coarse is not None:
-            row.update(
-                L=median_time(low_res_update, static.coarse_graph, coarse, static.coarse_edges),
-                D=median_time(downsample_update, static.down_graph, fine, coarse,
-                              static.down_edges),
-                U=median_time(upsample_update, static.up_graph, coarse, fine, static.up_edges),
-                coarse_edges=len(static.coarse_graph.senders),
-            )
+        for _ in range(repeats):
+            fine = graphs.encode_fine(fine_mesh, params.node_field_normalizer.apply(fields), params)
+            t0 = time.perf_counter()
+            for kind, _ in run_schedule(params, static, fine):
+                times.setdefault(kind, []).append(time.perf_counter() - t0)
+                t0 = time.perf_counter()
+            t0 = time.perf_counter()
+            predict_step(fine_mesh, coarse_mesh, fields, params, static=static)
+            times.setdefault("step", []).append(time.perf_counter() - t0)
+    row = {kind: float(np.median(t)) for kind, t in times.items()}
+    row.update(fine_nodes=fine_mesh.n_nodes, fine_edges=len(static.fine_graph.senders))
+    if static.coarse is not None:
+        row.update(coarse_nodes=coarse_mesh.n_nodes,
+                   coarse_edges=len(static.coarse_graph.senders))
     return row
 
 

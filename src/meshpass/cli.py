@@ -346,11 +346,14 @@ def cmd_bench(args):
     params = ModelParams(
         cfg["processor"], 1, cfg["latent_size"], cfg["hidden_size"], cfg["seed"]
     )
-    coarse = dataset.coarse_mesh(dataset.TEST_DOMAIN, cfg["seed"], cfg["coarse_edge_min"])
+    fines = [dataset.generate_mesh(dataset.TEST_DOMAIN, res, seed=cfg["seed"])
+             for res in resolutions]
+    coarse = None
+    if params.schedule.has_coarse_steps:
+        coarse = dataset.coarse_mesh(dataset.TEST_DOMAIN, cfg["seed"], cfg["coarse_edge_min"])
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for res in resolutions:
-        fine = dataset.generate_mesh(dataset.TEST_DOMAIN, res, seed=cfg["seed"])
+    for res, fine in zip(resolutions, fines):
         row = analysis.timing_benchmark(params, fine, coarse)
         row["edge_min"] = res
         rows.append(row)

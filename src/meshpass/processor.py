@@ -375,6 +375,24 @@ class StaticLatents:
         )
 
 
+def run_schedule(params, static, fine):
+    """Run the schedule from the encoded fine node latents ``fine``: each
+    step's block updates the graph and latents of its kind, in schedule
+    order. Yields (kind, fine node latents) after every step."""
+    fine_e, coarse, coarse_e = static.fine_edges, static.coarse, static.coarse_edges
+    down_e, up_e = static.down_edges, static.up_edges
+    for step, block in zip(params.schedule.steps, params.blocks):
+        if step == STEP_FINE:
+            fine, fine_e = high_res_update(static.fine_graph, fine, fine_e, block)
+        elif step == STEP_COARSE:
+            coarse, coarse_e = low_res_update(static.coarse_graph, coarse, coarse_e, block)
+        elif step == STEP_DOWN:
+            coarse, down_e = downsample_update(static.down_graph, fine, coarse, down_e, block)
+        else:
+            fine, up_e = upsample_update(static.up_graph, coarse, fine, up_e, block)
+        yield step, fine
+
+
 def forward_normalized_delta(params, fine_mesh, coarse_level, fields, static=None):
     """Differentiable core of the model: normalized per-node delta.
 
@@ -390,17 +408,8 @@ def forward_normalized_delta(params, fine_mesh, coarse_level, fields, static=Non
     leaf = fields if isinstance(fields, nn.Tensor) else nn.Tensor(as_field_matrix(fields))
     xn = params.node_field_normalizer.apply(leaf)
     fine = graphs.encode_fine(fine_mesh, xn, params)
-    fine_e, coarse, coarse_e = static.fine_edges, static.coarse, static.coarse_edges
-    down_e, up_e = static.down_edges, static.up_edges
-    for step, block in zip(params.schedule.steps, params.blocks):
-        if step == STEP_FINE:
-            fine, fine_e = high_res_update(static.fine_graph, fine, fine_e, block)
-        elif step == STEP_COARSE:
-            coarse, coarse_e = low_res_update(static.coarse_graph, coarse, coarse_e, block)
-        elif step == STEP_DOWN:
-            coarse, down_e = downsample_update(static.down_graph, fine, coarse, down_e, block)
-        else:
-            fine, up_e = upsample_update(static.up_graph, coarse, fine, up_e, block)
+    for _, fine in run_schedule(params, static, fine):
+        pass
     return params.decoder(fine), leaf
 
 

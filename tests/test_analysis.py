@@ -9,6 +9,7 @@ import pytest
 
 from meshpass import analysis as A
 from meshpass import mesh as M
+from meshpass import processor as P
 from meshpass import solver as S
 from meshpass import training as T
 from meshpass.processor import ModelParams
@@ -155,9 +156,26 @@ class TestTiming:
 
     def test_schema_stable(self, timed):
         _, _, row = timed
-        for key in ("H", "L", "D", "U", "fine_nodes", "coarse_nodes",
+        for key in ("H", "L", "D", "U", "step", "fine_nodes", "coarse_nodes",
                     "fine_edges", "coarse_edges"):
             assert key in row
+
+    def test_every_block_runs_with_its_own_weights(self, timed, monkeypatch):
+        fine, coarse, _ = timed
+        params = ModelParams("p=1H 2L 1H (U=1,D=1)", 1, 8, 8, seed=0)
+        seen = []
+        real = P.update
+        monkeypatch.setattr(P, "update", lambda graph, src, dst, edges, block:
+                            seen.append(id(block)) or real(graph, src, dst, edges, block))
+        A.timing_benchmark(params, fine, coarse, repeats=2)
+        # Each repeat runs the schedule, then a whole predict_step.
+        assert seen == [id(block) for block in params.blocks] * 4
+
+    def test_single_level_row_has_no_coarse_counts(self, timed):
+        fine, _, _ = timed
+        row = A.timing_benchmark(ModelParams("p=2H (U=0,D=0)", 1, 8, 8, seed=0), fine, None,
+                                 repeats=1)
+        assert set(row) == {"H", "step", "fine_nodes", "fine_edges"}
 
 
 class TestConvergenceCurve:

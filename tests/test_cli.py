@@ -809,3 +809,24 @@ class TestBench:
         assert main(["bench", "--out", str(out), "--processor", "p=bad"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_single_level_schedule_builds_no_coarse_mesh(self, tmp_path, monkeypatch):
+        # A coarse_edge_min the test domain cannot mesh is never read.
+        calls = []
+        real = dataset.coarse_mesh
+        monkeypatch.setattr(dataset, "coarse_mesh", lambda *a: calls.append(a) or real(*a))
+        out = str(tmp_path / "bench")
+        rc = main(["bench", "--out", out, "--processor", "p=2H (U=0,D=0)",
+                   "--resolutions", "1.2e-2", "--set", "coarse_edge_min=0.3"]
+                  + SMALL_MODEL)
+        assert rc == 0
+        assert calls == []
+        with open(os.path.join(out, "timing.csv")) as fh:
+            header = fh.readline().strip().split(",")
+        assert "step" in header and "coarse_nodes" not in header
+
+    def test_failed_fine_mesh_creates_no_out(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), "--resolutions", "0.2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

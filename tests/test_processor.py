@@ -436,6 +436,17 @@ class TestPredictStep:
         without = P.predict_step(fine, None, fields, params)
         assert with_coarse.tobytes() == without.tobytes()
 
+    def test_run_schedule_yields_the_steps_in_order(self, channel):
+        _, fine, coarse = channel
+        params = P.ModelParams("p=1H 2L 1H 1L 1H (U=2,D=2)", 1, 8, 8, seed=0)
+        fields = np.random.default_rng(5).normal(size=(fine.n_nodes, 1))
+        static = P.StaticLatents(params, fine, coarse)
+        latents = G.encode_fine(fine, params.node_field_normalizer.apply(fields), params)
+        yielded = list(P.run_schedule(params, static, latents))
+        assert tuple(kind for kind, _ in yielded) == params.schedule.steps
+        delta, _ = P.forward_normalized_delta(params, fine, coarse, fields, static)
+        assert params.decoder(yielded[-1][1]).data.tobytes() == delta.data.tobytes()
+
     def test_static_latents_never_locate_in_the_fine_mesh(self, channel, monkeypatch):
         # Fresh copies, so no point location is hidden by a cached Graph.
         fine, coarse = (M.TriMesh(m.positions, m.triangles, m.node_kind, m.edge_min, m.edge_max)

@@ -108,17 +108,11 @@ def receptive_field(params, fine_mesh, coarse_mesh, fields=None):
         fields = np.zeros((n, params.field_width))
     fields = as_field_matrix(fields)
     delta, leaf = forward_normalized_delta(params, fine_mesh, coarse_mesh, fields)
-    mask = np.zeros((n, n), dtype=bool)
-    width = delta.data.shape[1]
-    for i in range(n):
-        row = np.zeros(n, dtype=bool)
-        for c in range(width):
-            seed = np.zeros_like(delta.data)
-            seed[i, c] = 1.0
-            (g,) = nn.backward(delta, seed=seed, wrt=[leaf])
-            row |= np.any(g != 0.0, axis=1)
-        mask[i] = row
-    return mask
+    # One seed per output entry (node i, channel c), in that order.
+    seeds = np.eye(delta.data.size).reshape((-1,) + delta.data.shape)
+    grads = nn.backward(delta, wrt=[leaf], seeds=seeds)
+    touched = np.array([np.any(g != 0.0, axis=1) for (g,) in grads])
+    return touched.reshape(n, -1, n).any(axis=1)
 
 
 def timing_benchmark(params, fine_mesh, coarse_mesh, repeats=5):

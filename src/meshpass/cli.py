@@ -241,7 +241,16 @@ def cmd_train(args):
         optimizer = nn.Adam(params.parameters(), lr=train_cfg.learning_rate)
         start_step = 0
     os.makedirs(args.out, exist_ok=True)
-    history = training.train(params, samples, train_cfg, optimizer, start_step)
+    # One progress line about every tenth of the run, and one for the last step.
+    every = max(1, -(-(train_cfg.steps - start_step) // 10))
+
+    def progress(step, row):
+        if (step + 1 - start_step) % every == 0 or step + 1 == train_cfg.steps:
+            print(f"step {step + 1}/{train_cfg.steps}: loss {row['loss']:.4g}, "
+                  f"{row['sec_per_step']:.3f} s/step", flush=True)
+
+    history = training.train(params, samples, train_cfg, optimizer, start_step,
+                             callback=progress)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     save_checkpoint(ckpt, params, optimizer, train_cfg.steps)
     training.write_history_csv(history, os.path.join(args.out, "history.csv"))
@@ -272,16 +281,15 @@ def cmd_eval(args):
         n_steps=cfg["eval_steps"],
         edge_min_range=_edge_min_range(cfg),
     )
+    coarse = None
+    if params is not None and params.schedule.has_coarse_steps:
+        coarse = dataset.coarse_mesh(pde_cfg.domain, cfg["seed"], cfg["coarse_edge_min"])
     os.makedirs(args.out, exist_ok=True)
     if params is None:
         factory = lambda mesh: FrameStepper(mesh, pde_cfg)
         report = evaluate(factory, meshes, ref_traj, model="solver", mps=0,
                           schedule="", max_rollout=cfg["max_rollout"])
     else:
-        coarse = None
-        if params.schedule.has_coarse_steps:
-            coarse = dataset.coarse_mesh(pde_cfg.domain, cfg["seed"], cfg["coarse_edge_min"])
-
         def factory(mesh):
             return ModelStepper(params, coarse).bind(mesh)
 

@@ -3,6 +3,7 @@
 from .autodiff import (
     NonFiniteError,
     SparseOp,
+    TapeConsumedError,
     Tensor,
     add,
     backward,
@@ -29,6 +30,7 @@ __all__ = [
     "NonFiniteError",
     "Normalizer",
     "SparseOp",
+    "TapeConsumedError",
     "Tensor",
     "adam_step",
     "add",

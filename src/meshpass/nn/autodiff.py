@@ -19,6 +19,15 @@ splits. So a taped intermediate that no vjp reads (a gather, a sum, a
 layer norm's input) is freed as soon as the forward pass drops its
 Tensor, while its node stays on the tape.
 
+``backward`` runs only the nodes on a path from the root to a tensor it
+differentiates with respect to, and each vjp takes a per-parent mask and
+skips the work of a term whose parent is not needed, returning ``None``
+for it. Once a node's vjp has run for the last seed, the node drops it,
+and with it the arrays it saved, so a pass frees the tape as it goes. A
+tape is therefore differentiated once: a caller that wants several
+gradients of one root passes all their seeds to one ``backward`` call,
+and a later call that needs a spent node raises ``TapeConsumedError``.
+
 Inside ``with no_tape():`` the same ops record nothing: their outputs have
 no parents and no vjp, so intermediates are freed as soon as the forward
 pass drops them. There ``matmul``, ``add``, ``relu``, a gather ``spmm``
@@ -46,6 +55,18 @@ class NonFiniteError(ArithmeticError):
 
     def __init__(self, op_name):
         super().__init__(f"non-finite value produced by operation '{op_name}'")
+        self.op_name = op_name
+
+
+class TapeConsumedError(RuntimeError):
+    """Raised when ``backward`` needs a tape node whose vjp an earlier
+    ``backward`` already ran and dropped."""
+
+    def __init__(self, op_name):
+        super().__init__(
+            f"backward reached operation '{op_name}' whose tape was already consumed "
+            "by an earlier backward; pass every seed to one backward call, or run "
+            "the forward pass again")
         self.op_name = op_name
 
 
@@ -92,9 +113,14 @@ def _result(out, op, parents, vjp):
     return Tensor(out, op)
 
 
+# The vjp of a node that ``backward`` has run for its last seed.
+_CONSUMED = object()
+
+
 class _Node:
     # One tape record: the op name, the parents' nodes (None for a constant
-    # operand) and the vjp. It holds no array of its own.
+    # operand) and the vjp (_CONSUMED once backward has run it for its last
+    # seed). It holds no array of its own.
     __slots__ = ("op", "parents", "vjp")
 
     def __init__(self, op, parents, vjp):
@@ -159,9 +185,10 @@ def matmul(a, b, bias=None, out=None):
         out += value(bias)
         parents += (bias,)
 
-    def vjp(g):
-        grads = (g @ bv.T, av.T @ g)
-        return grads if bias is None else grads + (g.sum(axis=0),)
+    def vjp(g, need):
+        grads = (np.matmul(g, bv.T) if need[0] else None,
+                 np.matmul(av.T, g) if need[1] else None)
+        return grads if bias is None else grads + (g.sum(axis=0) if need[2] else None,)
 
     return _result(out, "matmul", parents, vjp)
 
@@ -172,7 +199,7 @@ def row_block(a, start, stop):
     out = av[start:stop]
     shape = av.shape
 
-    def vjp(g):
+    def vjp(g, need):
         full = np.zeros(shape)
         full[start:stop] = g
         return (full,)
@@ -186,8 +213,9 @@ def add(a, b, out=None):
     out = np.add(av, bv, out=_handed(out, np.broadcast_shapes(av.shape, bv.shape)))
     ashape, bshape = av.shape, bv.shape
 
-    def vjp(g):
-        return _unbroadcast(g, ashape), _unbroadcast(g, bshape)
+    def vjp(g, need):
+        return (_unbroadcast(g, ashape) if need[0] else None,
+                _unbroadcast(g, bshape) if need[1] else None)
 
     return _result(out, "add", (a, b), vjp)
 
@@ -197,8 +225,9 @@ def sub(a, b):
     out = av - bv
     ashape, bshape = av.shape, bv.shape
 
-    def vjp(g):
-        return _unbroadcast(g, ashape), _unbroadcast(-g, bshape)
+    def vjp(g, need):
+        return (_unbroadcast(g, ashape) if need[0] else None,
+                _unbroadcast(-g, bshape) if need[1] else None)
 
     return _result(out, "sub", (a, b), vjp)
 
@@ -207,8 +236,9 @@ def mul(a, b):
     av, bv = value(a), value(b)
     out = av * bv
 
-    def vjp(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
+    def vjp(g, need):
+        return (_unbroadcast(g * bv, av.shape) if need[0] else None,
+                _unbroadcast(g * av, bv.shape) if need[1] else None)
 
     return _result(out, "mul", (a, b), vjp)
 
@@ -218,7 +248,7 @@ def relu(a, out=None):
     av = value(a)
     out = np.maximum(av, 0.0, out=_handed(out, av.shape))
 
-    def vjp(g):
+    def vjp(g, need):
         # out > 0 exactly where av > 0: max(av, 0) is av there and a zero
         # (of either sign) elsewhere.
         return (g * (out > 0.0),)
@@ -233,7 +263,8 @@ def concat(parts):
     widths = [v.shape[-1] for v in vals]
     splits = np.cumsum(widths)[:-1]
 
-    def vjp(g):
+    def vjp(g, need):
+        # Views of g: a part no parent needs costs nothing.
         return tuple(np.split(g, splits, axis=-1))
 
     return _result(out, "concat", tuple(parts), vjp)
@@ -285,7 +316,7 @@ def spmm(op, a, out=None):
         # them into buf; a gather's indices are in range by construction.
         out = np.take(av, op.indices, axis=0, out=buf, mode="clip")
 
-    def vjp(g):
+    def vjp(g, need):
         return (op.mat_t @ g,)
 
     return _result(out, "spmm", (a,), vjp)
@@ -310,15 +341,17 @@ def layer_norm(x, gain, bias, out=None):
     out += bv
     bshape = bv.shape
 
-    def vjp(g):
-        gx = g * gv
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        gx -= m1
-        gx -= xhat * m2
-        gx *= inv
-        gg = _unbroadcast(g * xhat, gv.shape)
-        gb = _unbroadcast(g, bshape)
+    def vjp(g, need):
+        gx = None
+        if need[0]:
+            gx = g * gv
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            gx -= m1
+            gx -= xhat * m2
+            gx *= inv
+        gg = _unbroadcast(g * xhat, gv.shape) if need[1] else None
+        gb = _unbroadcast(g, bshape) if need[2] else None
         return gx, gg, gb
 
     return _result(out, "layer_norm", (x, gain, bias), vjp)
@@ -330,7 +363,7 @@ def mean_sq(a):
     n = av.size
     out = np.asarray((av * av).sum() / n)
 
-    def vjp(g):
+    def vjp(g, need):
         return (g * (2.0 / n) * av,)
 
     return _result(out, "mean_sq", (a,), vjp)
@@ -360,8 +393,39 @@ def _topo_order(root):
     return order
 
 
-def backward(root, wrt, seed=None):
+def _plan(root, wrt):
+    """The nodes of ``root``'s tape that lie on a path to a node of
+    ``wrt``, in ``_topo_order``'s order, each with its per-parent mask of
+    the parents whose gradient is needed. TapeConsumedError names the first
+    of them that an earlier backward has run."""
+    needed = {id(t.node) for t in wrt}
+    plan = []
+    for node in reversed(_topo_order(root)):
+        need = tuple(p is not None and id(p) in needed for p in node.parents)
+        if any(need):
+            needed.add(id(node))
+            plan.append((node, need))
+    plan.reverse()
+    for node, _ in plan:
+        if node.vjp is _CONSUMED:
+            raise TapeConsumedError(node.op)
+    return plan
+
+
+def backward(root, wrt, seed=None, seeds=None):
     """Gradients of ``root`` with respect to each tensor in ``wrt``.
+
+    Only the nodes on a path from ``root`` to a tensor of ``wrt`` run, in
+    the order of the whole tape, and each computes only the terms toward
+    parents on such a path: a ``matmul`` whose weight is not in ``wrt``
+    skips ``a.T @ g``. So each gradient is summed in the same order, with
+    the same bytes, whatever else ``wrt`` holds.
+
+    The pass consumes the tape: once a node's vjp has run for the last
+    seed, the node drops it, and with it the arrays it saved. A later
+    backward that needs that node raises :class:`TapeConsumedError`. To
+    take several gradients of one tape, pass every seed to one call
+    (``seeds``); the nodes to run are then found once.
 
     Parameters
     ----------
@@ -375,25 +439,34 @@ def backward(root, wrt, seed=None):
     seed : ndarray, optional
         Initial adjoint; defaults to ones of root's shape (i.e. gradient of
         root.sum()).
+    seeds : sequence of ndarray, optional
+        Several initial adjoints, in place of ``seed``: returns one list of
+        gradients per seed, in order.
     """
-    if seed is None:
-        seed = np.ones_like(root.data)
-    grads = {id(root.node): np.asarray(seed, dtype=np.float64)}
+    single = seeds is None
+    if single:
+        seeds = [np.ones_like(root.data) if seed is None else seed]
+    elif seed is not None:
+        raise ValueError("backward takes seed or seeds, not both")
+    plan = _plan(root.node, wrt)
     keep = {id(p.node) for p in wrt}
-    for node in _topo_order(root.node):
-        nid = id(node)
-        g = grads.get(nid) if nid in keep else grads.pop(nid, None)
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(node.op)
-        parent_grads = node.vjp(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if parent is None:
-                continue
-            pid = id(parent)
-            if pid in grads:
-                grads[pid] = grads[pid] + pg
-            else:
-                grads[pid] = pg
-    return [grads.get(id(p.node), np.zeros_like(p.data)) for p in wrt]
+    last = len(seeds) - 1
+    out = []
+    for k, seed in enumerate(seeds):
+        grads = {id(root.node): np.asarray(seed, dtype=np.float64)}
+        for node, need in plan:
+            # Every planned node gets an adjoint: its children on the
+            # path from root are planned too, and need it.
+            nid = id(node)
+            g = grads[nid] if nid in keep else grads.pop(nid)
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteError(node.op)
+            terms = node.vjp(g, need)
+            if k == last:
+                node.vjp = _CONSUMED
+            for parent, needed, pg in zip(node.parents, need, terms):
+                if needed:
+                    pid = id(parent)
+                    grads[pid] = grads[pid] + pg if pid in grads else pg
+        out.append([grads.get(id(p.node), np.zeros_like(p.data)) for p in wrt])
+    return out[0] if single else out

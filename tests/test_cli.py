@@ -257,6 +257,22 @@ class TestTrain:
         assert os.path.exists(os.path.join(out, "checkpoint.bin"))
         assert os.path.exists(os.path.join(out, "history.csv"))
 
+    def test_progress_line_about_every_tenth_of_the_run(self, generated, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(["train", "--dataset", generated, "--out", out, "--steps", "12",
+                     "--processor", "p=2H (U=0,D=0)"] + SMALL_MODEL) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ckpt = os.path.join(out, "checkpoint.bin")
+        assert lines[-1] == f"trained 12 steps; checkpoint at {ckpt}"
+        with open(os.path.join(out, "history.csv")) as fh:
+            losses = [float(row["loss"]) for row in csv.DictReader(fh)]
+        # Every second step of 12, with that step's loss from history.csv.
+        assert len(lines) == 7
+        for k, line in zip(range(2, 13, 2), lines):
+            loss = f"{losses[k - 1]:.4g}"
+            assert re.fullmatch(rf"step {k}/12: loss {re.escape(loss)}, \d+\.\d{{3}} s/step",
+                                line), line
+
     def test_missing_dataset_clear_error(self, tmp_path, capsys):
         rc = main(["train", "--dataset", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "run")])
@@ -607,6 +623,20 @@ class TestEval:
             errors.append(capsys.readouterr().err)
         assert errors[0].startswith("error: ") and "operation 'matmul'" in errors[0]
         assert errors[1] == errors[0]
+
+    def test_coarse_mesh_failure_creates_no_out(self, generated, tmp_path, capsys):
+        # The coarse level is built before --out: a coarse edge size the
+        # test domain cannot hold fails with no directory left behind.
+        run = str(tmp_path / "run")
+        assert main(["train", "--dataset", generated, "--out", run, "--steps", "1",
+                     "--processor", "p=1H 1L 1H (U=1,D=1)"] + SMALL_MODEL) == 0
+        out = tmp_path / "evbad"
+        rc = main(["eval", "--out", str(out), "--checkpoint", os.path.join(run, "checkpoint.bin"),
+                   "--set", "eval_resolutions=1.2e-2", "--set", "eval_steps=2",
+                   "--set", "coarse_edge_min=0.3"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_eval_requires_model_or_solver(self, tmp_path, capsys):
         rc = main(["eval", "--out", str(tmp_path / "x")])

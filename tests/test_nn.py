@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -210,24 +211,26 @@ class TestNoTape:
     def test_taped_tail_ignores_handed_buffers(self):
         # While taping, ``out`` is ignored: the caller's arrays keep their
         # values, and output and gradients equal those of a pass handed
-        # no buffer.
+        # no buffer. Each root gets its own ``pre``, since a backward
+        # consumes the tape it runs.
         rng = np.random.default_rng(8)
         mlp = nn.Mlp(3, 6, hidden=6, rng=rng)
         for b in mlp.biases:
             b.data[...] = rng.normal(size=b.shape)
-        pre = ad.matmul(rng.normal(size=(9, 3)), mlp.weights[0], mlp.biases[0])
+        x = rng.normal(size=(9, 3))
+        pre = ad.matmul(x, mlp.weights[0], mlp.biases[0])
         spare = rng.normal(size=(9, 6))
         kept = pre.data.copy(), spare.copy()
         out = mlp.tail(pre, spare)
-        plain = mlp.tail(pre)
+        plain_pre = ad.matmul(x, mlp.weights[0], mlp.biases[0])
+        plain = mlp.tail(plain_pre)
         assert (pre.data < 0).any()
         assert pre.data.tobytes() == kept[0].tobytes() and spare.tobytes() == kept[1].tobytes()
         assert not np.shares_memory(out.data, pre.data) and not np.shares_memory(out.data, spare)
         assert out.op == "layer_norm" and out.data.tobytes() == plain.data.tobytes()
         seed = rng.normal(size=out.shape)
-        leaves = [pre] + mlp.parameters()
-        for a, c in zip(ad.backward(out, seed=seed, wrt=leaves),
-                        ad.backward(plain, seed=seed, wrt=leaves)):
+        for a, c in zip(ad.backward(out, seed=seed, wrt=[pre] + mlp.parameters()),
+                        ad.backward(plain, seed=seed, wrt=[plain_pre] + mlp.parameters())):
             assert a.tobytes() == c.tobytes()
 
     def test_reusing_op_names_its_non_finite_output(self):
@@ -303,6 +306,73 @@ class TestBackwardWrt:
         # only a few are alive at any time.
         held_by_all = len(ad._topo_order(loss.node)) * 2000 * 32 * 8
         assert peak < held_by_all / 2
+
+    def test_saved_operand_freed_by_backward(self):
+        # matmul's vjp saves its operand h; the node drops it once run, so
+        # h goes while the root (and its tape) is still referenced.
+        rng = np.random.default_rng(10)
+        x = ad.Tensor(rng.normal(size=(5, 3)))
+        w = ad.Tensor(rng.normal(size=(3, 2)))
+        h = ad.add(x, x)
+        loss = ad.mean_sq(ad.matmul(h, w))
+        saved = weakref.ref(h.data)
+        del h
+        assert saved() is not None
+        ad.backward(loss, wrt=[x, w])
+        assert saved() is None
+        assert loss.op == "mean_sq"
+
+    def test_second_backward_through_consumed_node_raises(self):
+        w = ad.Tensor(np.ones((2, 2)))
+        y = ad.relu(ad.matmul(np.ones((3, 2)), w))
+        ad.backward(y, wrt=[w])
+        with pytest.raises(nn.TapeConsumedError) as err:
+            ad.backward(y, wrt=[w])
+        assert err.value.op_name == "relu" and "already consumed" in str(err.value)
+        with pytest.raises(nn.TapeConsumedError):
+            ad.backward(ad.mul(y, 2.0), wrt=[w])
+
+    @staticmethod
+    def mlp_pass():
+        # A fresh taped MLP pass: (output, input leaf, parameters).
+        rng = np.random.default_rng(11)
+        mlp = nn.Mlp(4, 5, hidden=6, rng=rng)
+        for b in mlp.biases:
+            b.data[...] = rng.normal(size=b.shape)
+        x = ad.Tensor(rng.normal(size=(7, 4)))
+        return mlp(x), x, mlp.parameters()
+
+    def test_input_gradient_alone_skips_weight_products(self, monkeypatch):
+        out, x, params = self.mlp_pass()
+        want = ad.backward(ad.mean_sq(out), wrt=[x] + params)[0]
+        out, x, _ = self.mlp_pass()
+        loss = ad.mean_sq(out)
+        products = []
+        real = np.matmul
+
+        def counting(a, b, *args, **kwargs):
+            product = real(a, b, *args, **kwargs)
+            products.append(product.shape)
+            return product
+
+        monkeypatch.setattr(np, "matmul", counting)
+        (got,) = ad.backward(loss, wrt=[x])
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+        # One g @ W.T per layer, with the input's 7 rows; no a.T @ g.
+        assert len(products) == 3 and all(shape[0] == 7 for shape in products)
+
+    def test_seeds_match_one_backward_per_seed(self):
+        seeds = np.random.default_rng(12).normal(size=(3, 7, 5))
+        out, x, params = self.mlp_pass()
+        together = ad.backward(out, wrt=[x] + params, seeds=seeds)
+        assert len(together) == 3
+        for seed, grads in zip(seeds, together):
+            out, x, params = self.mlp_pass()
+            for a, b in zip(grads, ad.backward(out, wrt=[x] + params, seed=seed)):
+                assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            ad.backward(out, wrt=[x], seed=seeds[0], seeds=seeds)
 
 
 class TestGrad:

@@ -152,10 +152,10 @@ class TestGraphUpdates:
         out, _ = P.low_res_update(g, v_leaf, nn.Tensor(rng.normal(size=(6, 16))), block)
         adjacency = {0: {0, 1}, 1: {0, 1, 2}, 2: {1, 2, 3}, 3: {2, 3}}
         seed_rng = np.random.default_rng(99)
+        seeds = np.zeros((4, 4, 16))
         for i in range(4):
-            seed = np.zeros((4, 16))
-            seed[i] = seed_rng.normal(size=16)
-            (grad,) = nn.backward(out, seed=seed, wrt=[v_leaf])
+            seeds[i, i] = seed_rng.normal(size=16)
+        for i, (grad,) in enumerate(nn.backward(out, wrt=[v_leaf], seeds=seeds)):
             influencing = set(np.nonzero(np.any(grad != 0, axis=1))[0].tolist())
             assert influencing <= adjacency[i]
             assert i in influencing
@@ -187,10 +187,10 @@ class TestGraphUpdates:
         )
         influence = {0: {0, 1}, 1: {2}}
         seed_rng = np.random.default_rng(98)
+        seeds = np.zeros((2, 2, 16))
         for j in range(2):
-            seed = np.zeros((2, 16))
-            seed[j] = seed_rng.normal(size=16)
-            (grad,) = nn.backward(new_coarse, seed=seed, wrt=[v_fine])
+            seeds[j, j] = seed_rng.normal(size=16)
+        for j, (grad,) in enumerate(nn.backward(new_coarse, wrt=[v_fine], seeds=seeds)):
             got = set(np.nonzero(np.any(grad != 0, axis=1))[0].tolist())
             assert got == influence[j]
 
@@ -221,10 +221,10 @@ class TestGraphUpdates:
         # coarse -> fine influence only along transfer edges
         influence = {0: {0}, 1: {0}, 2: {1}}
         seed_rng = np.random.default_rng(97)
+        seeds = np.zeros((3, 3, 16))
         for j in range(3):
-            seed = np.zeros((3, 16))
-            seed[j] = seed_rng.normal(size=16)
-            (grad,) = nn.backward(new_fine, seed=seed, wrt=[v_coarse])
+            seeds[j, j] = seed_rng.normal(size=16)
+        for j, (grad,) in enumerate(nn.backward(new_fine, wrt=[v_coarse], seeds=seeds)):
             got = set(np.nonzero(np.any(grad != 0, axis=1))[0].tolist())
             assert got == influence[j]
 

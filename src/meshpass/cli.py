@@ -285,10 +285,18 @@ def cmd_eval(args):
     if params is not None and params.schedule.has_coarse_steps:
         coarse = dataset.coarse_mesh(pde_cfg.domain, cfg["seed"], cfg["coarse_edge_min"])
     os.makedirs(args.out, exist_ok=True)
+    t0 = time.perf_counter()
+
+    def progress(mesh, row):
+        # One write per line, so the lines of meshes that finish at once on
+        # two threads do not interleave.
+        print(f"resolution {mesh.edge_min:.4g}: {mesh.n_nodes} nodes, next-step mse "
+              f"{row.next_step_mse:.4g}, {time.perf_counter() - t0:.2f} s\n", end="", flush=True)
+
     if params is None:
         factory = lambda mesh: FrameStepper(mesh, pde_cfg)
         report = evaluate(factory, meshes, ref_traj, model="solver", mps=0,
-                          schedule="", max_rollout=cfg["max_rollout"])
+                          schedule="", max_rollout=cfg["max_rollout"], callback=progress)
     else:
         def factory(mesh):
             return ModelStepper(params, coarse).bind(mesh)
@@ -296,7 +304,7 @@ def cmd_eval(args):
         report = evaluate(
             factory, meshes, ref_traj, model="model",
             mps=params.schedule.total_mps, schedule=params.schedule.text,
-            max_rollout=cfg["max_rollout"],
+            max_rollout=cfg["max_rollout"], callback=progress,
         )
     report.write_csv(os.path.join(args.out, "eval.csv"))
     report.write_rollout_csv(os.path.join(args.out, "rollout.csv"))

@@ -17,6 +17,7 @@ from .autodiff import (
     row_block,
     spmm,
     sub,
+    tape,
     value,
 )
 from .checkpoint import CheckpointError, load_blocks, save_blocks
@@ -48,5 +49,6 @@ __all__ = [
     "save_blocks",
     "spmm",
     "sub",
+    "tape",
     "value",
 ]

@@ -38,7 +38,8 @@ hand over their spent intermediates, so a message-passing step allocates
 two edge-sized arrays, not one per op. While the thread records a tape,
 ``out`` is ignored, since a vjp may read the array it would overwrite.
 Every op still checks its output for non-finite values, in ``_result``,
-so a ``NonFiniteError`` names the same op in both modes.
+so a ``NonFiniteError`` names the same op in both modes. ``with tape():``
+switches taping back on inside a ``no_tape`` block.
 """
 
 from __future__ import annotations
@@ -79,18 +80,30 @@ _mode = _TapeMode()
 
 
 @contextlib.contextmanager
+def _taping(on):
+    previous, _mode.taping = _mode.taping, on
+    try:
+        yield
+    finally:
+        _mode.taping = previous
+
+
 def no_tape():
     """Inference mode: ops inside the block record no tape (no parents, no
     vjp), so nothing computed in it can be differentiated. The previous
     mode is restored on exit, also when the block raises.
 
     The mode belongs to the calling thread: ops that other threads run
-    meanwhile (``training.train``'s workers, say) still record their tape."""
-    previous, _mode.taping = _mode.taping, False
-    try:
-        yield
-    finally:
-        _mode.taping = previous
+    meanwhile (``training.train``'s helper threads, say) still record their
+    tape."""
+    return _taping(False)
+
+
+def tape():
+    """Training mode, the counterpart of ``no_tape``: ops inside the block
+    record their tape, also where the calling thread is inside a
+    ``no_tape`` block. The previous mode is restored on exit."""
+    return _taping(True)
 
 
 def _handed(out, shape):

@@ -8,17 +8,28 @@ import numpy as np
 def adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update; mutates ``param``, ``m`` and ``v`` in place.
 
-    ``t`` is the 1-based step index used for bias correction.
+    ``t`` is the 1-based step index used for bias correction. The update is
+    ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g g`` and
+    ``param -= lr m_hat / (sqrt(v_hat) + eps)``, each operation rounded
+    as written. The terms go through two work arrays (the last division
+    needs its numerator and denominator at once), not one fresh array per
+    operation.
     """
     if param.shape != grad.shape:
         raise ValueError("parameter/gradient shape mismatch")
+    work, denom = np.empty_like(param), np.empty_like(param)
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(grad, 1.0 - beta1, out=work)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(grad, 1.0 - beta2, out=work)
+    v += np.multiply(work, grad, out=work)
+    np.divide(m, 1.0 - beta1**t, out=work)
+    work *= lr
+    np.divide(v, 1.0 - beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    work /= denom
+    param -= work
 
 
 class Adam:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import csv
 import os
-import threading
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -102,8 +101,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 
 
 def worker_count(tasks):
-    """Threads a pool of ``tasks`` independent tasks runs on: ``train``'s
-    per-sample passes of one step, and ``evaluate``'s test meshes.
+    """Threads that ``run_in_order`` runs ``tasks`` independent tasks on,
+    the calling thread included: ``train``'s per-sample passes of one
+    step, and ``evaluate``'s test meshes.
 
     The usable cores are the process's CPU set where the platform reports
     one (Linux), else the machine's core count. Each task's matrix products
@@ -127,6 +127,57 @@ def worker_count(tasks):
     return max(1, min(tasks, cores // blas))
 
 
+def run_in_order(fn, tasks):
+    """``[fn(*args) for args in tasks]`` on ``worker_count(len(tasks))``
+    threads, of which the calling thread is one.
+
+    Each worker takes the next task not yet started, in task order, and
+    runs it; at one worker every task runs on the calling thread and no
+    thread is started. The results come back in task order. ``tasks`` is
+    taken over: an entry is set to None when its task starts, and the
+    worker drops the arguments when the task ends, so no argument outlives
+    its task here. Once a task raises (an interrupt included), no later
+    task starts; the tasks already running finish, the helper threads
+    stop, and the first failure in task order is raised.
+    """
+    results = [None] * len(tasks)
+    failures = {}
+    pending = iter(range(len(tasks)))
+    lock = Lock()
+
+    def work():
+        while True:
+            with lock:
+                index = None if failures else next(pending, None)
+                if index is None:
+                    return
+                args, tasks[index] = tasks[index], None
+            try:
+                results[index] = fn(*args)
+            except BaseException as exc:
+                with lock:
+                    failures[index] = exc
+            del args
+
+    helpers = []
+    try:
+        for _ in range(worker_count(len(tasks)) - 1):
+            helper = Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    except BaseException as exc:
+        # An interrupt between tasks, or a thread that did not start: it
+        # comes after every task, and no task starts after it.
+        failures.setdefault(len(tasks), exc)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
           callback=None):
     """Train ``params`` in place on a list of samples; returns history rows.
@@ -134,10 +185,15 @@ def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
     History rows are dicts (step, loss, lr, sec_per_step). A step draws its
     batch, absorbs it into the normalizers (while
     ``step < config.normalizer_steps``) and draws each sample's input noise
-    in batch order. Only then do the forward and backward passes run, on
-    ``worker_count(batch_size)`` threads, so every pass of a warm-up step
-    sees the statistics of the whole batch. The gradients are
-    summed in batch order and averaged. The result is deterministic for
+    in batch order. Only then do the forward and backward passes run, so
+    every pass of a warm-up step sees the statistics of the whole batch.
+    They run through ``run_in_order``, one task per sample: the calling
+    thread takes passes in batch order alongside the
+    ``worker_count(batch_size) - 1`` helper threads it starts for the step.
+    Each pass records its tape, also when ``train`` is called inside
+    ``nn.no_tape()``. The calling thread then sums the gradients in batch
+    order, averages them and takes the optimizer step. The result is
+    deterministic for
     fixed (config.seed, samples) and does not depend on the worker count;
     resuming from ``start_step`` with the same optimizer state reproduces
     an uninterrupted run because the RNG stream is derived per step.
@@ -151,42 +207,49 @@ def train(params, samples, config, optimizer=None, start_step=0, stop_step=None,
     plist = params.parameters()
 
     def sample_pass(step, sample, noisy):
-        # Runs in a worker: a taped pass whose tape dies with this call.
-        loss = training_loss(params, sample, noisy_inputs=noisy)
-        if not np.isfinite(loss.data):
-            raise TrainingError(f"training diverged at step {step}")
-        return float(loss.data), nn.backward(loss, wrt=plist)
+        # A taped pass whose tape dies with this call.
+        with nn.tape():
+            loss = training_loss(params, sample, noisy_inputs=noisy)
+            if not np.isfinite(loss.data):
+                raise TrainingError(f"training diverged at step {step}")
+            return float(loss.data), nn.backward(loss, wrt=plist)
 
     history = []
-    with ThreadPoolExecutor(worker_count(config.batch_size)) as pool:
-        for step in range(start_step, config.steps if stop_step is None else stop_step):
-            rng = np.random.default_rng([config.seed, step])
-            t0 = time.perf_counter()
-            batch = [samples[int(i)]
-                     for i in rng.integers(0, len(samples), size=config.batch_size)]
-            if step < config.normalizer_steps:
-                warm_up_normalizers(params, batch)
-            std = params.node_field_normalizer.std
-            inputs = [as_field_matrix(sample.inputs) for sample in batch]
-            noisy = [x + rng.normal(0.0, config.noise_std, size=x.shape) * std for x in inputs]
-            grads = None
-            loss_total = 0.0
-            for loss, gs in pool.map(sample_pass, [step] * len(batch), batch, noisy):
-                grads = gs if grads is None else [a + b for a, b in zip(grads, gs)]
-                loss_total += loss
-            if config.batch_size > 1:
-                grads = [g / config.batch_size for g in grads]
-            optimizer.step(grads, lr=config.lr_at(step))
-            history.append(
-                {
-                    "step": step,
-                    "loss": loss_total / config.batch_size,
-                    "lr": config.lr_at(step),
-                    "sec_per_step": time.perf_counter() - t0,
-                }
-            )
-            if callback is not None:
-                callback(step, history[-1])
+    for step in range(start_step, config.steps if stop_step is None else stop_step):
+        rng = np.random.default_rng([config.seed, step])
+        t0 = time.perf_counter()
+        batch = [samples[int(i)]
+                 for i in rng.integers(0, len(samples), size=config.batch_size)]
+        if step < config.normalizer_steps:
+            warm_up_normalizers(params, batch)
+        std = params.node_field_normalizer.std
+        inputs = [as_field_matrix(sample.inputs) for sample in batch]
+        noisy = [x + rng.normal(0.0, config.noise_std, size=x.shape) * std for x in inputs]
+        losses, per_sample = zip(*run_in_order(
+            sample_pass, [(step, s, x) for s, x in zip(batch, noisy)]))
+        # Summed in batch order, ((g0 + g1) + g2) + ..., the later samples
+        # added into the fresh arrays of the first sum and averaged there;
+        # the per-sample gradients are freed before the optimizer step.
+        grads = per_sample[0]
+        if config.batch_size > 1:
+            grads = [a + b for a, b in zip(grads, per_sample[1])]
+            for k in range(2, config.batch_size):
+                for a, b in zip(grads, per_sample[k]):
+                    a += b
+            for g in grads:
+                g /= config.batch_size
+        del per_sample
+        optimizer.step(grads, lr=config.lr_at(step))
+        history.append(
+            {
+                "step": step,
+                "loss": sum(losses) / config.batch_size,
+                "lr": config.lr_at(step),
+                "sec_per_step": time.perf_counter() - t0,
+            }
+        )
+        if callback is not None:
+            callback(step, history[-1])
     return history
 
 
@@ -311,7 +374,7 @@ class EvalReport:
 
 
 def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule="",
-             max_rollout=50):
+             max_rollout=50, callback=None):
     """Evaluate a stepper factory over test meshes against a reference.
 
     ``stepper_for_mesh(mesh)`` must return an object with
@@ -321,16 +384,21 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
     time of the stepper's ``step`` calls in the rollout.
 
     The factory is called for every mesh, in mesh order, on the calling
-    thread, before any ``step``. Then ``worker_count(len(meshes))`` threads
-    compute the rows, one mesh per task, in mesh order. A task resamples the
-    reference onto its mesh and makes all of its stepper's calls, next-step
-    errors first, so each stepper is stepped from one thread in the same
-    order as by one worker. The rows, apart from ``sec_per_step``, do not
-    depend on the worker count. ``sec_per_step`` is wall time, taken while
-    other meshes may run on other cores. Once a task raises, the meshes not
-    yet started are skipped and its error reaches the caller.
+    thread, before any ``step``. Then the rows are computed through
+    ``run_in_order``, one task per mesh: the calling thread takes meshes in
+    mesh order alongside the ``worker_count(len(meshes)) - 1`` helper
+    threads it starts. A task resamples the reference onto its mesh and
+    makes all of its stepper's calls, next-step errors first, so each
+    stepper is stepped from one thread in the same order as by one worker,
+    and is freed when its mesh is done. ``callback(mesh, row)``, if given,
+    runs at the end of that task, on its thread, so at more than one
+    worker the calls need not come in mesh order. The rows, apart from
+    ``sec_per_step``, do not depend on the worker count. ``sec_per_step``
+    is wall time, taken while other meshes may run on other cores. Once a
+    task raises, the meshes not yet started are skipped, and once the
+    meshes already running are done, the error of the first failed mesh
+    reaches the caller.
     """
-    failed = threading.Event()
 
     def row(mesh, stepper):
         ref = ref_traj.interpolate_to(mesh)
@@ -341,7 +409,7 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
             n = min(n, len(roll) - 1)
             return float(roll[1 : n + 1].mean())
 
-        return EvalRow(
+        result = EvalRow(
             edge_min=mesh.edge_min,
             model=model,
             mps=mps,
@@ -353,25 +421,12 @@ def evaluate(stepper_for_mesh, meshes, ref_traj, model="model", mps=0, schedule=
             next_step_mse=float(errs_next.mean()),
             rollout=roll,
         )
+        if callback is not None:
+            callback(mesh, result)
+        return result
 
-    def task(mesh, stepper):
-        # Tasks start in mesh order, so a skipped mesh comes after the one
-        # that failed, and map raises that failure first.
-        if failed.is_set():
-            return None
-        try:
-            return row(mesh, stepper)
-        except BaseException:
-            failed.set()
-            raise
-
-    steppers = [stepper_for_mesh(mesh) for mesh in meshes]
-    with ThreadPoolExecutor(worker_count(len(meshes))) as pool:
-        # Once map has submitted the tasks, only a task holds its stepper,
-        # so each stepper is freed when its mesh is done.
-        rows = pool.map(task, meshes, steppers)
-        del steppers
-        return EvalReport(list(rows))
+    # run_in_order takes the list over, so only a task holds its stepper.
+    return EvalReport(run_in_order(row, [(mesh, stepper_for_mesh(mesh)) for mesh in meshes]))
 
 
 def write_history_csv(history, path):

@@ -344,6 +344,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "operation 'matmul'" in err
 
+    def test_eval_prints_one_line_per_resolution(self, tmp_path, capsys, monkeypatch):
+        # At 1 and 2 workers: one progress line per resolution as its mesh
+        # finishes, and the same CSV bytes but the wall-time column.
+        outputs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            out = tmp_path / f"ev{cores}"
+            assert main(["eval", "--out", str(out), "--solver", "--seed", "3",
+                         "--set", "eval_resolutions=2e-2,1.4e-2", "--set", "eval_steps=3",
+                         "--set", "max_rollout=3"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            progress = sorted(line for line in lines if line.startswith("resolution "))
+            assert len(progress) == 2 and len(lines) == 3
+            assert [line.split(":")[0] for line in progress] == [
+                "resolution 0.014", "resolution 0.02"]
+            assert all(re.fullmatch(r"resolution [0-9.e-]+: \d+ nodes, next-step mse \S+, "
+                                    r"[0-9.]+ s", line) for line in progress)
+            with open(out / "eval.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                row["sec_per_step"] = ""
+            outputs.append((rows, (out / "rollout.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_non_finite_forward_in_worker_exits_1(self, generated, tmp_path, capsys,
                                                    monkeypatch):
         from meshpass.nn import autodiff as ad

@@ -1,5 +1,6 @@
 """Training loop, rollout, and evaluation pipeline tests."""
 
+import contextlib
 import dataclasses
 import os
 import sys
@@ -157,15 +158,33 @@ def batch2_config(steps, normalizer_steps):
                          latent_size=16, hidden_size=16)
 
 
+RUN_IN_ORDER = T.run_in_order
+
+
 def usable_cores(monkeypatch, n):
     """Pretend the process may run on ``n`` cores with BLAS pinned to one
-    thread; returns the list of worker counts the pools of later ``train``
-    and ``evaluate`` calls are opened with."""
+    thread; returns a list that gets, for each later ``run_in_order`` call
+    (``train`` makes one per step, ``evaluate`` one per report), the number
+    of threads it used: the calling thread and the threads it started."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    opened, real = [], T.ThreadPoolExecutor
-    monkeypatch.setattr(T, "ThreadPoolExecutor", lambda n: opened.append(n) or real(n))
-    return opened
+    started, used = [], []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def run_in_order(fn, tasks):
+        before = len(started)
+        try:
+            return RUN_IN_ORDER(fn, tasks)
+        finally:
+            used.append(1 + len(started) - before)
+
+    monkeypatch.setattr(T, "Thread", Counted)
+    monkeypatch.setattr(T, "run_in_order", run_in_order)
+    return used
 
 
 class TestBatchedTrain:
@@ -198,9 +217,9 @@ class TestBatchedTrain:
             if cores is None:
                 self.sequential_steps(params, sample_pair, cfg, 3)
             else:
-                opened = usable_cores(monkeypatch, cores)
+                used = usable_cores(monkeypatch, cores)
                 T.train(params, sample_pair, cfg)
-                assert opened == [cores]
+                assert used == [cores] * 3
             runs.append([p.data.tobytes() for p in params.parameters()])
         assert runs[0] == runs[1] == runs[2]
 
@@ -229,11 +248,11 @@ class TestBatchedTrain:
 
     def test_pool_opened_with_min_of_batch_and_cores(self, sample_pair, monkeypatch):
         for cores, batch_size, workers in ((1, 2, 1), (2, 2, 2), (4, 2, 2), (2, 1, 1)):
-            opened = usable_cores(monkeypatch, cores)
+            used = usable_cores(monkeypatch, cores)
             cfg = T.TrainConfig(steps=1, batch_size=batch_size, schedule=SCHED,
                                 normalizer_steps=1, latent_size=16, hidden_size=16)
             T.train(small_params(), sample_pair, cfg)
-            assert opened == [workers]
+            assert used == [workers]
 
     @pytest.mark.parametrize("env, workers", [
         ({}, 1),  # BLAS unpinned: every product may use a thread per core
@@ -255,11 +274,67 @@ class TestBatchedTrain:
                                                     cpu_count, workers):
         # Platforms without os.sched_getaffinity (macOS, Windows) size the
         # pool from os.cpu_count(), which may report None.
-        opened = usable_cores(monkeypatch, 1)
+        used = usable_cores(monkeypatch, 1)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         history = T.train(small_params(), sample_pair, batch2_config(1, normalizer_steps=1))
-        assert opened == [workers] and len(history) == 1
+        assert used == [workers] and len(history) == 1
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_step_bytes_match_written_out_formulas(self, sample_pair, batch_size):
+        # train's batch sum and mean and nn.Adam reuse arrays; the same steps
+        # with a fresh array for every term give the same bytes.
+        cfg = dataclasses.replace(batch2_config(4, normalizer_steps=0), batch_size=batch_size)
+        params, ref = small_params(seed=4), small_params(seed=4)
+        for p in (params, ref):
+            T.warm_up_normalizers(p, sample_pair)
+        optimizer = nn.Adam(params.parameters(), lr=cfg.learning_rate)
+        T.train(params, sample_pair, cfg, optimizer)
+
+        plist = ref.parameters()
+        m = [np.zeros_like(p.data) for p in plist]
+        v = [np.zeros_like(p.data) for p in plist]
+        for step in range(cfg.steps):
+            rng = np.random.default_rng([cfg.seed, step])
+            batch = [sample_pair[int(i)] for i in rng.integers(0, 2, size=batch_size)]
+            grads = None
+            std = ref.node_field_normalizer.std
+            for sample in batch:
+                x = as_field_matrix(sample.inputs)
+                noisy = x + rng.normal(0.0, cfg.noise_std, size=x.shape) * std
+                gs = nn.backward(T.training_loss(ref, sample, noisy), wrt=plist)
+                grads = gs if grads is None else [a + b for a, b in zip(grads, gs)]
+            if batch_size > 1:
+                grads = [g / batch_size for g in grads]
+            t = step + 1
+            for p, g, mi, vi in zip(plist, grads, m, v):
+                mi *= 0.9
+                mi += (1.0 - 0.9) * g
+                vi *= 0.999
+                vi += (1.0 - 0.999) * g * g
+                m_hat = mi / (1.0 - 0.9**t)
+                v_hat = vi / (1.0 - 0.999**t)
+                p.data -= cfg.lr_at(step) * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert optimizer.t == cfg.steps
+        for name, ours, theirs in (("params", [p.data for p in params.parameters()],
+                                    [p.data for p in plist]),
+                                   ("m", optimizer.m, m), ("v", optimizer.v, v)):
+            assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs], name
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_passes_tape_inside_no_tape(self, sample_pair, monkeypatch, cores):
+        # The calling thread runs a pass, and a pass records its tape even
+        # where the caller has switched taping off.
+        runs = []
+        for inside in (False, True):
+            usable_cores(monkeypatch, cores)
+            params = small_params(seed=4)
+            with nn.no_tape() if inside else contextlib.nullcontext():
+                T.train(params, sample_pair, batch2_config(2, normalizer_steps=1))
+                x = nn.Tensor(np.ones(2))
+                assert (nn.add(x, x).parents == ()) == inside
+            runs.append([p.data.tobytes() for p in params.parameters()])
+        assert runs[0] == runs[1]
 
     def test_warm_up_absorbs_whole_batch_before_any_pass(self, sample_pair, monkeypatch):
         params = small_params()
@@ -279,6 +354,74 @@ class TestBatchedTrain:
         monkeypatch.setattr(T, "training_loss", lambda *a, **k: nn.Tensor(np.nan))
         with pytest.raises(T.TrainingError, match="training diverged at step 0"):
             T.train(small_params(), sample_pair, batch2_config(2, normalizer_steps=1))
+
+
+class TestRunInOrder:
+    def test_results_in_task_order(self, monkeypatch):
+        # Later tasks finish first on 3 workers.
+        usable_cores(monkeypatch, 3)
+        tasks = [(i, 0.02 * (5 - i)) for i in range(5)]
+        assert T.run_in_order(lambda i, delay: time.sleep(delay) or i, tasks) == list(range(5))
+
+    def test_calling_thread_runs_tasks(self, monkeypatch):
+        # Two tasks that wait for each other: both threads run one.
+        used = usable_cores(monkeypatch, 2)
+        both = threading.Barrier(2, timeout=10)
+
+        def task():
+            both.wait()
+            return threading.get_ident()
+
+        ran = T.run_in_order(task, [(), ()])
+        assert used == [2]
+        assert threading.get_ident() in ran and len(set(ran)) == 2
+
+    def test_no_thread_started_at_one_worker(self, monkeypatch):
+        used = usable_cores(monkeypatch, 1)
+        threads = threading.active_count()
+        ran = T.run_in_order(lambda: (threading.get_ident(), threading.active_count()),
+                             [()] * 4)
+        assert used == [1]
+        assert ran == [(threading.get_ident(), threads)] * 4
+
+    def test_arguments_dropped_when_task_ends(self, monkeypatch):
+        usable_cores(monkeypatch, 1)
+
+        class Box:
+            pass
+
+        boxes = [Box() for _ in range(3)]
+        refs = [weakref.ref(box) for box in boxes]
+        tasks = [(box,) for box in boxes]
+        del boxes
+        alive = T.run_in_order(lambda box: [r() is not None for r in refs], tasks)
+        assert alive == [[True, True, True], [False, True, True], [False, False, True]]
+        assert tasks == [None] * 3 and all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_failure_skips_later_tasks_and_raises_first_in_task_order(self, monkeypatch,
+                                                                       error, first):
+        # Tasks 0 and 1 run at once on 2 workers and both fail, task
+        # ``first`` before the other; tasks 2 and 3 never start.
+        usable_cores(monkeypatch, 2)
+        threads = threading.active_count()
+        both, failed = threading.Barrier(2, timeout=10), threading.Event()
+        ran = []
+
+        def task(index):
+            ran.append(index)
+            both.wait()
+            if index != first:
+                assert failed.wait(10)
+                time.sleep(0.1)
+            failed.set()
+            raise error(f"task {index}")
+
+        with pytest.raises(error, match="task 0"):
+            T.run_in_order(task, [(i,) for i in range(4)])
+        assert sorted(ran) == [0, 1]
+        assert threading.active_count() == threads
 
 
 class TestLossMasking:
@@ -572,10 +715,10 @@ class TestThreadedEvaluate:
     @staticmethod
     def run(monkeypatch, reference, case, kind, cores):
         """evaluate on ``cores`` usable cores; returns the report, the event
-        log, the steppers in factory order and the pool sizes opened."""
+        log, the steppers in factory order and the threads used."""
         cfg, ref = reference
         meshes, coarse, params = case
-        opened = usable_cores(monkeypatch, cores)
+        used = usable_cores(monkeypatch, cores)
         log, steppers = [], []
 
         def factory(mesh):
@@ -587,17 +730,17 @@ class TestThreadedEvaluate:
             return steppers[-1]
 
         report = T.evaluate(factory, meshes, ref, model=kind, max_rollout=4)
-        return report, log, steppers, opened
+        return report, log, steppers, used
 
     @pytest.mark.parametrize("kind", ["model", "solver"])
     def test_rows_and_calls_independent_of_worker_count(self, monkeypatch, reference, case,
                                                         kind):
         meshes = case[0]
         main = threading.get_ident()
-        # 3 meshes: the pool has min(meshes, cores) workers.
+        # 3 meshes: min(meshes, cores) workers, this thread one of them.
         for cores, workers in ((1, 1), (2, 2), (4, 3)):
-            report, log, steppers, opened = self.run(monkeypatch, reference, case, kind, cores)
-            assert opened == [workers] == [T.worker_count(len(meshes))]
+            report, log, steppers, used = self.run(monkeypatch, reference, case, kind, cores)
+            assert used == [workers] == [T.worker_count(len(meshes))]
             rows = [row_bytes(r) for r in report.rows]
             calls = [s.calls for s in steppers]
             if cores == 1:
@@ -605,10 +748,13 @@ class TestThreadedEvaluate:
             assert [r.edge_min for r in report.rows] == [m.edge_min for m in meshes]
             assert rows == one_rows
             # The factory ran for every mesh, in mesh order, on this thread,
-            # before any step; every step ran off this thread, and each
-            # stepper saw the calls it sees at 1 worker.
+            # before any step; each stepper was stepped from one thread (this
+            # one at 1 worker) and saw the calls it sees at 1 worker.
             assert log[:3] == [("factory", main, i) for i in range(3)]
-            assert all(event == "step" and thread != main for event, thread, _ in log[3:])
+            assert all(event == "step" for event, _, _ in log[3:])
+            threads = [{t for _, t, i in log[3:] if i == index} for index in range(3)]
+            assert all(len(t) == 1 for t in threads)
+            assert cores > 1 or threads == [{main}] * 3
             assert calls == one_calls and all(calls)
 
     def test_oversubscribed_pool_on_fresh_meshes_matches_one_worker(self, monkeypatch,

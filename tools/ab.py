@@ -13,8 +13,10 @@ Each run's last line of standard output is its result (``correct``,
 ``BENCHMARK.json`` the tool prints both sides' median and quartiles, the
 pairs in which CHANGE is better, and whether the gain rule holds: CHANGE
 better in at least 9 of 10 pairs, and the medians further apart than the
-parent's quartiles. It also prints the failed operations per side and
-whether the check digests are equal per seed.
+parent's quartiles. It also prints each side's median of every ``phase``
+line (``minor_faults_per_op``, ``train_step_s``, ``model_step_s`` and the
+rest), the failed operations per side and whether the check digests are
+equal per seed.
 
 Every run (side, seed, pair, order, exit status, wall time, result, the
 ``phase`` lines and the sha256 of the check digests) is written to OUT
@@ -107,6 +109,19 @@ def summarize(runs, metrics):
     return summary
 
 
+def phase_medians(runs):
+    """Per ``phase`` line name: each side's median over its runs (None for
+    a side whose runs printed no such line)."""
+    medians = {}
+    for name in sorted({name for r in runs for name in r["phases"]}):
+        medians[name] = {}
+        for side in "AB":
+            values = [r["phases"][name] for r in runs
+                      if r["side"] == side and name in r["phases"]]
+            medians[name][side] = statistics.median(values) if values else None
+    return medians
+
+
 def main(argv=None):
     args = parse_args(argv)
     sides = {"A": os.path.abspath(args.parent), "B": os.path.abspath(args.change)}
@@ -133,6 +148,11 @@ def main(argv=None):
               f"  B {s['B']['median']:.4g} [{s['B']['q1']:.4g}, {s['B']['q3']:.4g}]"
               f"  {s['change_pct']:+.1f}%  B better {s['B_better_pairs']}"
               f"  gain rule {'holds' if s['gain_rule_holds'] else 'fails'}")
+    phases = phase_medians(runs)
+    for name, medians in phases.items():
+        print(f"  phase {name:22s} " + "  ".join(
+            f"{side} {'-' if value is None else format(value, '.4g')}"
+            for side, value in medians.items()))
     for side in "AB":
         done = [r["result"] for r in runs if r["side"] == side and r["result"] is not None]
         print(f"  {side}: {sum(r['failed'] for r in done)}/{sum(r['attempted'] for r in done)} "
@@ -146,7 +166,7 @@ def main(argv=None):
     out = args.json or f"ab-{args.workload}-{args.seed}.json"
     with open(out, "w") as fh:
         json.dump({"workload": args.workload, "seconds": seconds, "sides": sides,
-                   "summary": summary, "runs": runs}, fh, indent=1)
+                   "summary": summary, "phase_medians": phases, "runs": runs}, fh, indent=1)
     print(f"  runs written to {out}")
     return 0
 

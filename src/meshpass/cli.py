@@ -8,12 +8,9 @@ directory and is reproducible from (config, seed).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import functools
 import os
 import sys
 import time
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -35,7 +32,7 @@ LABEL_MODES = ("native", "high-accuracy")
 # key -> (default, type, help)
 CONFIG_DEFAULTS = {
     "scenarios": (10, int, "number of scenarios to generate"),
-    "seed": (0, int, "global RNG seed"),
+    "seed": (0, int, "global RNG seed (>= 0)"),
     "labels": ("native", str, "label mode: native | high-accuracy"),
     "refine": (4, int, "refinement factor for high-accuracy labels (>= 2)"),
     "edge_min_lo": (1e-3, float, "lower bound of the sampled minimum edge length"),
@@ -57,7 +54,6 @@ CONFIG_DEFAULTS = {
     "n_resolutions": (5, int, "test resolutions when eval_resolutions is empty"),
     "eval_steps": (50, int, "frames in the evaluation reference trajectory"),
     "max_rollout": (50, int, "rollout length for MSE-N metrics"),
-    "workers": (1, int, "parallel gen processes; the output does not depend on it"),
 }
 
 
@@ -73,7 +69,8 @@ KEY_FLAGS = {
 }
 
 # Keys that count something and must be at least 1.
-COUNT_KEYS = ("scenarios", "n_steps", "eval_steps", "max_rollout", "n_resolutions")
+COUNT_KEYS = ("scenarios", "n_steps", "eval_steps", "max_rollout", "n_resolutions",
+              "latent_size", "hidden_size")
 
 
 def load_config(path=None, overrides=()):
@@ -102,7 +99,8 @@ def load_config(path=None, overrides=()):
 def resolve_config(args):
     """The settings of a command: the defaults, then the ``--config`` file,
     then ``--set``, then the command's key flags. ConfigError for a count
-    below 1 or a coarse_edge_min that is not positive and finite."""
+    below 1, a negative seed or a coarse_edge_min that is not positive and
+    finite."""
     cfg = load_config(args.config, args.set or ())
     for key, _ in KEY_FLAGS.values():
         if getattr(args, key, None) is not None:
@@ -110,6 +108,8 @@ def resolve_config(args):
     for key in COUNT_KEYS:
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     if not 0 < cfg["coarse_edge_min"] < np.inf:
         raise ConfigError(
             f"coarse_edge_min must be positive and finite, got {cfg['coarse_edge_min']!r}"
@@ -142,14 +142,9 @@ def _edge_min_range(cfg):
     return lo, hi
 
 
-def _timed_scenario(scenario, **kwargs):
-    """``dataset.simulate_scenario`` and its wall time in seconds."""
-    t0 = time.perf_counter()
-    result = dataset.simulate_scenario(scenario, **kwargs)
-    return result, time.perf_counter() - t0
-
-
 def cmd_gen(args):
+    """Simulate the scenarios through ``training.run_in_order``, one task
+    each, and write the dataset only once every scenario has succeeded."""
     cfg = resolve_config(args)
     if cfg["labels"] not in LABEL_MODES:
         raise ConfigError("labels must be 'native' or 'high-accuracy'")
@@ -172,19 +167,19 @@ def cmd_gen(args):
     # Bad PDE keys fail here, before any mesh is generated.
     dataset.scenario_pde_config(scenarios[0], cfg["viscosity"], cfg["dt"], cfg["n_steps"])
     os.makedirs(args.out, exist_ok=True)
-    generate = functools.partial(
-        _timed_scenario, refinement=refinement,
-        viscosity=cfg["viscosity"], dt=cfg["dt"], n_steps=cfg["n_steps"],
-    )
-    with contextlib.ExitStack() as stack:
-        if cfg["workers"] > 1:
-            done = stack.enter_context(Pool(cfg["workers"])).imap(generate, scenarios)
-        else:
-            done = map(generate, scenarios)
-        results = []
-        for index, (result, seconds) in enumerate(done):
-            print(f"scenario {index}: {result[0].n_nodes} nodes, {seconds:.2f} s", flush=True)
-            results.append(result)
+
+    def simulate(index, scenario):
+        t0 = time.perf_counter()
+        result = dataset.simulate_scenario(scenario, refinement=refinement,
+                                           viscosity=cfg["viscosity"], dt=cfg["dt"],
+                                           n_steps=cfg["n_steps"])
+        # One write per line, so lines of scenarios that finish at once on
+        # two threads do not interleave.
+        print(f"scenario {index}: {result[0].n_nodes} nodes, "
+              f"{time.perf_counter() - t0:.2f} s\n", end="", flush=True)
+        return result
+
+    results = training.run_in_order(simulate, list(enumerate(scenarios)))
     extra = {key: cfg[key] for key in ("viscosity", "dt", "n_steps", "coarse_edge_min")}
     extra.update(refinement=refinement or 1, domain_length=dataset.CHANNEL_LENGTH,
                  domain_height=dataset.CHANNEL_HEIGHT)

@@ -31,6 +31,10 @@ class SimulationError(RuntimeError):
     pass
 
 
+# The largest CFL number a substep may take.
+CFL = 0.5
+
+
 @dataclass(frozen=True)
 class PdeConfig:
     """Problem constants: geometry, transport coefficients, time grid."""
@@ -40,11 +44,9 @@ class PdeConfig:
     inflow_mean: float = 0.85
     dt: float = 0.01
     n_steps: int = 200
-    stabilize: bool = True
-    cfl: float = 0.5
 
     def __post_init__(self):
-        for name in ("viscosity", "inflow_mean", "dt", "cfl"):
+        for name in ("viscosity", "inflow_mean", "dt"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.viscosity < 0:
@@ -192,8 +194,7 @@ class FrameStepper:
         speed = np.hypot(vel[:, 0], vel[:, 1])
         h_elem = np.sqrt(4.0 * area / np.sqrt(3.0))
         mu = np.full(tris.shape[0], config.viscosity)
-        if config.stabilize:
-            mu += np.maximum(0.0, 0.5 * speed * h_elem - config.viscosity)
+        mu += np.maximum(0.0, 0.5 * speed * h_elem - config.viscosity)
 
         rows, cols, vals = [], [], []
         for i in range(3):
@@ -211,10 +212,10 @@ class FrameStepper:
         self.lumped_mass = np.bincount(tris.ravel(), np.repeat(area / 3.0, 3), minlength=n)
         self.dirichlet = np.flatnonzero(mesh.node_kind == KIND_INFLOW)
 
-        # Explicit-stability substep count (CFL <= config.cfl).
+        # Explicit-stability substep count.
         rate = speed / h_elem + 4.0 * mu / h_elem**2
         if rate.max() > 0:
-            dt_stable = config.cfl / rate.max()
+            dt_stable = CFL / rate.max()
             self.n_substeps = max(1, int(np.ceil(config.dt / dt_stable)))
         else:
             self.n_substeps = 1

@@ -59,8 +59,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std!r}")
-        if self.normalizer_steps > self.steps:
-            raise ValueError("normalizer warm-up budget exceeds total steps")
+        if not 0 <= self.normalizer_steps <= self.steps:
+            raise ValueError(f"normalizer_steps must be between 0 and steps={self.steps}, "
+                             f"got {self.normalizer_steps!r}")
 
     def lr_at(self, step):
         return self.learning_rate * self.lr_decay ** (step / self.steps)
@@ -103,7 +104,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 def worker_count(tasks):
     """Threads that ``run_in_order`` runs ``tasks`` independent tasks on,
     the calling thread included: ``train``'s per-sample passes of one
-    step, and ``evaluate``'s test meshes.
+    step, ``evaluate``'s test meshes and ``gen``'s scenarios.
 
     The usable cores are the process's CPU set where the platform reports
     one (Linux), else the machine's core count. Each task's matrix products
@@ -129,7 +130,8 @@ def worker_count(tasks):
 
 def run_in_order(fn, tasks):
     """``[fn(*args) for args in tasks]`` on ``worker_count(len(tasks))``
-    threads, of which the calling thread is one.
+    threads, of which the calling thread is one: the one task runner of
+    ``train``, ``evaluate`` and ``gen``.
 
     Each worker takes the next task not yet started, in task order, and
     runs it; at one worker every task runs on the calling thread and no

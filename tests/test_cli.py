@@ -21,6 +21,13 @@ SMALL_MODEL = ["--set", "latent_size=16", "--set", "hidden_size=16",
                "--set", "normalizer_steps=3"]
 
 
+def use_cores(monkeypatch, cores):
+    """``cores`` usable cores and one BLAS thread: ``cores`` workers for
+    ``training.run_in_order``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
 def read_tree(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -71,11 +78,18 @@ class TestConfig:
         (["eval", "--solver", "--set", "eval_steps=0"], "eval_steps", 0),
         (["eval", "--solver", "--set", "max_rollout=0"], "max_rollout", 0),
         (["eval", "--solver", "--set", "n_resolutions=0"], "n_resolutions", 0),
+        (["train", "--dataset", "none", "--set", "latent_size=0"], "latent_size", 0),
+        (["bench", "--set", "hidden_size=-3"], "hidden_size", -3),
+        # A seed is not a count: it may be 0.
+        (["gen", "--seed", "-1"], "seed", -1),
+        (["train", "--dataset", "none", "--seed", "-1"], "seed", -1),
+        (["eval", "--solver", "--seed", "-1"], "seed", -1),
     ])
     def test_count_below_one_rejected(self, tmp_path, capsys, argv, key, value):
         out = tmp_path / "x"
+        least = 0 if key == "seed" else 1
         assert main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {key} must be >= 1, got {value}\n"
+        assert capsys.readouterr().err == f"error: {key} must be >= {least}, got {value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,seed", [
@@ -139,30 +153,67 @@ class TestGen:
         err = capsys.readouterr().err
         assert "edge_min_lo" in err and "edge_min_hi" in err
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_progress_line_per_scenario(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_progress_line_per_scenario(self, tmp_path, capsys, monkeypatch, cores):
+        # At 2 workers the lines come in the order the scenarios finish.
+        use_cores(monkeypatch, cores)
         out = str(tmp_path / "gen")
-        assert main(["gen", "--out", out, "--scenarios", "3", "--seed", "7",
-                     "--set", f"workers={workers}"] + DESK) == 0
+        assert main(["gen", "--out", out, "--scenarios", "3", "--seed", "7"] + DESK) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4 and lines[-1] == f"wrote 3 scenarios to {out}"
-        for index, line in enumerate(lines[:3]):
+        progress = sorted(lines[:3])
+        if cores == 1:
+            assert progress == lines[:3]
+        for index, line in enumerate(progress):
             nodes = dataset.read_scenario_dir(
                 os.path.join(out, f"scenario_{index:04d}"))[1].n_nodes
             assert re.fullmatch(rf"scenario {index}: {nodes} nodes, \d+\.\d\d s", line), line
 
-    def test_workers_match_single_process_bytes(self, tmp_path):
-        a, b = str(tmp_path / "one"), str(tmp_path / "two")
-        args = ["gen", "--scenarios", "2", "--seed", "7", "--labels", "high-accuracy",
-                "--refine", "2", "--set", "edge_min_lo=9e-3", "--set", "edge_min_hi=1.2e-2",
-                "--set", "n_steps=2"]
-        assert main(args + ["--out", a, "--set", "workers=1"]) == 0
-        assert main(args + ["--out", b, "--set", "workers=2"]) == 0
-        ta, tb = read_tree(a), read_tree(b)
-        ta.pop("dataset_meta"), tb.pop("dataset_meta")  # records the workers key
-        assert set(ta) == set(tb) and len(ta) == 8
-        for name in ta:
-            assert ta[name] == tb[name], name
+    def test_one_and_two_cores_write_same_bytes(self, tmp_path, monkeypatch):
+        # Per scenario: mesh, meta, trajectory (and labels); then dataset_meta.
+        files = {"native": 7, "high-accuracy": 9}
+        for labels in (["--labels", "native"], ["--labels", "high-accuracy", "--refine", "2"]):
+            trees = []
+            for cores in (1, 2):
+                use_cores(monkeypatch, cores)
+                out = str(tmp_path / f"{labels[1]}{cores}")
+                assert main(["gen", "--out", out, "--scenarios", "2", "--seed", "7",
+                             "--set", "edge_min_lo=9e-3", "--set", "edge_min_hi=1.2e-2",
+                             "--set", "n_steps=2"] + labels) == 0
+                trees.append(read_tree(out))
+            one, two = trees
+            assert set(one) == set(two) and len(one) == files[labels[1]]
+            for name in one:
+                assert one[name] == two[name], name
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_failed_scenario_writes_no_dataset(self, tmp_path, capsys, monkeypatch, cores):
+        use_cores(monkeypatch, cores)
+        seeds = [s.seed for s in dataset.sample_scenarios(3, 7)]
+        started = []
+        real = dataset.simulate_scenario
+
+        def failing(scenario, **kwargs):
+            started.append(scenario.seed)
+            if scenario.seed == seeds[1]:
+                raise ValueError("scenario 1 failed")
+            return real(scenario, **kwargs)
+
+        monkeypatch.setattr(dataset, "simulate_scenario", failing)
+        threads = threading.active_count()
+        out = tmp_path / "gen"
+        assert main(["gen", "--out", str(out), "--scenarios", "3", "--seed", "7"] + DESK) == 1
+        assert capsys.readouterr().err == "error: scenario 1 failed\n"
+        assert threading.active_count() == threads
+        assert os.listdir(out) == []
+        if cores == 1:
+            assert started == seeds[:2]
+
+    def test_workers_key_rejected(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert main(["gen", "--out", str(out), "--scenarios", "1", "--set", "workers=2"]) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'workers' in --set\n"
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -282,12 +333,13 @@ class TestTrain:
     @pytest.mark.parametrize("key,value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("lr_decay", "-0.1"),
         ("lr_decay", "0"), ("lr_decay", "nan"), ("noise_std", "nan"), ("noise_std", "inf"),
+        ("normalizer_steps", "-5"),
     ])
     def test_bad_optimiser_setting_rejected_before_any_work(self, generated, tmp_path,
                                                              capsys, key, value):
         out = tmp_path / "run"
-        rc = main(["train", "--dataset", generated, "--out", str(out), "--steps", "2",
-                   "--set", f"{key}={value}"] + SMALL_MODEL)
+        rc = main(["train", "--dataset", generated, "--out", str(out), "--steps", "2"]
+                  + SMALL_MODEL + ["--set", f"{key}={value}"])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
@@ -349,8 +401,7 @@ class TestTrain:
         # finishes, and the same CSV bytes but the wall-time column.
         outputs = []
         for cores in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            use_cores(monkeypatch, cores)
             out = tmp_path / f"ev{cores}"
             assert main(["eval", "--out", str(out), "--solver", "--seed", "3",
                          "--set", "eval_resolutions=2e-2,1.4e-2", "--set", "eval_steps=3",
@@ -636,8 +687,7 @@ class TestEval:
         threads = threading.active_count()
         errors = []
         for cores in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            use_cores(monkeypatch, cores)
             out = tmp_path / f"ev{cores}"
             rc = main(["eval", "--out", str(out), "--checkpoint", ckpt, "--seed", "3",
                        "--set", "eval_resolutions=2e-2,1.4e-2", "--set", "eval_steps=3",

@@ -15,10 +15,9 @@ GAUSS = dict(center=np.array([0.45, 0.5]), sigma0=0.07, viscosity=0.008,
              velocity=(0.2, 0.0), t_end=0.3)
 
 
-def gauss_config(n_steps, dt=0.01, stabilize=True):
+def gauss_config(n_steps, dt=0.01):
     return S.PdeConfig(UNIT_SQUARE, viscosity=GAUSS["viscosity"],
-                       inflow_mean=GAUSS["velocity"][0], dt=dt,
-                       n_steps=n_steps, stabilize=stabilize)
+                       inflow_mean=GAUSS["velocity"][0], dt=dt, n_steps=n_steps)
 
 
 def all_wall(mesh):

@@ -23,7 +23,8 @@ the meshes of ``MESH_SWEEP``, the mesh generator's byte guard. The whole
 run takes about 6 s on a 2-core Xeon VM.
 The ``sec_per_step`` columns of CSV files are wall time, so they are
 blanked before hashing. BLAS runs on one thread, whatever the caller's
-environment sets. A refactor that keeps behaviour prints the same
+environment sets, so on two usable cores each ``gen`` simulates its two
+scenarios on two threads. A refactor that keeps behaviour prints the same
 lines before and after. ``tools/golden.txt`` holds the lines of the
 current tree, and ``tests/test_golden.py`` runs this tool and compares.
 """

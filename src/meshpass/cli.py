@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import analysis, dataset, nn, solver, training
-from .mesh import load_mesh
+from .mesh import MeshGenerationError, check_sizing, load_mesh
 from .nn import NonFiniteError
 from .processor import ModelParams, parse_schedule
 from .records import read_key_values, write_key_values
@@ -144,7 +144,9 @@ def _edge_min_range(cfg):
 
 def cmd_gen(args):
     """Simulate the scenarios through ``training.run_in_order``, one task
-    each, and write the dataset only once every scenario has succeeded."""
+    each, and write the dataset only once every scenario has succeeded.
+    A scenario whose mesh sizing is infeasible fails before ``--out`` is
+    made, with an error naming its index."""
     cfg = resolve_config(args)
     if cfg["labels"] not in LABEL_MODES:
         raise ConfigError("labels must be 'native' or 'high-accuracy'")
@@ -154,16 +156,19 @@ def cmd_gen(args):
     lo, hi = _edge_min_range(cfg)
     rng = np.random.default_rng(cfg["seed"])
     scenarios = []
-    for scenario in dataset.sample_scenarios(cfg["scenarios"], cfg["seed"]):
+    for index, scenario in enumerate(dataset.sample_scenarios(cfg["scenarios"], cfg["seed"])):
         # Re-sample edge_min within the configured (desk-scale) subrange;
         # the clamp keeps exp(log(x)) rounding inside it.
         edge_min = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        scenarios.append(
-            dataset.ScenarioParams(
-                scenario.radius, scenario.center, scenario.inflow_mean,
-                min(max(edge_min, lo), hi), scenario.seed,
-            )
+        scenario = dataset.ScenarioParams(
+            scenario.radius, scenario.center, scenario.inflow_mean,
+            min(max(edge_min, lo), hi), scenario.seed,
         )
+        try:
+            check_sizing(scenario.domain(), scenario.edge_min)
+        except MeshGenerationError as exc:
+            raise MeshGenerationError(f"scenario {index}: {exc}") from None
+        scenarios.append(scenario)
     # Bad PDE keys fail here, before any mesh is generated.
     dataset.scenario_pde_config(scenarios[0], cfg["viscosity"], cfg["dt"], cfg["n_steps"])
     os.makedirs(args.out, exist_ok=True)
@@ -321,8 +326,8 @@ def cmd_analyze(args):
         return 1
     if args.mode == "spectrum":
         mesh = load_mesh(args.mesh)
-        traj_a, _ = load_trajectory(args.traj, mesh)
-        traj_b, _ = load_trajectory(args.ref, mesh)
+        traj_a = load_trajectory(args.traj, mesh)
+        traj_b = load_trajectory(args.ref, mesh)
         if traj_a.fields.shape != traj_b.fields.shape:
             print("error: trajectory shapes differ", file=sys.stderr)
             return 1

@@ -315,10 +315,10 @@ def read_scenario_dir(path):
     mesh_path = os.path.join(path, "mesh.msh")
     mesh = load_mesh(mesh_path)
     _check_mesh_matches_meta(scenario, mesh, meta_path, mesh_path)
-    traj, _ = load_trajectory(os.path.join(path, "trajectory.bin"), mesh)
+    traj = load_trajectory(os.path.join(path, "trajectory.bin"), mesh)
     ha = None
     if has_labels:
-        ha, _ = load_trajectory(ha_path, mesh)
+        ha = load_trajectory(ha_path, mesh)
     return scenario, mesh, traj, ha, meta
 
 

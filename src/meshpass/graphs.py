@@ -18,7 +18,9 @@ Raw edge features follow the canonical layout [dx, dy, norm] with
 dx = x_sender - x_receiver. The Graph constructor is the one place that
 puts edges in canonical order (sorted by receiver, then sender), so
 aggregation is bit-deterministic and independent of the order in which the
-edges were produced.
+edges were produced. A Graph builds one :class:`nn.SparseOp` per index
+list: the sender and receiver gathers; the receiver segment sum is the
+receiver gather's transpose, over the same indices and sparse matrix.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class Graph:
     """Directed edges from a source node set to a destination node set.
 
     Holds the edges in canonical (receiver, sender) order, the sender and
-    receiver gathers and the receiver segment-sum built from them, and the
+    receiver gathers, the receiver segment sum (``gather_recv.T``) and the
     raw edge features. ``dst_positions`` defaults to ``src_positions`` for
     edges within one node set.
     """
@@ -72,7 +74,7 @@ class Graph:
         )
         self.gather_send = nn.SparseOp.gather(self.senders, len(src_positions))
         self.gather_recv = nn.SparseOp.gather(self.receivers, len(dst_positions))
-        self.aggregate = nn.SparseOp.segment_sum(self.receivers, len(dst_positions))
+        self.aggregate = self.gather_recv.T
 
 
 def mesh_graph(mesh):
@@ -107,7 +109,7 @@ def encode_edges(graph, kind, params):
     """Edge latents of ``graph`` through the normalizer and edge encoder of
     ``kind`` (fine, coarse, down or up)."""
     feats = params.edge_normalizers[kind].apply(graph.features)
-    return nn.mlp_apply(params.edge_encoder(kind), feats)
+    return nn.mlp_apply(params.encoders[f"{kind}_edge"], feats)
 
 
 def encode_fine(mesh, fields, params):
@@ -123,14 +125,14 @@ def encode_fine(mesh, fields, params):
         raise ValueError(
             f"field rows {fields_t.data.shape[0]} != mesh node count {mesh.n_nodes}"
         )
-    return params.fine_node_encoder(nn.concat([one_hot_kinds(mesh.node_kind), fields_t]))
+    return params.encoders["fine_node"](nn.concat([one_hot_kinds(mesh.node_kind), fields_t]))
 
 
 def encode_coarse(mesh, params):
     """Encode the auxiliary coarse level from geometric features only.
     Returns (graph, node latents, edge latents)."""
     graph = mesh_graph(mesh)
-    nodes = nn.mlp_apply(params.coarse_node_encoder, one_hot_kinds(mesh.node_kind))
+    nodes = nn.mlp_apply(params.encoders["coarse_node"], one_hot_kinds(mesh.node_kind))
     return graph, nodes, encode_edges(graph, "coarse", params)
 
 

@@ -446,6 +446,27 @@ def _drop_unused(points, kinds, tris):
     return points[used], kinds[used], remap[tris]
 
 
+def check_sizing(domain, edge_min):
+    """Raise :class:`MeshGenerationError` if :func:`generate_mesh` cannot
+    mesh ``domain`` at ``edge_min``: an ``edge_min`` that is not positive
+    and finite, one above the obstacle's clearance to the walls, or one at
+    which the obstacle circumference supports fewer than 4 segments."""
+    if not 0 < edge_min < np.inf:
+        raise MeshGenerationError(f"edge_min must be positive and finite, got {edge_min!r}")
+    if domain.has_obstacle:
+        clearance = domain.obstacle_clearance()
+        if edge_min > clearance:
+            raise MeshGenerationError(
+                f"edge_min {edge_min:g} exceeds obstacle clearance {clearance:g}; "
+                "refine the sizing or move the obstacle"
+            )
+        if 2 * np.pi * domain.obstacle_radius < 4 * edge_min:
+            raise MeshGenerationError(
+                "obstacle circumference supports fewer than 4 boundary segments "
+                f"at edge_min {edge_min:g}"
+            )
+
+
 def generate_mesh(domain, edge_min, seed=0):
     """Generate a graded triangulation of the domain.
 
@@ -461,27 +482,14 @@ def generate_mesh(domain, edge_min, seed=0):
     ``h = edge_min`` of a rectangle with area ``A`` and perimeter ``P``,
     about ``2A / (sqrt(3) h^2) + P / (2h) + 1`` nodes.
 
-    Raises :class:`MeshGenerationError` if the sizing is infeasible, if the
-    split/collapse pass leaves edges out of range after
-    ``SPLIT_COLLAPSE_ROUNDS`` rounds, or if the mesh fails
+    Raises :class:`MeshGenerationError` if the sizing is infeasible
+    (:func:`check_sizing`), if the split/collapse pass leaves edges out of
+    range after ``SPLIT_COLLAPSE_ROUNDS`` rounds, or if the mesh fails
     :func:`validate_mesh`.
     """
-    if not 0 < edge_min < np.inf:
-        raise MeshGenerationError(f"edge_min must be positive and finite, got {edge_min!r}")
+    check_sizing(domain, edge_min)
     edge_max = 5.0 * edge_min
-    if domain.has_obstacle:
-        clearance = domain.obstacle_clearance()
-        if edge_min > clearance:
-            raise MeshGenerationError(
-                f"edge_min {edge_min:g} exceeds obstacle clearance {clearance:g}; "
-                "refine the sizing or move the obstacle"
-            )
-        if 2 * np.pi * domain.obstacle_radius < 4 * edge_min:
-            raise MeshGenerationError(
-                "obstacle circumference supports fewer than 4 boundary segments "
-                f"at edge_min {edge_min:g}"
-            )
-    elif edge_min >= min(domain.length, domain.height):
+    if not domain.has_obstacle and edge_min >= min(domain.length, domain.height):
         positions, triangles, kinds = _corner_mesh(domain)
         return TriMesh(positions, triangles, kinds, edge_min, edge_max)
 
@@ -507,7 +515,7 @@ def generate_mesh(domain, edge_min, seed=0):
         # At least 8 ring nodes, unless 8 would put two neighbours closer
         # than the collapse bound: both are pinned, so that edge could never
         # be collapsed. The ceiling alone always meets the bound, and the
-        # circumference check above keeps it at 4 or more.
+        # circumference check of check_sizing keeps it at 4 or more.
         n_apart = int(np.pi / np.arcsin(COLLAPSE_BELOW * edge_min / (2 * r)))
         n_ring = max(int(np.ceil(2 * np.pi * r / edge_min)), min(8, n_apart))
         th = 2 * np.pi * np.arange(n_ring) / n_ring

@@ -4,10 +4,11 @@ The engine records a tape of primitive operations as the forward pass runs;
 ``backward`` replays it in reverse to accumulate vector-Jacobian
 products. Only the primitives the model needs are implemented: dense affine
 maps (``matmul`` with an optional bias, added in place on its own output),
-row blocks of a weight (``row_block``), ReLU, concatenation, sparse
-gather/scatter for graph message passing (a gather runs forward as
-``np.take`` of its stored indices), layer normalization and the reductions
-used by the loss.
+row blocks of a weight (``row_block``), ReLU, concatenation, the gathers
+and segment sums of graph message passing (``spmm``: a gather runs as
+``np.take`` of its indices and a segment sum as one CSR product, forward
+and backward alike), layer normalization and the reductions used by the
+loss.
 
 The tape is kept apart from the data. Each output Tensor carries a node
 with the op name, the parents' nodes (not their Tensors) and the vjp, and
@@ -284,53 +285,52 @@ def concat(parts):
 
 
 class SparseOp:
-    """Constant sparse matrix with its transpose, for gather/scatter ops.
+    """A constant gather or segment sum over one index list.
 
-    Rows of ``mat`` select (gather) or sum (scatter-add) rows of the dense
-    operand. CSR matmul applies terms in index order, which keeps the
-    aggregation bit-deterministic regardless of edge storage order. A
-    gather also keeps its ``indices``, so its forward pass is a plain
-    ``np.take``; it is None for any other operator.
+    ``mat`` is the (n_rows, len(indices)) CSR segment-sum matrix, with
+    sorted column indices so each bin sums its rows in index order, which
+    keeps aggregation bit-deterministic regardless of edge storage order.
+    ``T`` is the other direction over the same ``indices`` and ``mat``.
     """
 
-    def __init__(self, mat, indices=None):
-        self.mat = sp.csr_matrix(mat)
-        self.mat.sort_indices()
-        self.mat_t = self.mat.T.tocsr()
-        self.mat_t.sort_indices()
+    def __init__(self, indices, mat, is_gather):
         self.indices = indices
+        self.mat = mat
+        self.is_gather = is_gather
+
+    @property
+    def T(self):
+        return SparseOp(self.indices, self.mat, not self.is_gather)
 
     @staticmethod
     def gather(indices, n_rows):
-        """Operator taking an (n_rows, d) array to a (len(indices), d) array."""
+        """Operator taking an (n_rows, d) array to a (len(indices), d) array;
+        its ``T`` sums the rows of a (len(indices), d) array into n_rows bins."""
         indices = np.asarray(indices, dtype=np.int64)
-        m = len(indices)
-        mat = sp.csr_matrix(
-            (np.ones(m), indices, np.arange(m + 1)), shape=(m, n_rows)
-        )
-        return SparseOp(mat, indices)
-
-    @staticmethod
-    def segment_sum(indices, n_rows):
-        """Operator summing rows of an (len(indices), d) array into n_rows bins."""
-        return SparseOp(SparseOp.gather(indices, n_rows).mat.T)
+        # A stable sort lists each bin's terms in index order.
+        order = np.argsort(indices, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(indices, minlength=n_rows))])
+        mat = sp.csr_matrix((np.ones(len(indices)), order, indptr),
+                            shape=(n_rows, len(indices)))
+        return SparseOp(indices, mat, True)
 
 
 def spmm(op, a, out=None):
-    """Multiply a constant :class:`SparseOp` with a dense tensor. A gather
-    writes into ``out`` under no_tape (see the module docstring); a
-    segment sum always allocates its output."""
+    """Apply a constant :class:`SparseOp`: a gather as ``np.take`` of its
+    indices, a segment sum as ``op.mat @ a``, and the other one backward.
+    A gather writes into ``out`` under no_tape (see the module docstring);
+    a segment sum always allocates its output."""
     av = value(a)
-    buf = _handed(out, op.mat.shape[:1] + av.shape[1:])
-    if op.indices is None:
-        out = op.mat @ av
-    else:
+    if op.is_gather:
         # mode="raise" would stage the rows in a temporary before copying
         # them into buf; a gather's indices are in range by construction.
+        buf = _handed(out, op.indices.shape + av.shape[1:])
         out = np.take(av, op.indices, axis=0, out=buf, mode="clip")
+    else:
+        out = op.mat @ av
 
     def vjp(g, need):
-        return (op.mat_t @ g,)
+        return (op.mat @ g if op.is_gather else np.take(g, op.indices, axis=0),)
 
     return _result(out, "spmm", (a,), vjp)
 

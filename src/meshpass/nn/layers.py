@@ -54,12 +54,7 @@ class Mlp:
         return out
 
     def parameters(self):
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend([w, b])
-        if self.layer_norm:
-            params.extend([self.ln_gain, self.ln_bias])
-        return params
+        return list(self.named_parameters("").values())
 
     def named_parameters(self, prefix):
         names = {}

@@ -114,16 +114,6 @@ class ProcessorBlock:
         self.edge_mlp = nn.Mlp(3 * latent_size, latent_size, hidden_size, True, rng)
         self.node_mlp = nn.Mlp(2 * latent_size, latent_size, hidden_size, True, rng)
 
-    def named_parameters(self, prefix):
-        out = self.edge_mlp.named_parameters(f"{prefix}/edge")
-        out.update(self.node_mlp.named_parameters(f"{prefix}/node"))
-        return out
-
-    def zero_(self):
-        self.edge_mlp.zero_()
-        self.node_mlp.zero_()
-        return self
-
 
 # The kind of coarse level a checkpoint's ``meta/coarse_kind`` names: the
 # one kind there is, a coarse TriMesh.
@@ -149,8 +139,9 @@ def _code_text(blocks, name):
 
 
 class ModelParams:
-    """All learnable state: encoders, per-step processor blocks, decoder,
-    and the running normalizers."""
+    """All learnable state: the encoders (``encoders``, keyed by kind and
+    built in the order listed there, which fixes every MLP's RNG draws),
+    per-step processor blocks, decoder, and the running normalizers."""
 
     def __init__(
         self,
@@ -169,12 +160,14 @@ class ModelParams:
         self.seed = seed
         rng = np.random.default_rng(seed)
         d, h = latent_size, hidden_size
-        self.fine_node_encoder = nn.Mlp(ONE_HOT_WIDTH + field_width, d, h, True, rng)
-        self.fine_edge_encoder = nn.Mlp(3, d, h, True, rng)
-        self.coarse_node_encoder = nn.Mlp(ONE_HOT_WIDTH, d, h, True, rng)
-        self.coarse_edge_encoder = nn.Mlp(3, d, h, True, rng)
-        self.down_edge_encoder = nn.Mlp(3, d, h, True, rng)
-        self.up_edge_encoder = nn.Mlp(3, d, h, True, rng)
+        self.encoders = {
+            "fine_node": nn.Mlp(ONE_HOT_WIDTH + field_width, d, h, True, rng),
+            "fine_edge": nn.Mlp(3, d, h, True, rng),
+            "coarse_node": nn.Mlp(ONE_HOT_WIDTH, d, h, True, rng),
+            "coarse_edge": nn.Mlp(3, d, h, True, rng),
+            "down_edge": nn.Mlp(3, d, h, True, rng),
+            "up_edge": nn.Mlp(3, d, h, True, rng),
+        }
         self.blocks = [ProcessorBlock(k, d, h, rng) for k in schedule.steps]
         self.decoder = nn.Mlp(d, field_width, h, layer_norm=False, rng=rng)
         self.node_field_normalizer = nn.Normalizer(field_width)
@@ -193,27 +186,21 @@ class ModelParams:
             raise ValueError("schedule uses L/D/U steps but no coarse level was given")
         return True
 
-    def edge_encoder(self, kind):
-        """The edge encoder of ``kind``: fine, coarse, down or up."""
-        return self._encoders()[f"enc_{kind}_edge"]
-
-    def _encoders(self):
-        return {
-            "enc_fine_node": self.fine_node_encoder,
-            "enc_fine_edge": self.fine_edge_encoder,
-            "enc_coarse_node": self.coarse_node_encoder,
-            "enc_coarse_edge": self.coarse_edge_encoder,
-            "enc_down_edge": self.down_edge_encoder,
-            "enc_up_edge": self.up_edge_encoder,
-        }
+    def mlps(self):
+        """Every MLP under its checkpoint name, in checkpoint order:
+        ``enc_<kind>`` for each encoder, ``block_<i>_<K>/edge`` and
+        ``/node`` for each step, then ``decoder``."""
+        out = {f"enc_{kind}": mlp for kind, mlp in self.encoders.items()}
+        for i, block in enumerate(self.blocks):
+            out[f"block_{i:03d}_{block.kind}/edge"] = block.edge_mlp
+            out[f"block_{i:03d}_{block.kind}/node"] = block.node_mlp
+        out["decoder"] = self.decoder
+        return out
 
     def named_parameters(self):
         out = {}
-        for name, mlp in self._encoders().items():
+        for name, mlp in self.mlps().items():
             out.update(mlp.named_parameters(name))
-        for i, block in enumerate(self.blocks):
-            out.update(block.named_parameters(f"block_{i:03d}_{block.kind}"))
-        out.update(self.decoder.named_parameters("decoder"))
         return out
 
     def parameters(self):
@@ -221,11 +208,8 @@ class ModelParams:
 
     def zero_(self):
         """Zero all MLP weights; the model becomes the identity map."""
-        for mlp in self._encoders().values():
+        for mlp in self.mlps().values():
             mlp.zero_()
-        for block in self.blocks:
-            block.zero_()
-        self.decoder.zero_()
         return self
 
     # -- checkpoint round-trip ------------------------------------------

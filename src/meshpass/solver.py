@@ -51,8 +51,10 @@ class PdeConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.viscosity < 0:
             raise ValueError("viscosity must be non-negative")
-        if self.dt <= 0 or self.n_steps < 0:
-            raise ValueError("time grid must be positive")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {self.n_steps!r}")
 
 
 def potential_flow_velocity(domain, points, u_mean):
@@ -129,7 +131,8 @@ def save_trajectory(traj, path):
 
 
 def load_trajectory(path, mesh=None):
-    """Read a trajectory; if ``mesh`` is given its digest is verified.
+    """Read a trajectory; if ``mesh`` is given, the mesh digest the file
+    records must match it (SimulationError otherwise).
 
     A file whose length disagrees with its header (a truncated file, say)
     or that holds non-finite values raises SimulationError naming the path.
@@ -159,7 +162,7 @@ def load_trajectory(path, mesh=None):
         raise SimulationError(f"non-finite values in frame {bad} of trajectory file {path}")
     if mesh is not None and mesh_digest(mesh) != digest:
         raise SimulationError("trajectory mesh hash does not match the given mesh")
-    return Trajectory(mesh, fields, dt), digest
+    return Trajectory(mesh, fields, dt)
 
 
 class FrameStepper:

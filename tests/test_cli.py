@@ -209,6 +209,25 @@ class TestGen:
         if cores == 1:
             assert started == seeds[:2]
 
+    def test_infeasible_sizing_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # Scenario 0's sizing is fine; scenario 1's edge_min exceeds its
+        # obstacle's clearance to the walls.
+        started = []
+        monkeypatch.setattr(dataset, "simulate_scenario", lambda *a, **k: started.append(a))
+        scenarios = dataset.sample_scenarios(2, 9)
+        clearance = [s.domain().obstacle_clearance() for s in scenarios]
+        assert clearance[1] < 0.05 < clearance[0]
+        out = tmp_path / "gen"
+        rc = main(["gen", "--out", str(out), "--scenarios", "2", "--seed", "9",
+                   "--set", "edge_min_lo=0.05", "--set", "edge_min_hi=0.05",
+                   "--set", "n_steps=2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario 1: edge_min 0.05 exceeds obstacle clearance {clearance[1]:g}; "
+            "refine the sizing or move the obstacle\n")
+        assert not out.exists()
+        assert started == []
+
     def test_workers_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "gen"
         assert main(["gen", "--out", str(out), "--scenarios", "1", "--set", "workers=2"]) == 1
@@ -279,6 +298,17 @@ class TestMeshGeneratedOnce:
         rc = main(command + ["--out", str(out), "--set", f"{key}={raw}"] + self.GEN)
         assert rc == 1
         assert capsys.readouterr().err == f"error: {key} must be finite, got {float(raw)!r}\n"
+        assert mesh_calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["gen", "--scenarios", "1"], ["eval", "--solver"]])
+    @pytest.mark.parametrize("raw", ["0", "-0.01"])
+    def test_non_positive_dt_rejected_before_any_mesh(self, tmp_path, capsys, mesh_calls,
+                                                     command, raw):
+        out = tmp_path / "x"
+        rc = main(command + ["--out", str(out), "--set", f"dt={raw}"] + self.GEN)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: dt must be positive, got {float(raw)!r}\n"
         assert mesh_calls == []
         assert not out.exists()
 

@@ -5,6 +5,7 @@ import pytest
 
 from meshpass import graphs as G
 from meshpass import mesh as M
+from meshpass import nn
 from meshpass.processor import ModelParams
 
 
@@ -62,8 +63,8 @@ class TestEncodeCoarse:
         # The coarse node encoder consumes exactly the node-kind one-hot.
         p = ModelParams("p=1H 1L 1H (U=1,D=1)", field_width=3, latent_size=8,
                         hidden_size=8, seed=0)
-        assert p.coarse_node_encoder.in_width == G.ONE_HOT_WIDTH
-        assert p.fine_node_encoder.in_width == G.ONE_HOT_WIDTH + 3
+        assert p.encoders["coarse_node"].in_width == G.ONE_HOT_WIDTH
+        assert p.encoders["fine_node"].in_width == G.ONE_HOT_WIDTH + 3
 
     def test_coarse_latents_independent_of_fields(self, params):
         mesh = square_mesh()
@@ -157,9 +158,13 @@ class TestGraph:
         dst = np.array([[0.0, 0.0], [1.0, 0.0]])
         g = G.Graph(np.array([1, 2]), np.array([0, 1]), src, dst)
         np.testing.assert_allclose(g.features, [[3.0, 4.0, 5.0], [0.0, 1.0, 1.0]])
-        assert g.gather_send.mat.shape == (2, 3)
+        # Each operator's matrix is the (n_rows, n_edges) segment sum.
+        assert g.gather_send.mat.shape == (3, 2)
         assert g.gather_recv.mat.shape == (2, 2)
-        assert g.aggregate.mat.shape == (2, 2)
+        assert g.aggregate.mat is g.gather_recv.mat
+        x = np.arange(6.0).reshape(3, 2)
+        assert nn.spmm(g.gather_send, x).shape == (2, 2)
+        assert nn.spmm(g.aggregate, np.ones((2, 4))).shape == (2, 4)
 
     def test_built_once_per_mesh_and_pair(self, params, channel):
         _, fine, coarse = channel
@@ -170,6 +175,20 @@ class TestGraph:
         down, _ = G.build_transfer(fine, coarse, "down", params)
         assert G.build_transfer(fine, coarse, "down", params)[0] is down
         assert G.transfer_graph(fine, coarse, "down") is down
+
+    def test_aggregate_shares_receiver_gather(self, channel):
+        # The segment sum is the receiver gather read the other way: one
+        # index list and one sparse matrix for both.
+        _, fine, coarse = channel
+        graphs = [G.mesh_graph(fine), G.mesh_graph(coarse),
+                  G.transfer_graph(fine, coarse, "down"), G.transfer_graph(fine, coarse, "up"),
+                  G.Graph(np.array([1, 2]), np.array([0, 1]), np.zeros((3, 2)),
+                          np.zeros((2, 2)))]
+        for g in graphs:
+            assert g.aggregate.indices is g.gather_recv.indices
+            assert g.aggregate.mat is g.gather_recv.mat
+            assert g.gather_recv.is_gather and not g.aggregate.is_gather
+            assert g.gather_recv.mat.nnz == g.gather_send.mat.nnz == len(g.receivers)
 
 
 class TestEdgeFeatures:

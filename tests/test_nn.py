@@ -64,7 +64,7 @@ class TestAutodiffOps:
             "sub": (lambda: ad.sub(x, c), [x]),
             "layer_norm": (lambda: ad.layer_norm(ad.matmul(x, w), b, b), [x, w, b]),
             "gather": (lambda: ad.spmm(ad.SparseOp.gather(idx, 6), x), [x]),
-            "segment_sum": (lambda: ad.spmm(ad.SparseOp.segment_sum(idx, 6), x), [x]),
+            "segment_sum": (lambda: ad.spmm(ad.SparseOp.gather(idx, 6).T, x), [x]),
         }
         build, leaves = builders[name]
         loss_fn = lambda: ad.mean_sq(build())
@@ -108,9 +108,25 @@ class TestAutodiffOps:
         x = ad.Tensor(rng.normal(size=(5, 3)))
         g = rng.normal(size=(len(idx), 3))
         out = ad.spmm(op, x)
+        assert out.data.tobytes() == (op.mat.T @ x.data).tobytes()
+        (gx,) = ad.backward(out, seed=g, wrt=[x])
+        assert gx.tobytes() == (op.mat @ g).tobytes()
+
+    def test_segment_sum_backward_is_take_of_adjoint(self):
+        # The adjoint of a segment sum is the gather of its adjoint, taken
+        # row by row: a -0.0 entry stays -0.0, which a one-hot CSR product
+        # would turn into +0.0.
+        rng = np.random.default_rng(4)
+        idx = np.array([3, 0, 0, 4, 2, 4, 1])
+        op = ad.SparseOp.gather(idx, 5).T
+        x = ad.Tensor(rng.normal(size=(len(idx), 3)))
+        g = rng.normal(size=(5, 3))
+        g[2, 1] = -0.0
+        out = ad.spmm(op, x)
         assert out.data.tobytes() == (op.mat @ x.data).tobytes()
         (gx,) = ad.backward(out, seed=g, wrt=[x])
-        assert gx.tobytes() == (op.mat_t @ g).tobytes()
+        assert gx.tobytes() == np.take(g, idx, axis=0).tobytes()
+        assert np.signbit(gx[4, 1])
 
     def test_layer_norm_matches_two_pass_formula_bytes(self):
         rng = np.random.default_rng(5)
@@ -202,7 +218,7 @@ class TestNoTape:
         assert free.data.tobytes() == taped.data.tobytes() == fresh.data.tobytes()
 
     def test_segment_sum_never_writes_out(self):
-        op = ad.SparseOp.segment_sum(np.array([0, 0, 1]), 2)
+        op = ad.SparseOp.gather(np.array([0, 0, 1]), 2).T
         buf = np.zeros((2, 3))
         with nn.no_tape():
             out = ad.spmm(op, np.ones((3, 3)), out=buf)

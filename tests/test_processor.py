@@ -78,7 +78,9 @@ def tiny_graph(senders, receivers, n_src, n_dst=None):
 class TestGraphUpdates:
     def test_zero_weight_block_is_identity(self):
         rng = np.random.default_rng(0)
-        block = P.ProcessorBlock("H", 4, 4, rng).zero_()
+        block = P.ProcessorBlock("H", 4, 4, rng)
+        block.edge_mlp.zero_()
+        block.node_mlp.zero_()
         v = nn.Tensor(rng.normal(size=(3, 4)))
         e = nn.Tensor(rng.normal(size=(2, 4)))
         v_out, e_out = P.high_res_update(tiny_graph([0, 1], [1, 2], 3), v, e, block)
@@ -347,6 +349,22 @@ class TestBlockFactoredEdgeUpdate:
 
 
 class TestModelParams:
+    def test_mlps_list_every_parameter_in_checkpoint_order(self):
+        params = P.ModelParams("p=1H 1L 1H (U=1,D=1)", 1, 8, 8, seed=0)
+        mlps = params.mlps()
+        assert list(mlps) == [
+            "enc_fine_node", "enc_fine_edge", "enc_coarse_node", "enc_coarse_edge",
+            "enc_down_edge", "enc_up_edge",
+            "block_000_H/edge", "block_000_H/node", "block_001_D/edge", "block_001_D/node",
+            "block_002_L/edge", "block_002_L/node", "block_003_U/edge", "block_003_U/node",
+            "block_004_H/edge", "block_004_H/node", "decoder"]
+        prefixes = [name.rsplit("/", 1)[0] for name in params.named_parameters()]
+        assert list(dict.fromkeys(prefixes)) == list(mlps)
+        assert params.zero_() is params
+        for mlp in mlps.values():
+            for t in mlp.weights + mlp.biases:
+                assert not np.any(t.data)
+
     def test_one_block_per_step_no_sharing(self):
         params = P.ModelParams("p=2H 2L 2H (U=1,D=1)", 1, 8, 8, seed=0)
         assert len(params.blocks) == 8

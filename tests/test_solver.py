@@ -47,6 +47,17 @@ class TestPotentialFlow:
         np.testing.assert_allclose(v, [[1.0, 0.0]], atol=1e-4)
 
 
+class TestPdeConfig:
+    @pytest.mark.parametrize("dt,n_steps,message", [
+        (0.0, 2, "dt must be positive, got 0.0"),
+        (-0.01, 2, "dt must be positive, got -0.01"),
+        (0.01, -1, "n_steps must be >= 0, got -1"),
+    ])
+    def test_bad_time_grid_names_key_and_value(self, dt, n_steps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            S.PdeConfig(UNIT_SQUARE, dt=dt, n_steps=n_steps)
+
+
 class TestSimulate:
     def test_zero_velocity_zero_diffusivity_constant(self):
         mesh = M.generate_mesh(UNIT_SQUARE, 0.1)
@@ -278,10 +289,12 @@ class TestTrajectoryIO:
                           np.random.default_rng(0).normal(size=mesh.n_nodes))
         path = tmp_path / "t.bin"
         S.save_trajectory(traj, path)
-        loaded, digest = S.load_trajectory(path, mesh)
+        loaded = S.load_trajectory(path, mesh)
+        assert loaded.mesh is mesh
         assert np.array_equal(loaded.fields, traj.fields)
         assert loaded.dt == traj.dt
-        assert digest == S.mesh_digest(mesh)
+        with pytest.raises(S.SimulationError, match="mesh hash"):
+            S.load_trajectory(path, M.generate_mesh(UNIT_SQUARE, 0.25))
 
     def test_wrong_mesh_rejected(self, tmp_path):
         mesh = M.generate_mesh(UNIT_SQUARE, 0.2)

@@ -433,7 +433,8 @@ class TestLossMasking:
         params = small_params(seed=5)
         for block, kind in zip(params.blocks, params.schedule.steps):
             if kind == "U":
-                block.zero_()
+                block.edge_mlp.zero_()
+                block.node_mlp.zero_()
         fields = np.random.default_rng(1).normal(size=fine.n_nodes)
 
         out_a = predict_step(fine, coarse, fields, params)

@@ -13,10 +13,19 @@ Each run's last line of standard output is its result (``correct``,
 ``BENCHMARK.json`` the tool prints both sides' median and quartiles, the
 pairs in which CHANGE is better, and whether the gain rule holds: CHANGE
 better in at least 9 of 10 pairs, and the medians further apart than the
-parent's quartiles. It also prints each side's median of every ``phase``
-line (``minor_faults_per_op``, ``train_step_s``, ``model_step_s`` and the
-rest), the failed operations per side and whether the check digests are
-equal per seed.
+parent's quartiles. It also prints the metric's no-regression verdict
+against its ``bound``, a fraction of the parent's median:
+
+- ``worse beyond bound``: CHANGE's median is worse than the parent's by
+  more than the bound;
+- ``unresolved``: otherwise, if the parent's quartile spread is wider than
+  the bound, unless every CHANGE run beats every parent run;
+- ``within bound``: otherwise.
+
+It also prints each side's median of every ``phase`` line
+(``minor_faults_per_op``, ``train_step_s``, ``model_step_s`` and the rest),
+the failed operations per side and whether the check digests are equal per
+seed.
 
 Every run (side, seed, pair, order, exit status, wall time, result, the
 ``phase`` lines and the sha256 of the check digests) is written to OUT
@@ -86,7 +95,8 @@ def quartiles(values):
 
 
 def summarize(runs, metrics):
-    """Per metric: quartiles per side, pairs won by B and the gain rule."""
+    """Per metric: quartiles per side, pairs won by B, the gain rule and
+    the no-regression verdict (see the module docstring)."""
     by_pair = {}
     for r in runs:
         if r["result"] is not None:
@@ -100,11 +110,19 @@ def summarize(runs, metrics):
         qa, qb = quartiles(a), quartiles(b)
         won = sum(sign * (y - x) < 0 for x, y in zip(a, b))
         gap = sign * (qa["median"] - qb["median"])
+        scale = m["bound"] * abs(qa["median"])
+        if -gap > scale:
+            verdict = "worse beyond bound"
+        elif qa["q3"] - qa["q1"] > scale and max(sign * y for y in b) >= min(sign * x for x in a):
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         summary[name] = {
             "A": qa, "B": qb,
             "change_pct": round(100.0 * (qb["median"] - qa["median"]) / qa["median"], 1),
             "B_better_pairs": f"{won}/{len(pairs)}",
             "gain_rule_holds": won >= 0.9 * len(pairs) and gap > qa["q3"] - qa["q1"],
+            "verdict": verdict,
         }
     return summary
 
@@ -147,7 +165,8 @@ def main(argv=None):
         print(f"  {name:12s} A {s['A']['median']:.4g} [{s['A']['q1']:.4g}, {s['A']['q3']:.4g}]"
               f"  B {s['B']['median']:.4g} [{s['B']['q1']:.4g}, {s['B']['q3']:.4g}]"
               f"  {s['change_pct']:+.1f}%  B better {s['B_better_pairs']}"
-              f"  gain rule {'holds' if s['gain_rule_holds'] else 'fails'}")
+              f"  gain rule {'holds' if s['gain_rule_holds'] else 'fails'}"
+              f"  {s['verdict']}")
     phases = phase_medians(runs)
     for name, medians in phases.items():
         print(f"  phase {name:22s} " + "  ".join(
